@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .graphs import Graph, canonical_key, empty_graph
+from .graphs import Graph, canonical_key
 from .gvio import GvSyntaxError, parse_statements
 
 
@@ -56,7 +57,7 @@ class ExpansionOperation:
                 f"port sequence"
             )
 
-    @property
+    @cached_property
     def context(self) -> Tuple[str, ...]:
         """Context nodes, in template declaration order."""
         outside = set(self.ports) | set(self.docks)
@@ -117,6 +118,16 @@ def context_nodes(op: ExpansionOperation) -> frozenset:
     return frozenset(op.context)
 
 
+def context_candidates(op: ExpansionOperation, arg: Graph) -> List[List[str]]:
+    """For each context node of ``op``, in order, the sorted non-port
+    nodes of ``arg`` that carry its label."""
+    non_ports = arg.nodes - set(arg.ports)
+    wanted = [op.template.labels[u] for u in op.context]
+    return [
+        sorted(v for v in non_ports if arg.labels[v] == lab) for lab in wanted
+    ]
+
+
 def enumerate_context_assignments(
     op: ExpansionOperation, arg: Graph, injective: bool = False
 ) -> List[Dict[str, str]]:
@@ -127,16 +138,8 @@ def enumerate_context_assignments(
     ``injective`` is set.
     """
     ctx = op.context
-    non_ports = arg.nodes - set(arg.ports)
-    candidate_lists = []
-    for u in ctx:
-        lab = op.template.labels[u]
-        candidates = sorted(v for v in non_ports if arg.labels[v] == lab)
-        if not candidates:
-            return []
-        candidate_lists.append(candidates)
     assignments = []
-    for combo in itertools.product(*candidate_lists):
+    for combo in itertools.product(*context_candidates(op, arg)):
         if injective and len(set(combo)) != len(combo):
             continue
         assignments.append(dict(zip(ctx, combo)))
@@ -309,7 +312,7 @@ def check_extension(op: ExpansionOperation) -> ExtensionReport:
     )
 
 
-_OP_HEADER_RE = re.compile(r"^\s*operation\s+(?P<name>[^\s{]+)\s*\{\s*$")
+_OP_HEADER_RE = re.compile(r"^operation\s+(?P<name>[^\s{]+)\s*\{(?P<rest>.*)$")
 _UNION_BODY_RE = re.compile(r"^\s*(\d+)\s+(\d+)\s*;?\s*$")
 
 
@@ -325,29 +328,22 @@ def _split_operations(text: str) -> List[Tuple[str, int, List[Tuple[int, str]]]]
                 continue
             m = _OP_HEADER_RE.match(line)
             if m is None:
-                # Allow "operation name {" split less strictly.
-                m2 = re.match(r"^operation\s+(?P<name>[^\s{]+)\s*\{(?P<rest>.*)$", line)
-                if m2 is None:
-                    raise OperationFileError(
-                        f"line {lineno}: expected 'operation <name> {{'"
-                    )
-                name = m2.group("name")
-                start_line = lineno
-                rest = m2.group("rest").strip()
-                if rest.endswith("}"):
-                    inner = rest[:-1].strip()
-                    blocks.append(
-                        (name, lineno, [(lineno, inner)] if inner else [])
-                    )
-                    name = None
-                elif rest:
-                    body = [(lineno, rest)]
-                else:
-                    body = []
-                continue
+                raise OperationFileError(
+                    f"line {lineno}: expected 'operation <name> {{'"
+                )
             name = m.group("name")
             start_line = lineno
-            body = []
+            rest = m.group("rest").strip()
+            if rest.endswith("}"):
+                inner = rest[:-1].strip()
+                blocks.append(
+                    (name, lineno, [(lineno, inner)] if inner else [])
+                )
+                name = None
+            elif rest:
+                body = [(lineno, rest)]
+            else:
+                body = []
             continue
         if line == "}":
             blocks.append((name, start_line, body))

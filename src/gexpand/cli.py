@@ -13,17 +13,15 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import (
     Algebra,
-    EmptyConstant,
     ExpansionOperation,
     OperationFileError,
-    UnionOperation,
     check_extension,
     parse_operation_file,
 )
@@ -39,7 +37,6 @@ from .grammar import (
     RtgSyntaxError,
     WeightedRtg,
     best_completion_weights,
-    min_tree_weight,
     n_best_trees,
     parse_rtg,
     parse_tree_file,
@@ -56,29 +53,31 @@ from .substitution import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    operations_path: str
-    trees_path: Optional[str] = None
-    grammar_path: Optional[str] = None
+    """One pipeline run.  Field names are the argparse destinations and
+    the keys of the manifest's ``config`` block."""
+
+    operations: str
+    trees: Optional[str] = None
+    rtg: Optional[str] = None
     best_count: int = 1
-    definitions_path: Optional[str] = None
+    definitions: Optional[str] = None
     min_nodes: Optional[int] = None
     max_nodes: Optional[int] = None
     required_op: Optional[str] = None
     mode: str = "sample"
     seed: int = 0
-    output_dir: str = "./corpus"
+    out: str = "./corpus"
     result_cap: int = 10_000
     instantiation_cap: int = 10_000
-    size_on_trees: bool = False
+    tree_size_bounds: bool = False
     per_label: bool = False
     injective_contexts: bool = False
     dedup_across_trees: bool = False
-    parallel: bool = False
 
     def __post_init__(self) -> None:
-        if (self.trees_path is None) == (self.grammar_path is None):
+        if (self.trees is None) == (self.rtg is None):
             raise ValueError("exactly one of -t and --rtg must be given")
-        if self.grammar_path is not None and self.best_count < 1:
+        if self.rtg is not None and self.best_count < 1:
             raise ValueError("-N must be at least 1")
 
 
@@ -102,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="file of derivation trees, one per line")
     src.add_argument("--rtg", metavar="FILE",
                      help="weighted regular tree grammar in rtg format")
-    p.add_argument("-N", "--best", type=int, default=1, metavar="N",
+    p.add_argument("-N", "--best", dest="best_count", type=int, default=1,
+                   metavar="N",
                    help="number of best trees to extract from the grammar "
                         "(with --rtg; default 1)")
     p.add_argument("-d", "--definitions", metavar="FILE",
@@ -140,8 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="drop graphs isomorphic to one emitted for an "
                         "earlier tree")
     p.add_argument("--parallel", action="store_true",
-                   help="evaluate trees in parallel (output is identical "
-                        "to a serial run)")
+                   help="accepted for compatibility; has no effect (trees "
+                        "are evaluated serially)")
     p.add_argument("--validate", action="store_true",
                    help="check the inputs and report findings without "
                         "generating anything")
@@ -151,28 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv: Sequence[str]) -> Tuple[RunConfig, bool]:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        operations_path=args.operations,
-        trees_path=args.trees,
-        grammar_path=args.rtg,
-        best_count=args.best,
-        definitions_path=args.definitions,
-        min_nodes=args.min_nodes,
-        max_nodes=args.max_nodes,
-        required_op=args.required_op,
-        mode=args.mode,
-        seed=args.seed,
-        output_dir=args.out,
-        result_cap=args.result_cap,
-        instantiation_cap=args.instantiation_cap,
-        size_on_trees=args.tree_size_bounds,
-        per_label=args.per_label,
-        injective_contexts=args.injective_contexts,
-        dedup_across_trees=args.dedup_across_trees,
-        parallel=args.parallel,
-    )
-    return cfg, args.validate
+    args = vars(_build_parser().parse_args(argv))
+    del args["parallel"]
+    validate_only = args.pop("validate")
+    return RunConfig(**args), validate_only
 
 
 def _read(path: str, what: str) -> str:
@@ -183,16 +165,16 @@ def _read(path: str, what: str) -> str:
 
 
 def _load_inputs(cfg: RunConfig):
-    algebra = parse_operation_file(_read(cfg.operations_path, "operation"))
+    algebra = parse_operation_file(_read(cfg.operations, "operation"))
     grammar: Optional[WeightedRtg] = None
     trees: Optional[List[DerivationTree]] = None
-    if cfg.grammar_path is not None:
-        grammar = parse_rtg(_read(cfg.grammar_path, "grammar"))
+    if cfg.rtg is not None:
+        grammar = parse_rtg(_read(cfg.rtg, "grammar"))
     else:
-        trees = parse_tree_file(_read(cfg.trees_path, "tree"))
+        trees = parse_tree_file(_read(cfg.trees, "tree"))
     definitions: Optional[DefinitionTable] = None
-    if cfg.definitions_path is not None:
-        definitions = parse_definitions(_read(cfg.definitions_path, "definition"))
+    if cfg.definitions is not None:
+        definitions = parse_definitions(_read(cfg.definitions, "definition"))
     return algebra, grammar, trees, definitions
 
 
@@ -205,11 +187,8 @@ def _symbol_rank_findings(
     else:
         symbol_ranks = {}
         for t in trees or []:
-            stack = [t]
-            while stack:
-                node = stack.pop()
+            for node in t.walk():
                 symbol_ranks[node.label] = node.rank
-                stack.extend(node.children)
     for name, rank in sorted(symbol_ranks.items()):
         if name not in algebra:
             findings.append(f"fatal: no operation defined for symbol {name!r}")
@@ -327,7 +306,7 @@ def run(cfg: RunConfig) -> int:
         min_nodes=cfg.min_nodes,
         max_nodes=cfg.max_nodes,
         required_op=cfg.required_op,
-        size_on_trees=cfg.size_on_trees,
+        size_on_trees=cfg.tree_size_bounds,
         injective_contexts=cfg.injective_contexts,
     )
     try:
@@ -335,14 +314,13 @@ def run(cfg: RunConfig) -> int:
             trees,
             algebra,
             eval_cfg,
-            parallel=cfg.parallel,
             dedup_across_trees=cfg.dedup_across_trees,
         )
     except (EvaluationError, ResultCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for tree_index, outcome in enumerate(outcomes):
@@ -381,27 +359,14 @@ def run(cfg: RunConfig) -> int:
                 )
                 variant += 1
 
+    config = asdict(cfg)
+    del config["out"]
+    if cfg.rtg is None:
+        config["best_count"] = None  # -N only applies to --rtg
     manifest = {
         "tool": "gexpand",
         "version": __version__,
-        "config": {
-            "operations": cfg.operations_path,
-            "trees": cfg.trees_path,
-            "rtg": cfg.grammar_path,
-            "best_count": cfg.best_count if cfg.grammar_path else None,
-            "definitions": cfg.definitions_path,
-            "min_nodes": cfg.min_nodes,
-            "max_nodes": cfg.max_nodes,
-            "required_op": cfg.required_op,
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "result_cap": cfg.result_cap,
-            "instantiation_cap": cfg.instantiation_cap,
-            "tree_size_bounds": cfg.size_on_trees,
-            "per_label": cfg.per_label,
-            "injective_contexts": cfg.injective_contexts,
-            "dedup_across_trees": cfg.dedup_across_trees,
-        },
+        "config": config,
         "warnings": all_warnings,
         "graphs": records,
     }

@@ -9,9 +9,8 @@ context choice per context node from a seeded, replayable stream.
 from __future__ import annotations
 
 import hashlib
-import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -20,7 +19,7 @@ from .algebra import (
     ExpansionOperation,
     UnionOperation,
 )
-from .algebra import apply_expansion, apply_expansion_all, enumerate_context_assignments
+from .algebra import apply_expansion, apply_expansion_all, context_candidates
 from .grammar import DerivationTree
 from .graphs import Graph, canonical_key, disjoint_union, empty_graph
 
@@ -65,7 +64,7 @@ class EvalOutcome:
 
 
 def _check_tree(t: DerivationTree, a: Algebra) -> None:
-    for node in _walk(t):
+    for node in t.walk():
         if node.label not in a:
             raise EvaluationError(f"unknown symbol {node.label!r} in tree")
         ranks = a.term_ranks(node.label)
@@ -76,16 +75,10 @@ def _check_tree(t: DerivationTree, a: Algebra) -> None:
             )
 
 
-def _walk(t: DerivationTree):
-    yield t
-    for c in t.children:
-        yield from _walk(c)
-
-
 def _node_bounds(t: DerivationTree, a: Algebra) -> Tuple[int, int]:
     """(lower, upper) bound on output node count, from template sizes."""
     lower = upper = 0
-    for node in _walk(t):
+    for node in t.walk():
         op = a[node.label]
         if isinstance(op, ExpansionOperation):
             upper += len(op.template.nodes)
@@ -109,15 +102,21 @@ def _dedup(graphs: Sequence[Graph]) -> List[Graph]:
     return list(out.values())
 
 
-def _eval_enumerate(
-    t: DerivationTree, a: Algebra, cfg: EvalConfig, diags: List[str]
+def _enumerate_node(
+    a: Algebra,
+    cfg: EvalConfig,
+    diags: List[str],
+    t: DerivationTree,
+    _path: str,
+    args: List[List[Graph]],
 ) -> List[Graph]:
+    """Fold step of enumerate mode: every graph of node ``t``, given
+    the graph sets of its children."""
     op = a[t.label]
     if isinstance(op, EmptyConstant):
         return [empty_graph()]
     if isinstance(op, UnionOperation):
-        left = _eval_enumerate(t.children[0], a, cfg, diags)
-        right = _eval_enumerate(t.children[1], a, cfg, diags)
+        left, right = args
         combined = [
             disjoint_union(g, h)
             for g in left
@@ -126,11 +125,7 @@ def _eval_enumerate(
             if h.type == op.right_arity
         ]
         return _capped(_dedup(combined), cfg, t.label)
-    arg_sets: List[Graph]
-    if t.children:
-        arg_sets = _eval_enumerate(t.children[0], a, cfg, diags)
-    else:
-        arg_sets = [empty_graph()]
+    arg_sets = args[0] if args else [empty_graph()]
     results: List[Graph] = []
     any_type_ok = False
     for g in arg_sets:
@@ -167,20 +162,22 @@ def _capped(graphs: List[Graph], cfg: EvalConfig, symbol: str) -> List[Graph]:
     return graphs
 
 
-def _eval_sample(
-    t: DerivationTree,
+def _sample_node(
     a: Algebra,
     cfg: EvalConfig,
     tree_index: int,
-    path: str,
     diags: List[str],
+    t: DerivationTree,
+    path: str,
+    args: List[Optional[Graph]],
 ) -> Optional[Graph]:
+    """Fold step of sample mode: one graph of node ``t``, or None, given
+    one graph (or None) per child; draws are keyed by the node's path."""
     op = a[t.label]
     if isinstance(op, EmptyConstant):
         return empty_graph()
     if isinstance(op, UnionOperation):
-        left = _eval_sample(t.children[0], a, cfg, tree_index, path + ".0", diags)
-        right = _eval_sample(t.children[1], a, cfg, tree_index, path + ".1", diags)
+        left, right = args
         if left is None or right is None:
             return None
         if left.type != op.left_arity or right.type != op.right_arity:
@@ -191,29 +188,27 @@ def _eval_sample(
             )
             return None
         return disjoint_union(left, right)
-    if t.children:
-        arg = _eval_sample(t.children[0], a, cfg, tree_index, path + ".0", diags)
-        if arg is None:
-            return None
-    else:
-        arg = empty_graph()
+    arg = args[0] if args else empty_graph()
+    if arg is None:
+        return None
     if arg.type != len(op.docks):
         diags.append(
             f"zero-result: operation {op.name!r} needs an argument of "
             f"type {len(op.docks)}, got {arg.type}"
         )
         return None
-    non_ports = arg.nodes - set(arg.ports)
     assignment: Dict[str, str] = {}
-    for i, u in enumerate(op.context):
-        lab = op.template.labels[u]
-        candidates = sorted(v for v in non_ports if arg.labels[v] == lab)
+    for i, (u, candidates) in enumerate(
+        zip(op.context, context_candidates(op, arg))
+    ):
+        # Injectivity drops targets already drawn before each draw;
+        # enumerate mode drops whole non-injective combinations instead.
         if cfg.injective_contexts:
             candidates = [v for v in candidates if v not in assignment.values()]
         if not candidates:
             diags.append(
                 f"zero-result: operation {op.name!r} found no context "
-                f"candidate with label {lab!r}"
+                f"candidate with label {op.template.labels[u]!r}"
             )
             return None
         pick = _draw(cfg.seed, tree_index, path, i, len(candidates))
@@ -263,9 +258,9 @@ def evaluate(
             return EvalOutcome(t, (), tuple(diags))
 
     if cfg.mode == "enumerate":
-        graphs = _eval_enumerate(t, a, cfg, diags)
+        graphs = t.fold(partial(_enumerate_node, a, cfg, diags))
     else:
-        g = _eval_sample(t, a, cfg, tree_index, "r", diags)
+        g = t.fold(partial(_sample_node, a, cfg, tree_index, diags))
         graphs = [] if g is None else [g]
 
     if not cfg.size_on_trees:
@@ -296,22 +291,15 @@ def evaluate_corpus(
     """Evaluate trees independently, preserving input order.
 
     Per-tree evaluation errors become diagnostics instead of aborting
-    the corpus.  The seeded stream is keyed per tree, so parallel and
-    serial runs produce identical outcomes.
+    the corpus.  ``parallel`` is accepted for compatibility and has no
+    effect: trees are evaluated one after another.
     """
-
-    def one(args) -> EvalOutcome:
-        index, t = args
+    outcomes = []
+    for index, t in enumerate(trees):
         try:
-            return evaluate(t, a, cfg, tree_index=index)
+            outcomes.append(evaluate(t, a, cfg, tree_index=index))
         except (EvaluationError, ResultCapExceededError) as exc:
-            return EvalOutcome(t, (), (f"error: {exc}",))
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(one, enumerate(trees)))
-    else:
-        outcomes = [one(item) for item in enumerate(trees)]
+            outcomes.append(EvalOutcome(t, (), (f"error: {exc}",)))
 
     if dedup_across_trees:
         seen = set()

@@ -11,9 +11,12 @@ from __future__ import annotations
 import heapq
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+
+
+T = TypeVar("T")
 
 
 class RtgSyntaxError(ValueError):
@@ -83,18 +86,68 @@ class DerivationTree:
     def rank(self) -> int:
         return len(self.children)
 
+    def walk(self) -> Iterator["DerivationTree"]:
+        """Every node in preorder, children left to right."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def fold(self, step: Callable[["DerivationTree", str, List[T]], T]) -> T:
+        """Evaluate the tree bottom-up and return the root's value.
+
+        ``step(node, path, values)`` runs once per node, in post-order
+        with children left to right; ``values`` holds what the steps of
+        the node's children returned.  The root's path is ``r`` and the
+        i-th child of the node at path ``p`` has path ``p.i``.
+        """
+        values: List[T] = []
+        # (node, path, None) on the way down; (node, path, rank) once the
+        # node's children are on the stack above it.
+        stack = [(self, "r", None)]
+        while stack:
+            node, path, rank = stack.pop()
+            children = node.children
+            if not children:
+                values.append(step(node, path, []))
+            elif rank is None:
+                stack.append((node, path, len(children)))
+                for i in range(len(children) - 1, -1, -1):
+                    stack.append((children[i], f"{path}.{i}", None))
+            else:
+                args = values[-rank:]
+                del values[-rank:]
+                values.append(step(node, path, args))
+        return values[0]
+
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return sum(1 for _ in self.walk())
 
     def symbols(self) -> Iterator[str]:
-        yield self.label
-        for c in self.children:
-            yield from c.symbols()
+        for node in self.walk():
+            yield node.label
 
     def serialize(self) -> str:
-        if not self.children:
-            return self.label
-        return f"{self.label}({' '.join(c.serialize() for c in self.children)})"
+        # A stack of nodes and literal tokens rather than walk(): trees
+        # are serialized for every n-best candidate, and this runs about
+        # as fast as direct recursion.
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+            elif item.children:
+                parts.append(item.label + "(")
+                stack.append(")")
+                for child in reversed(item.children):
+                    stack.append(child)
+                    stack.append(" ")
+                stack.pop()
+            else:
+                parts.append(item.label)
+        return "".join(parts)
 
     def __str__(self) -> str:
         return self.serialize()
@@ -175,73 +228,73 @@ def _productions_by_lhs(g: WeightedRtg) -> Dict[str, List[Production]]:
     return by_lhs
 
 
-def _derives_from(g: WeightedRtg, t: DerivationTree, nt: str, memo: dict):
-    """Minimum derivation weight of ``t`` from ``nt``, or None."""
-    key = (t, nt)
-    if key in memo:
-        return memo[key]
-    best = None
+def _derivation_weights(g: WeightedRtg, t: DerivationTree) -> Dict[str, Fraction]:
+    """Minimum derivation weight of ``t`` from each nonterminal that
+    derives it."""
+    by_symbol: Dict[Tuple[str, int], List[Production]] = {}
     for p in g.productions:
-        if p.lhs != nt or p.symbol.name != t.label or p.symbol.rank != t.rank:
-            continue
-        total = p.weight
-        ok = True
-        for child, child_nt in zip(t.children, p.rhs):
-            w = _derives_from(g, child, child_nt, memo)
-            if w is None:
-                ok = False
-                break
-            total += w
-        if ok and (best is None or total < best):
-            best = total
-    memo[key] = best
-    return best
+        by_symbol.setdefault((p.symbol.name, p.symbol.rank), []).append(p)
+
+    def step(node, _path, children) -> Dict[str, Fraction]:
+        best: Dict[str, Fraction] = {}
+        for p in by_symbol.get((node.label, node.rank), ()):
+            total = p.weight
+            for child, child_nt in zip(children, p.rhs):
+                w = child.get(child_nt)
+                if w is None:
+                    break
+                total += w
+            else:
+                if p.lhs not in best or total < best[p.lhs]:
+                    best[p.lhs] = total
+        return best
+
+    return t.fold(step)
 
 
 def language_contains(g: WeightedRtg, t: DerivationTree) -> bool:
     """Membership in the tree language generated from the start symbol."""
-    return _derives_from(g, t, g.start, {}) is not None
+    return g.start in _derivation_weights(g, t)
 
 
 def min_tree_weight(g: WeightedRtg, t: DerivationTree) -> Optional[Fraction]:
     """Minimum over all derivations of the sum of rule weights; None if
     the tree is not in the language."""
-    return _derives_from(g, t, g.start, {})
+    return _derivation_weights(g, t).get(g.start)
+
+
+def _best_completions(g: WeightedRtg) -> Dict[str, Optional[Tuple[Fraction, int]]]:
+    """Least (weight, node count) pair, in lexicographic order, of a
+    tree derivable from each nonterminal (Knuth fixpoint); None marks
+    unproductive nonterminals.
+
+    Adding pairs componentwise preserves their lexicographic order, so
+    the pair of a production is the sum of its children's least pairs,
+    and a pair bounds every completion of a partial derivation from
+    below.
+    """
+    best: Dict[str, Optional[Tuple[Fraction, int]]] = {
+        a: None for a in g.nonterminals
+    }
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            parts = [best[b] for b in p.rhs]
+            if any(part is None for part in parts):
+                continue
+            cand = (p.weight + sum((w for w, _s in parts), Fraction(0)),
+                    1 + sum(s for _w, s in parts))
+            if best[p.lhs] is None or cand < best[p.lhs]:
+                best[p.lhs] = cand
+                changed = True
+    return best
 
 
 def best_completion_weights(g: WeightedRtg) -> Dict[str, Optional[Fraction]]:
-    """Least derivation weight reachable from each nonterminal (Knuth
-    fixpoint); None marks unproductive nonterminals."""
-    best: Dict[str, Optional[Fraction]] = {a: None for a in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            parts = [best[b] for b in p.rhs]
-            if any(w is None for w in parts):
-                continue
-            cand = p.weight + sum(parts, Fraction(0))
-            if best[p.lhs] is None or cand < best[p.lhs]:
-                best[p.lhs] = cand
-                changed = True
-    return best
-
-
-def _min_completion_sizes(g: WeightedRtg) -> Dict[str, Optional[int]]:
-    """Smallest tree node count derivable from each nonterminal."""
-    best: Dict[str, Optional[int]] = {a: None for a in g.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            parts = [best[b] for b in p.rhs]
-            if any(s is None for s in parts):
-                continue
-            cand = 1 + sum(parts)
-            if best[p.lhs] is None or cand < best[p.lhs]:
-                best[p.lhs] = cand
-                changed = True
-    return best
+    """Least derivation weight reachable from each nonterminal; None
+    marks unproductive nonterminals."""
+    return {a: None if b is None else b[0] for a, b in _best_completions(g).items()}
 
 
 # A partial derivation is a nested structure where unexpanded
@@ -249,15 +302,15 @@ def _min_completion_sizes(g: WeightedRtg) -> Dict[str, Optional[int]]:
 # ("!", symbol_name, children...).
 
 
-def _partial_bound(node, best_w, best_s):
+def _partial_bound(node, best):
     """(weight, size) lower bound of all completions of a partial
     derivation; exact on complete derivations."""
     if node[0] == "?":
-        return (best_w[node[1]], best_s[node[1]])
+        return best[node[1]]
     w = node[1]
     s = 1
     for child in node[3]:
-        cw, cs = _partial_bound(child, best_w, best_s)
+        cw, cs = _partial_bound(child, best)
         w += cw
         s += cs
     return (w, s)
@@ -307,18 +360,17 @@ def n_best_trees(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    best_w = best_completion_weights(g)
-    if best_w.get(g.start) is None:
+    best = _best_completions(g)
+    if best.get(g.start) is None:
         warnings.warn(
             "grammar generates the empty language", EmptyLanguageWarning
         )
         return []
-    best_s = _min_completion_sizes(g)
     by_lhs = _productions_by_lhs(g)
 
     root = ("?", g.start)
     counter = 0
-    heap = [((best_w[g.start], best_s[g.start]), counter, root)]
+    heap = [(best[g.start], counter, root)]
     results: List[Tuple[DerivationTree, Fraction]] = []
     seen = set()
     # Complete derivations pop in non-decreasing (weight, size) order;
@@ -358,11 +410,9 @@ def n_best_trees(
                 pending_level = bound
             pending.append((t.serialize(), t))
             continue
-        for succ in _expand_leftmost(node, by_lhs, best_w):
+        for succ in _expand_leftmost(node, by_lhs, best):
             counter += 1
-            heapq.heappush(
-                heap, (_partial_bound(succ, best_w, best_s), counter, succ)
-            )
+            heapq.heappush(heap, (_partial_bound(succ, best), counter, succ))
     if pending and len(results) < n:
         flush()
     return results[:n]
@@ -375,34 +425,40 @@ def parse_tree(text: str, lineno: int = 1) -> DerivationTree:
     """Parse one tree in functional ``f(a b)`` or bracket ``f[a, b]``
     notation."""
     tokens = _TREE_TOKEN.findall(text)
+    end = len(tokens)
     pos = 0
-
-    def parse_node() -> DerivationTree:
-        nonlocal pos
-        if pos >= len(tokens):
+    root: List[DerivationTree] = []
+    # Nodes whose argument list is open: (label, closing token, children).
+    open_nodes: List[Tuple[str, str, List[DerivationTree]]] = []
+    while not root:
+        if pos >= end:
             raise RtgSyntaxError("unexpected end of tree", lineno)
         label = tokens[pos]
         if label in "()[],":
             raise RtgSyntaxError(f"unexpected token {label!r}", lineno)
         pos += 1
-        children: List[DerivationTree] = []
-        if pos < len(tokens) and tokens[pos] in "([":
-            closing = ")" if tokens[pos] == "(" else "]"
+        if pos < end and tokens[pos] in "([":
+            open_nodes.append((label, ")" if tokens[pos] == "(" else "]", []))
             pos += 1
-            while pos < len(tokens) and tokens[pos] != closing:
-                if tokens[pos] == ",":
-                    pos += 1
-                    continue
-                children.append(parse_node())
-            if pos >= len(tokens):
+        else:
+            (open_nodes[-1][2] if open_nodes else root).append(
+                DerivationTree(label))
+        # Skip separators and close every argument list that ends here.
+        while open_nodes:
+            parent, closing, children = open_nodes[-1]
+            while pos < end and tokens[pos] == ",":
+                pos += 1
+            if pos >= end:
                 raise RtgSyntaxError(f"missing {closing!r}", lineno)
+            if tokens[pos] != closing:
+                break
             pos += 1
-        return DerivationTree(label, tuple(children))
-
-    result = parse_node()
-    if pos != len(tokens):
+            open_nodes.pop()
+            (open_nodes[-1][2] if open_nodes else root).append(
+                DerivationTree(parent, tuple(children)))
+    if pos != end:
         raise RtgSyntaxError(f"trailing tokens after tree: {tokens[pos:]}", lineno)
-    return result
+    return root[0]
 
 
 def parse_tree_file(text: str) -> List[DerivationTree]:
@@ -416,9 +472,7 @@ def parse_tree_file(text: str) -> List[DerivationTree]:
             continue
         t = parse_tree(line, lineno)
         trees.append(t)
-        stack = [t]
-        while stack:
-            node = stack.pop()
+        for node in t.walk():
             if node.label in ranks and ranks[node.label][0] != node.rank:
                 prev_rank, prev_line = ranks[node.label]
                 raise RankConflictError(
@@ -426,5 +480,4 @@ def parse_tree_file(text: str) -> List[DerivationTree]:
                     f"{node.rank} here but rank {prev_rank} at line {prev_line}"
                 )
             ranks.setdefault(node.label, (node.rank, lineno))
-            stack.extend(node.children)
     return trees

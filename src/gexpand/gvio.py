@@ -58,7 +58,6 @@ class _Body:
         self.edges: List[Tuple[str, str, str]] = []
         self.ports: Optional[List[str]] = None
         self.port_line = 0
-        self.keywords: List[Tuple[str, List[str], int]] = []
 
     def declare(self, node: str, label: Optional[str], lineno: int) -> None:
         if node in self.declared:
@@ -76,11 +75,9 @@ class _Body:
             self.decl_line[node] = lineno
 
 
-def parse_statements(
-    lines: List[Tuple[int, str]], keywords: Tuple[str, ...] = ()
-) -> _Body:
-    """Parse node/edge/keyword statements shared by gv files and
-    operation bodies."""
+def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
+    """Parse node and edge statements shared by gv files and operation
+    bodies."""
     body = _Body()
     for lineno, raw in lines:
         line = raw.strip()
@@ -93,11 +90,6 @@ def parse_statements(
                     raise GvSyntaxError("duplicate ports comment", lineno)
                 body.ports = comment[len("ports:"):].split()
                 body.port_line = lineno
-            continue
-        first = line.split(None, 1)[0]
-        if first in keywords:
-            args = line.rstrip(";").split()[1:]
-            body.keywords.append((first, args, lineno))
             continue
         m = _EDGE_RE.match(line)
         if m:

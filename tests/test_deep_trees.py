@@ -1,0 +1,68 @@
+"""Trees far deeper than the interpreter's recursion limit.
+
+Every traversal of a derivation tree runs on an explicit stack, so a
+chain of a few thousand operations parses, prints, evaluates and goes
+through the CLI like a shallow one.  The graphs stay one or two nodes.
+"""
+
+import json
+
+import pytest
+
+from gexpand import EvalConfig, evaluate, parse_operation_file, parse_tree
+from gexpand.cli import main
+
+DEPTH = 3000
+
+DEEP_OPS = """\
+operation dot {
+  v [label="x"];
+  port v;
+}
+operation pass {
+  v;
+  port v;
+  dock v;
+}
+operation pair { 1 1 }
+"""
+
+CHAIN = "pass(" * DEPTH + "dot" + ")" * DEPTH
+TREES = {"chain": CHAIN, "union": f"pair({CHAIN} dot)"}
+SIZES = {"chain": DEPTH + 1, "union": DEPTH + 3}
+PORTS = {"chain": 1, "union": 2}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_parse_serialize_size_round_trip(name):
+    t = parse_tree(TREES[name])
+    assert t.serialize() == TREES[name]
+    assert t.size() == SIZES[name]
+    assert sum(1 for _ in t.walk()) == SIZES[name]
+    assert parse_tree(t.serialize()).size() == SIZES[name]
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_evaluate(name, mode):
+    a = parse_operation_file(DEEP_OPS)
+    out = evaluate(parse_tree(TREES[name]), a, EvalConfig(mode=mode))
+    assert out.diagnostics == ()
+    assert [(len(g.nodes), g.type) for g in out.graphs] == [
+        (PORTS[name], PORTS[name])
+    ]
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+def test_cli_tree_file(tmp_path, mode, capsys):
+    (tmp_path / "ops.txt").write_text(DEEP_OPS)
+    (tmp_path / "trees.txt").write_text(CHAIN + "\n" + TREES["union"] + "\n")
+    out = tmp_path / "out"
+    status = main(["-g", str(tmp_path / "ops.txt"),
+                   "-t", str(tmp_path / "trees.txt"),
+                   "--mode", mode, "--out", str(out)])
+    assert status == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "g0_0.gv", "g1_0.gv", "manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [r["tree"] for r in manifest["graphs"]] == [CHAIN, TREES["union"]]
