@@ -40,6 +40,7 @@ from .grammar import (
     n_best_trees,
     parse_rtg,
     parse_tree_file,
+    reachable_nonterminals,
 )
 from .gvio import GvSyntaxError, emit_gv
 from .substitution import (
@@ -239,17 +240,8 @@ def validate(cfg: RunConfig) -> Tuple[List[str], bool]:
         dead = sorted(a for a, w in best.items() if w is None)
         if dead:
             report.append(f"info: unproductive nonterminals: {dead}")
-        reachable = {grammar.start}
-        changed = True
-        while changed:
-            changed = False
-            for p in grammar.productions:
-                if p.lhs in reachable:
-                    for b in p.rhs:
-                        if b not in reachable:
-                            reachable.add(b)
-                            changed = True
-        unreachable = sorted(grammar.nonterminals - reachable)
+        unreachable = sorted(
+            grammar.nonterminals - reachable_nonterminals(grammar))
         if unreachable:
             report.append(f"info: unreachable nonterminals: {unreachable}")
     return report, fatal

@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
 
 T = TypeVar("T")
@@ -295,6 +295,20 @@ def best_completion_weights(g: WeightedRtg) -> Dict[str, Optional[Fraction]]:
     """Least derivation weight reachable from each nonterminal; None
     marks unproductive nonterminals."""
     return {a: None if b is None else b[0] for a, b in _best_completions(g).items()}
+
+
+def reachable_nonterminals(g: WeightedRtg) -> Set[str]:
+    """The nonterminals that derivations from the start nonterminal use."""
+    by_lhs = _productions_by_lhs(g)
+    reached = {g.start}
+    todo = [g.start]
+    while todo:
+        for p in by_lhs.get(todo.pop(), ()):
+            for b in p.rhs:
+                if b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+    return reached
 
 
 # A partial derivation is a nested structure where unexpanded

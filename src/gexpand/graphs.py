@@ -12,6 +12,7 @@ produced by evaluation are always fully labelled.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 
@@ -25,7 +26,7 @@ class GraphError(ValueError):
 class Graph:
     """An immutable directed labelled graph with ports."""
 
-    __slots__ = ("nodes", "edges", "labels", "ports", "_key")
+    __slots__ = ("nodes", "edges", "labels", "ports", "_key", "_order")
 
     def __init__(
         self,
@@ -59,6 +60,7 @@ class Graph:
         object.__setattr__(self, "labels", label_map)
         object.__setattr__(self, "ports", port_seq)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_order", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Graph is immutable")
@@ -113,87 +115,135 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(nodes, edges, labels, ports)
 
 
-def _wl_colors(g: Graph) -> dict:
-    """Stable 1-WL colouring; port positions and labels seed the colours."""
-    port_index = {p: i for i, p in enumerate(g.ports)}
-    out_deg = {v: 0 for v in g.nodes}
-    in_deg = {v: 0 for v in g.nodes}
-    for s, _l, t in g.edges:
-        out_deg[s] += 1
-        in_deg[t] += 1
-    init = {
-        v: (g.labels[v] or "", port_index.get(v, -1), out_deg[v], in_deg[v])
-        for v in g.nodes
-    }
-    rank = {s: i for i, s in enumerate(sorted(set(init.values())))}
-    color = {v: rank[init[v]] for v in g.nodes}
-    for _round in range(len(g.nodes)):
-        sig = {}
-        for v in g.nodes:
-            outs = sorted((l, color[t]) for s, l, t in g.edges if s == v)
-            ins = sorted((l, color[s]) for s, l, t in g.edges if t == v)
-            sig[v] = (color[v], tuple(outs), tuple(ins))
-        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: rank[sig[v]] for v in g.nodes}
-        if len(set(new.values())) == len(set(color.values())):
-            color = new
-            break
-        color = new
-    return color
-
-
-def canonical_order(g: Graph) -> Tuple[str, ...]:
-    """A node ordering equal, up to renaming, for isomorphic graphs.
-
-    Ports come first in port order (isomorphisms must preserve port
-    positions); the remaining nodes are ordered by backtracking search
-    over the minimal certificate, guided by WL colours.
-    """
-    fixed = list(g.ports)
-    rest = sorted(g.nodes - set(fixed))
-    if not rest:
-        return tuple(fixed)
-
-    color = _wl_colors(g)
+def _adjacency(g: Graph) -> Tuple[dict, dict]:
+    """Per node, its (edge label, target) and (edge label, source) lists."""
     out_adj = {v: [] for v in g.nodes}
     in_adj = {v: [] for v in g.nodes}
     for s, l, t in g.edges:
         out_adj[s].append((l, t))
         in_adj[t].append((l, s))
+    return out_adj, in_adj
 
-    best_cert = [None]
-    best_order = [None]
 
-    def node_sig(v, placed_pos):
-        outs = sorted(
-            (placed_pos[t], l) for l, t in out_adj[v] if t in placed_pos
-        )
-        ins = sorted(
-            (placed_pos[s], l) for l, s in in_adj[v] if s in placed_pos
-        )
-        return (color[v], g.labels[v] or "", tuple(outs), tuple(ins))
+def _wl_colors(g: Graph, out_adj: dict, in_adj: dict) -> dict:
+    """Stable 1-WL colouring; port positions and labels seed the colours."""
+    port_index = {p: i for i, p in enumerate(g.ports)}
+    init = {
+        v: (g.labels[v] or "", port_index.get(v, -1), len(out_adj[v]),
+            len(in_adj[v]))
+        for v in g.nodes
+    }
+    rank = {s: i for i, s in enumerate(sorted(set(init.values())))}
+    color = {v: rank[init[v]] for v in g.nodes}
+    # A round ranks signatures by the node's own colour first.  So a node
+    # alone in its colour needs no neighbour colours to get its rank, and
+    # on a stable partition a round returns the same colour values.  A
+    # discrete partition is stable.
+    count = len(rank)
+    while count < len(color):
+        size = Counter(color.values())
+        sig = {
+            v: (
+                color[v],
+                tuple(sorted([(l, color[t]) for l, t in out_adj[v]])),
+                tuple(sorted([(l, color[s]) for l, s in in_adj[v]])),
+            )
+            if size[color[v]] > 1 else (color[v],)
+            for v in g.nodes
+        }
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        color = {v: rank[sig[v]] for v in g.nodes}
+        if len(rank) == count:
+            break
+        count = len(rank)
+    return color
 
-    def search(order, placed_pos, remaining):
-        if not remaining:
-            cert = _certificate(g, order)
-            if best_cert[0] is None or cert < best_cert[0]:
-                best_cert[0] = cert
-                best_order[0] = tuple(order)
-            return
-        sigs = {v: node_sig(v, placed_pos) for v in remaining}
-        min_sig = min(sigs.values())
-        for v in sorted(u for u in remaining if sigs[u] == min_sig):
-            placed_pos[v] = len(order)
-            order.append(v)
-            remaining.remove(v)
-            search(order, placed_pos, remaining)
+
+def _twin_key(g: Graph, v: str, out_adj: dict, in_adj: dict) -> tuple:
+    """Equal for two nodes that a swap of the two maps onto each other;
+    a self-loop is written with ``None`` as its other end."""
+    return (
+        g.labels[v],
+        frozenset((l, None if t == v else t) for l, t in out_adj[v]),
+        frozenset((l, None if s == v else s) for l, s in in_adj[v]),
+    )
+
+
+def _canonical_search(g: Graph) -> Tuple[Tuple[str, ...], tuple]:
+    """The canonical order of ``g`` and its certificate.
+
+    Ports come first in port order (isomorphisms must preserve port
+    positions); the remaining nodes are placed by a depth-first search
+    for the least certificate, guided by WL colours.  Each level
+    branches, in name order, on the nodes of the least remaining colour
+    whose edges to the placed nodes have the least signature.  Of
+    several twins among them (non-port nodes with the same label and the
+    same labelled in- and out-neighbours) only the first is branched on:
+    swapping two twins is an automorphism fixing every other node, so
+    their subtrees reach the same certificates, and the first leaf that
+    reaches the least one lies under the first twin.
+    """
+    order = list(g.ports)
+    placed = {v: i for i, v in enumerate(order)}
+    remaining = set(g.nodes) - placed.keys()
+    if not remaining:
+        return tuple(order), _certificate(g, order)
+
+    out_adj, in_adj = _adjacency(g)
+    color = _wl_colors(g, out_adj, in_adj)
+    twin = {}
+
+    def branches():
+        least = min(color[v] for v in remaining)
+        # Colour and label are the same across one colour class, so the
+        # edges to placed nodes decide the signature.
+        sigs = {
+            v: (
+                sorted((placed[t], l) for l, t in out_adj[v] if t in placed),
+                sorted((placed[s], l) for l, s in in_adj[v] if s in placed),
+            )
+            for v in remaining
+            if color[v] == least
+        }
+        least_sig = min(sigs.values())
+        ties = sorted(v for v, s in sigs.items() if s == least_sig)
+        if len(ties) == 1:
+            return iter(ties)
+        if not twin:
+            twin.update(
+                (v, _twin_key(g, v, out_adj, in_adj))
+                for v in g.nodes - set(g.ports)
+            )
+        seen, firsts = set(), []
+        for v in ties:
+            if twin[v] not in seen:
+                seen.add(twin[v])
+                firsts.append(v)
+        return iter(firsts)
+
+    best_cert = best_order = None
+    base = len(order)
+    levels = [branches()]
+    while levels:
+        # Take back this level's previous choice, if it is still placed.
+        if len(order) - base == len(levels):
+            v = order.pop()
+            del placed[v]
             remaining.add(v)
-            order.pop()
-            del placed_pos[v]
-
-    placed = {v: i for i, v in enumerate(fixed)}
-    search(list(fixed), placed, set(rest))
-    return best_order[0]
+        v = next(levels[-1], None)
+        if v is None:
+            levels.pop()
+            continue
+        placed[v] = len(order)
+        order.append(v)
+        remaining.remove(v)
+        if remaining:
+            levels.append(branches())
+        else:
+            cert = _certificate(g, order)
+            if best_cert is None or cert < best_cert:
+                best_cert, best_order = cert, tuple(order)
+    return best_order, best_cert
 
 
 def _certificate(g: Graph, order: Sequence[str]) -> tuple:
@@ -203,11 +253,23 @@ def _certificate(g: Graph, order: Sequence[str]) -> tuple:
     return (len(order), g.type, labels, edges)
 
 
+def canonical_order(g: Graph) -> Tuple[str, ...]:
+    """A node ordering equal, up to renaming, for isomorphic graphs.
+
+    Ports come first in port order.  Computed once per graph, together
+    with the canonical key.
+    """
+    if g._order is None:
+        order, cert = _canonical_search(g)
+        object.__setattr__(g, "_order", order)
+        object.__setattr__(g, "_key", repr(cert))
+    return g._order
+
+
 def canonical_key(g: Graph) -> str:
     """A string equal for two graphs iff they are isomorphic."""
     if g._key is None:
-        cert = _certificate(g, canonical_order(g))
-        object.__setattr__(g, "_key", repr(cert))
+        canonical_order(g)
     return g._key
 
 

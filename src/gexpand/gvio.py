@@ -26,18 +26,29 @@ class GvSyntaxError(ValueError):
         self.column = column
 
 
-_NODE_ID = r'(?:"(?P<q%s>[^"]*)"|(?P<b%s>[A-Za-z0-9_.][A-Za-z0-9_.\-]*))'
-_ATTRS = r"(?:\s*\[(?P<attrs>[^\]]*)\])?"
+# The text of a quoted DOT string.  As in Graphviz, a backslash before a
+# quote escapes it and any other backslash stands for itself, so a
+# string cannot end in a backslash.
+_QUOTED = r'(?:[^"\\]|\\"|\\(?!"))*'
+_NODE_ID = (r'(?:"(?P<q%s>' + _QUOTED
+            + r')"|(?P<b%s>[A-Za-z0-9_.][A-Za-z0-9_.\-]*))')
+_ATTRS = r'(?:\s*\[(?P<attrs>(?:[^\]"]|"' + _QUOTED + r'")*)\])?'
 
 _EDGE_RE = re.compile(
     _NODE_ID % ("1", "1") + r"\s*->\s*" + _NODE_ID % ("2", "2") + _ATTRS + r"\s*;?\s*$"
 )
 _NODE_RE = re.compile(_NODE_ID % ("1", "1") + _ATTRS + r"\s*;?\s*$")
-_LABEL_RE = re.compile(r'label\s*=\s*(?:"([^"]*)"|([A-Za-z0-9_.\-]+))')
+_LABEL_RE = re.compile(
+    r'label\s*=\s*(?:"(' + _QUOTED + r')"|([A-Za-z0-9_.\-]+))')
+
+
+def _unquote(text: str) -> str:
+    return text.replace('\\"', '"')
 
 
 def _get_id(m: "re.Match", which: str) -> str:
-    return m.group("q" + which) if m.group("q" + which) is not None else m.group("b" + which)
+    quoted = m.group("q" + which)
+    return _unquote(quoted) if quoted is not None else m.group("b" + which)
 
 
 def _parse_label(attrs: Optional[str], lineno: int) -> Optional[str]:
@@ -46,7 +57,7 @@ def _parse_label(attrs: Optional[str], lineno: int) -> Optional[str]:
     m = _LABEL_RE.search(attrs)
     if m is None:
         return None
-    return m.group(1) if m.group(1) is not None else m.group(2)
+    return _unquote(m.group(1)) if m.group(1) is not None else m.group(2)
 
 
 class _Body:
@@ -170,6 +181,11 @@ def parse_gv(text: str) -> Graph:
 
 
 def _quote(s: str) -> str:
+    if s.endswith("\\") or s.splitlines() not in ([], [s]):
+        raise ValueError(
+            f"cannot write {s!r} as a gv string: it ends in a backslash "
+            f"or holds a line break"
+        )
     return '"' + s.replace('"', r"\"") + '"'
 
 

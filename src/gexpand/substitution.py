@@ -77,6 +77,12 @@ def parse_definitions(text: str) -> DefinitionTable:
             raise DefinitionError(
                 f"line {lineno}: empty replacement list for {key!r}"
             )
+        for v in values:
+            if v.endswith("\\"):
+                raise DefinitionError(
+                    f"line {lineno}: replacement {v!r} for {key!r} ends in "
+                    f"a backslash, which a gv string cannot hold"
+                )
         entries[key] = values
     return DefinitionTable(entries)
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately use the most naive correct strategy (exhaustive
-bijection search, full derivation enumeration, undeduplicated recursive
-set evaluation) and stay independent of the code paths they check.
+bijection search, the unpruned canonical search, full derivation
+enumeration, undeduplicated recursive set evaluation) and stay
+independent of the code paths they check.
 """
 
 from fractions import Fraction
@@ -47,6 +48,99 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
         if {(m[s], l, m[t]) for s, l, t in g.edges} == h.edges:
             return True
     return False
+
+
+def _naive_wl_colors(g: Graph) -> dict:
+    """Stable 1-WL colouring, scanning every edge for every node."""
+    port_index = {p: i for i, p in enumerate(g.ports)}
+    out_deg = {v: 0 for v in g.nodes}
+    in_deg = {v: 0 for v in g.nodes}
+    for s, _l, t in g.edges:
+        out_deg[s] += 1
+        in_deg[t] += 1
+    init = {
+        v: (g.labels[v] or "", port_index.get(v, -1), out_deg[v], in_deg[v])
+        for v in g.nodes
+    }
+    rank = {s: i for i, s in enumerate(sorted(set(init.values())))}
+    color = {v: rank[init[v]] for v in g.nodes}
+    for _round in range(len(g.nodes)):
+        sig = {}
+        for v in g.nodes:
+            outs = sorted((l, color[t]) for s, l, t in g.edges if s == v)
+            ins = sorted((l, color[s]) for s, l, t in g.edges if t == v)
+            sig[v] = (color[v], tuple(outs), tuple(ins))
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {v: rank[sig[v]] for v in g.nodes}
+        if len(set(new.values())) == len(set(color.values())):
+            color = new
+            break
+        color = new
+    return color
+
+
+def _naive_certificate(g: Graph, order) -> tuple:
+    pos = {v: i for i, v in enumerate(order)}
+    labels = tuple(g.labels[v] or "" for v in order)
+    edges = tuple(sorted((pos[s], l, pos[t]) for s, l, t in g.edges))
+    return (len(order), g.type, labels, edges)
+
+
+def naive_canonical_order(g: Graph):
+    """The canonical order by a search without pruning: every level
+    branches on every remaining node of the least signature, and the
+    first leaf reaching the least certificate wins (factorial on graphs
+    with k interchangeable nodes)."""
+    fixed = list(g.ports)
+    rest = sorted(g.nodes - set(fixed))
+    if not rest:
+        return tuple(fixed)
+
+    color = _naive_wl_colors(g)
+    out_adj = {v: [] for v in g.nodes}
+    in_adj = {v: [] for v in g.nodes}
+    for s, l, t in g.edges:
+        out_adj[s].append((l, t))
+        in_adj[t].append((l, s))
+
+    best_cert = [None]
+    best_order = [None]
+
+    def node_sig(v, placed_pos):
+        outs = sorted(
+            (placed_pos[t], l) for l, t in out_adj[v] if t in placed_pos
+        )
+        ins = sorted(
+            (placed_pos[s], l) for l, s in in_adj[v] if s in placed_pos
+        )
+        return (color[v], g.labels[v] or "", tuple(outs), tuple(ins))
+
+    def search(order, placed_pos, remaining):
+        if not remaining:
+            cert = _naive_certificate(g, order)
+            if best_cert[0] is None or cert < best_cert[0]:
+                best_cert[0] = cert
+                best_order[0] = tuple(order)
+            return
+        sigs = {v: node_sig(v, placed_pos) for v in remaining}
+        min_sig = min(sigs.values())
+        for v in sorted(u for u in remaining if sigs[u] == min_sig):
+            placed_pos[v] = len(order)
+            order.append(v)
+            remaining.remove(v)
+            search(order, placed_pos, remaining)
+            remaining.add(v)
+            order.pop()
+            del placed_pos[v]
+
+    placed = {v: i for i, v in enumerate(fixed)}
+    search(list(fixed), placed, set(rest))
+    return best_order[0]
+
+
+def naive_canonical_key(g: Graph) -> str:
+    """The canonical key from ``naive_canonical_order``."""
+    return repr(_naive_certificate(g, naive_canonical_order(g)))
 
 
 def enumerate_derivations(g: WeightedRtg, max_height: int):

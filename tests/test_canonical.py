@@ -1,0 +1,201 @@
+"""Canonical labelling: the pruned search returns exactly the order of the
+unpruned one, and symmetric graphs cost one leaf of the search."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gexpand import Graph, canonical_key, canonical_order, emit_gv, rename_nodes
+from gexpand import graphs
+from generators import EDGE_LABELS, NODE_LABELS, random_graph
+from oracles import naive_canonical_key, naive_canonical_order
+
+seeds = st.integers(0, 10**9)
+
+
+def shuffled_names(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with its nodes renamed in a random order, so that ties in
+    the search are broken by different names."""
+    names = [f"u{i}" for i in range(len(g.nodes))]
+    rng.shuffle(names)
+    return rename_nodes(g, dict(zip(sorted(g.nodes), names)))
+
+
+def star(k: int, hub_port: bool = False, leaf_loops: bool = False,
+         rng: random.Random = None) -> Graph:
+    """A hub with ``k`` leaves; with ``rng``, leaf labels and spoke labels
+    are drawn from two values each, so only some leaves are twins."""
+    nodes = ["hub"] + [f"leaf{i}" for i in range(k)]
+    labels = {"hub": "hub"}
+    edges = set()
+    for v in nodes[1:]:
+        labels[v] = rng.choice(["leaf", "twig"]) if rng else "leaf"
+        edges.add(("hub", rng.choice(EDGE_LABELS) if rng else "spoke", v))
+        if leaf_loops:
+            edges.add((v, "loop", v))
+    return Graph(nodes, edges, labels, ("hub",) if hub_port else ())
+
+
+def path(n: int, ported: bool = True) -> Graph:
+    nodes = [f"p{i}" for i in range(n)]
+    edges = [(nodes[i], "next", nodes[i + 1]) for i in range(n - 1)]
+    return Graph(nodes, edges, {v: "node" for v in nodes},
+                 (nodes[0],) if ported else ())
+
+
+def plant_twins(rng: random.Random, g: Graph) -> Graph:
+    """``g`` plus copies of one of its non-port nodes: each copy has the
+    node's label and its labelled in- and out-neighbours.  Sometimes the
+    node and the copies get self-loops, sometimes one copy is joined to
+    the node by an edge (then the two are no longer twins), and some
+    labels become wildcards or empty."""
+    nodes = set(g.nodes) or {"v0"}
+    labels = dict(g.labels) or {"v0": rng.choice(NODE_LABELS)}
+    edges = set(g.edges)
+    ports = g.ports
+    v = rng.choice(sorted(nodes - set(ports)) or [None])
+    if v is None:
+        v = "extra"
+        nodes.add(v)
+        labels[v] = rng.choice(NODE_LABELS)
+    copies = [f"{v}c{i}" for i in range(rng.randint(1, 3))]
+    loops = rng.random() < 0.3
+    for w in copies:
+        nodes.add(w)
+        labels[w] = labels[v]
+        for s, l, t in g.edges:
+            if s == v:
+                edges.add((w, l, w if t == v else t))
+            elif t == v:
+                edges.add((s, l, w))
+        if loops:
+            edges.add((w, "e", w))
+    if loops:
+        edges.add((v, "e", v))
+    if rng.random() < 0.3:
+        edges.add((v, rng.choice(EDGE_LABELS), copies[0]))
+    for u in sorted(nodes):
+        if rng.random() < 0.1:
+            labels[u] = rng.choice([None, ""])
+    return Graph(nodes, edges, labels, ports)
+
+
+def cycles(rng: random.Random) -> Graph:
+    """Directed cycles of lengths 1 to 3 with one node label, and on
+    every cycle node either nothing, an edge to a sink of its own or an
+    edge from a source of its own.  1-WL gives all cycle nodes one
+    colour, although only nodes on cycles of the same length are
+    automorphic: ties the search must break by trying them all."""
+    lengths, total = [], 0
+    while total < 4:
+        lengths.append(rng.randint(1, 3))
+        total += lengths[-1]
+    pendant = rng.choice([None, "sink", "source"])
+    nodes, edges = [], set()
+    for c, n in enumerate(lengths):
+        ring = [f"c{c}n{i}" for i in range(n)]
+        nodes += ring
+        for i, v in enumerate(ring):
+            edges.add((v, "next", ring[(i + 1) % n]))
+            if pendant:
+                end = f"{v}{pendant}"
+                nodes.append(end)
+                edges.add((v, "to", end) if pendant == "sink" else (end, "to", v))
+    return Graph(nodes, edges, {v: "x" for v in nodes})
+
+
+def assert_same_as_naive(g: Graph) -> None:
+    assert canonical_order(g) == naive_canonical_order(g)
+    assert canonical_key(g) == naive_canonical_key(g)
+
+
+class TestExactness:
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, s):
+        assert_same_as_naive(random_graph(random.Random(s)))
+
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_with_planted_twins(self, s):
+        rng = random.Random(s)
+        g = plant_twins(rng, random_graph(rng, 6))
+        assert_same_as_naive(shuffled_names(rng, g))
+
+    @given(seeds, st.integers(0, 6), st.booleans(), st.booleans(),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_stars(self, s, k, hub_port, leaf_loops, mixed):
+        rng = random.Random(s)
+        g = star(k, hub_port, leaf_loops, rng if mixed else None)
+        assert_same_as_naive(shuffled_names(rng, g))
+
+    @given(seeds, st.integers(2, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_joined_twin_looking_pair_is_not_pruned(self, s, k):
+        # Leaves a and b have equal labels and neighbourhoods apart from
+        # the edge between them, so swapping them is no automorphism.
+        rng = random.Random(s)
+        g = star(k, hub_port=rng.random() < 0.5)
+        g = Graph(g.nodes, set(g.edges) | {("leaf0", "spoke", "leaf1")},
+                  g.labels, g.ports)
+        assert_same_as_naive(shuffled_names(rng, g))
+
+    @given(seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_wildcard_labels(self, s):
+        rng = random.Random(s)
+        g = random_graph(rng, 7)
+        labels = {v: (None if rng.random() < 0.5 else lab)
+                  for v, lab in g.labels.items()}
+        assert_same_as_naive(Graph(g.nodes, g.edges, labels, g.ports))
+
+    @given(seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_cycles_that_wl_cannot_tell_apart(self, s):
+        rng = random.Random(s)
+        assert_same_as_naive(shuffled_names(rng, cycles(rng)))
+
+    def test_path_without_ports(self):
+        assert_same_as_naive(path(30, ported=False))
+
+
+@pytest.fixture()
+def certificates(monkeypatch):
+    """Counts the leaves the canonical search reaches."""
+    calls = []
+    real = graphs._certificate
+
+    def counted(g, order):
+        calls.append(len(order))
+        return real(g, order)
+
+    monkeypatch.setattr(graphs, "_certificate", counted)
+    return calls
+
+
+class TestWork:
+    @pytest.mark.parametrize("k", [8, 12, 50])
+    @pytest.mark.parametrize("hub_port", [False, True])
+    def test_star_reaches_one_leaf(self, certificates, k, hub_port):
+        canonical_key(star(k, hub_port))
+        assert len(certificates) == 1
+
+    def test_ported_path_reaches_one_leaf(self, certificates):
+        canonical_key(path(200))
+        assert certificates == [200]
+
+    def test_order_and_key_come_from_one_search(self, certificates):
+        g = star(5, hub_port=True)
+        key = canonical_key(g)
+        order = canonical_order(g)
+        emit_gv(g)
+        assert canonical_key(g) == key and canonical_order(g) is order
+        assert len(certificates) == 1
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        nodes = [f"v{i:04d}" for i in range(1500)]
+        g = Graph(nodes, [], {v: v for v in nodes})
+        assert canonical_order(g) == tuple(nodes)

@@ -184,6 +184,20 @@ class TestErrors:
         bad.write_text("operation broken {\n")
         assert main(["-g", str(bad), "-t", str(trees)]) == 1
 
+    def test_definition_ending_in_backslash_writes_nothing(self, inputs, capsys):
+        tmp, ops, trees, _rtg = inputs
+        defs = tmp / "defs.txt"
+        defs.write_text("she: she, he\\\n")
+        out = tmp / "corpus"
+        assert main(
+            ["-g", str(ops), "-t", str(trees), "-d", str(defs),
+             "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "backslash" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestValidate:
     def test_clean_fixture_reports_no_findings(self, inputs, capsys):

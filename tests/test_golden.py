@@ -93,6 +93,55 @@ tell(conj(and(bel(close(base)) close(base2))))
 bel(conj(and(close(base2) tell(close(base)))))
 """
 
+# A copy of the symmetric workload: stars and paths, whose canonical
+# labelling has many ties.
+SYMMETRIC_OPS = """\
+// Stars and paths: graphs whose canonical labelling is costly.
+// A star is a hub with k interchangeable leaves (k! search branches);
+// a path is a chain grown from a start node.
+operation hub {
+  0 [label="hub"];
+  port 0;
+}
+operation leaf {
+  0 [label="leaf"];
+  port 0;
+}
+operation and { 1 1 }
+operation attach {
+  0;
+  1;
+  0 -> 1 [label="spoke"];
+  port 0;
+  dock 0 1;
+}
+operation start {
+  0 [label="node"];
+  port 0;
+}
+operation ext {
+  0 [label="node"];
+  1;
+  0 -> 1 [label="next"];
+  port 0;
+  dock 1;
+}
+"""
+
+SYMMETRIC_RTG = """\
+S
+S -> attach(Q) # 4.6
+S -> hub # 0
+S -> ext(P) # 1
+S -> start # 0
+Q -> and(H L) # 0
+H -> attach(Q) # 4.6
+H -> hub # 0
+L -> leaf # 0
+P -> ext(P) # 1
+P -> start # 0
+"""
+
 GRAMMAR = ["-g", "amr.ops", "--rtg", "amr.rtg", "-N", "80"]
 
 CASES = {
@@ -114,6 +163,11 @@ CASES = {
                    "-L", "2", "-H", "8", "--dedup-across-trees",
                    "--per-label", "-d", "amr.defs"],
         "c8bd1027057a09e7c6058d5ff0876bdf22e147384367b3e736e12247bfba82bb",
+    ),
+    "symmetric": (
+        ["-g", "symmetric.ops", "--rtg", "symmetric.rtg", "-N", "43",
+         "--mode", "enumerate"],
+        "d8c39a2dfde06e2919ba7ff9c40a769815ee5d553aba02cb3afb8a6d94f235c0",
     ),
     "tree-file": (
         ["-g", "amr.ops", "-t", "amr.trees", "--mode", "enumerate"],
@@ -151,7 +205,9 @@ def digest(pairs):
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     for name, text in [("amr.ops", AMR_OPS), ("amr.rtg", AMR_RTG),
-                       ("amr.defs", AMR_DEFS), ("amr.trees", AMR_TREES)]:
+                       ("amr.defs", AMR_DEFS), ("amr.trees", AMR_TREES),
+                       ("symmetric.ops", SYMMETRIC_OPS),
+                       ("symmetric.rtg", SYMMETRIC_RTG)]:
         (tmp_path / name).write_text(text)
     (tmp_path / "dead.rtg").write_text(
         AMR_RTG + "S -> tell(D) # 1\nD -> bel(D) # 1\nU -> close(B) # 0\n")

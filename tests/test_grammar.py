@@ -23,6 +23,7 @@ from gexpand import (
     parse_tree_file,
     tree,
 )
+from gexpand.grammar import reachable_nonterminals
 from fixtures import RUNNING_GRAMMAR, RUNNING_TREE_TEXT
 from generators import random_grammar
 from oracles import (
@@ -270,6 +271,26 @@ class TestNBestTrees:
         for t, w in trees_and_weights.items():
             w2 = min_tree_weight(g2, t)
             assert w2 is not None and w2 >= w
+
+
+class TestReachableNonterminals:
+    def test_running_grammar(self):
+        g = parse_rtg(RUNNING_GRAMMAR)
+        assert reachable_nonterminals(g) == g.nonterminals
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_a_fixpoint_over_all_rules(self, s):
+        g = random_grammar(random.Random(s))
+        reached = {g.start}
+        changed = True
+        while changed:
+            changed = False
+            for p in g.productions:
+                if p.lhs in reached and not reached.issuperset(p.rhs):
+                    reached.update(p.rhs)
+                    changed = True
+        assert reachable_nonterminals(g) == reached
 
 
 class TestParseTrees:

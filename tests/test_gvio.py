@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexpand import GvSyntaxError, emit_gv, empty_graph, is_isomorphic, parse_gv
+from gexpand import (
+    Graph,
+    GvSyntaxError,
+    emit_gv,
+    empty_graph,
+    is_isomorphic,
+    parse_gv,
+)
 from fixtures import RUNNING_RESULT_GV, running_result_graph
 from generators import random_graph
 
@@ -100,3 +107,45 @@ class TestRoundTrip:
         g = random_graph(random.Random(s))
         text = emit_gv(g)
         assert emit_gv(parse_gv(text)) == text
+
+
+# Label text that DOT syntax gives a meaning to, plus non-ASCII text.
+label_text = st.text(
+    st.sampled_from(['"', "\\", "/", "-", ">", "[", "]", "=", ";", "{", "}",
+                     " ", "a", "é", "→", "😀"]) | st.characters(),
+    max_size=12,
+)
+
+
+def writable(label: str) -> bool:
+    return not label.endswith("\\") and label.splitlines() in ([], [label])
+
+
+class TestLabelText:
+    def test_quotes_come_back(self):
+        g = Graph(["a", "b"], [("a", 'says "so"', "b")],
+                  {"a": 'say "hi"', "b": 'back\\"slash'}, ("a",))
+        text = emit_gv(g)
+        assert '[label="say \\"hi\\""]' in text
+        h = parse_gv(text)
+        assert sorted(h.labels.values()) == ['back\\"slash', 'say "hi"']
+        assert [l for _s, l, _t in h.edges] == ['says "so"']
+
+    @given(st.lists(label_text.filter(writable), min_size=1, max_size=4),
+           label_text.filter(writable))
+    @settings(max_examples=200, deadline=None)
+    def test_emit_then_parse_keeps_labels(self, node_labels, edge_label):
+        nodes = [f"v{i}" for i in range(len(node_labels))]
+        g = Graph(nodes, [(nodes[0], edge_label, nodes[-1])],
+                  dict(zip(nodes, node_labels)), nodes[:1])
+        text = emit_gv(g)
+        h = parse_gv(text)
+        assert is_isomorphic(g, h)
+        assert emit_gv(h) == text
+
+    @pytest.mark.parametrize("label", ["ends in \\", "two\nlines", "cr\r"])
+    def test_unwritable_label_rejected(self, label):
+        with pytest.raises(ValueError):
+            emit_gv(Graph(["a"], [], {"a": label}))
+        with pytest.raises(ValueError):
+            emit_gv(Graph(["a"], [("a", label, "a")], {"a": "x"}))

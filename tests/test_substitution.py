@@ -66,6 +66,11 @@ class TestParseDefinitions:
         with pytest.raises(DefinitionError):
             parse_definitions("x: a\ny: x, b\n")
 
+    def test_value_ending_in_backslash_rejected(self):
+        with pytest.raises(DefinitionError, match="line 2.*backslash"):
+            parse_definitions("x: a\ny: b, c\\\n")
+        assert parse_definitions("y: b\\c\n").entries == {"y": ("b\\c",)}
+
 
 class TestInstantiateAll:
     def test_two_by_two_product(self):
