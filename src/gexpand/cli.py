@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import (
@@ -36,7 +36,7 @@ from .grammar import (
     RankConflictError,
     RtgSyntaxError,
     WeightedRtg,
-    best_completion_weights,
+    _best_completions,
     n_best_trees,
     parse_rtg,
     parse_tree_file,
@@ -236,8 +236,8 @@ def validate(cfg: RunConfig) -> Tuple[List[str], bool]:
             )
 
     if grammar is not None:
-        best = best_completion_weights(grammar)
-        dead = sorted(a for a, w in best.items() if w is None)
+        best = _best_completions(grammar)
+        dead = sorted(a for a, pair in best.items() if pair is None)
         if dead:
             report.append(f"info: unproductive nonterminals: {dead}")
         unreachable = sorted(
@@ -281,7 +281,6 @@ def run(cfg: RunConfig) -> int:
         return 1
 
     all_warnings: List[str] = []
-    weights: Dict[str, str] = {}
     if grammar is not None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -289,7 +288,9 @@ def run(cfg: RunConfig) -> int:
         for w in caught:
             all_warnings.append(str(w.message))
         trees = [t for t, _w in best]
-        weights = {t.serialize(): str(w) for t, w in best}
+        weights = [str(w) for _t, w in best]
+    else:
+        weights = ["0"] * len(trees)
 
     eval_cfg = EvalConfig(
         mode=cfg.mode,
@@ -315,9 +316,10 @@ def run(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for tree_index, outcome in enumerate(outcomes):
+    for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
         for diag in outcome.diagnostics:
             all_warnings.append(f"tree {tree_index}: {diag}")
+        source = outcome.source_tree.serialize()
         variant = 0
         for g in outcome.graphs:
             if definitions is not None:
@@ -341,10 +343,8 @@ def run(cfg: RunConfig) -> int:
                         "file": filename,
                         "tree_index": tree_index,
                         "variant": variant,
-                        "tree": outcome.source_tree.serialize(),
-                        "tree_weight": weights.get(
-                            outcome.source_tree.serialize(), "0"
-                        ),
+                        "tree": source,
+                        "tree_weight": weight,
                         "nodes": len(inst.nodes),
                         "edges": len(inst.edges),
                     }

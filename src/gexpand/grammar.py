@@ -3,12 +3,14 @@
 Weights live in the tropical semiring: a derivation costs the sum of
 the weights of its rules, and a tree costs the minimum over all of its
 derivations.  Rules without an explicit weight cost 0.  Weights are
-kept as exact fractions so that tie handling is reproducible.
+exact fractions, and the N-best search compares them as integers over
+their common denominator, so tie handling is reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -221,13 +223,6 @@ def parse_rtg(text: str) -> WeightedRtg:
     )
 
 
-def _productions_by_lhs(g: WeightedRtg) -> Dict[str, List[Production]]:
-    by_lhs: Dict[str, List[Production]] = {}
-    for p in g.productions:
-        by_lhs.setdefault(p.lhs, []).append(p)
-    return by_lhs
-
-
 def _derivation_weights(g: WeightedRtg, t: DerivationTree) -> Dict[str, Fraction]:
     """Minimum derivation weight of ``t`` from each nonterminal that
     derives it."""
@@ -291,75 +286,18 @@ def _best_completions(g: WeightedRtg) -> Dict[str, Optional[Tuple[Fraction, int]
     return best
 
 
-def best_completion_weights(g: WeightedRtg) -> Dict[str, Optional[Fraction]]:
-    """Least derivation weight reachable from each nonterminal; None
-    marks unproductive nonterminals."""
-    return {a: None if b is None else b[0] for a, b in _best_completions(g).items()}
-
-
 def reachable_nonterminals(g: WeightedRtg) -> Set[str]:
     """The nonterminals that derivations from the start nonterminal use."""
-    by_lhs = _productions_by_lhs(g)
+    uses: Dict[str, Set[str]] = {}
+    for p in g.productions:
+        uses.setdefault(p.lhs, set()).update(p.rhs)
     reached = {g.start}
     todo = [g.start]
     while todo:
-        for p in by_lhs.get(todo.pop(), ()):
-            for b in p.rhs:
-                if b not in reached:
-                    reached.add(b)
-                    todo.append(b)
+        fresh = uses.get(todo.pop(), set()) - reached
+        reached |= fresh
+        todo.extend(fresh)
     return reached
-
-
-# A partial derivation is a nested structure where unexpanded
-# nonterminals appear as ("?", name) and applied productions as
-# ("!", symbol_name, children...).
-
-
-def _partial_bound(node, best):
-    """(weight, size) lower bound of all completions of a partial
-    derivation; exact on complete derivations."""
-    if node[0] == "?":
-        return best[node[1]]
-    w = node[1]
-    s = 1
-    for child in node[3]:
-        cw, cs = _partial_bound(child, best)
-        w += cw
-        s += cs
-    return (w, s)
-
-
-def _expand_leftmost(node, by_lhs, best):
-    """Yield successors of a partial derivation, expanding the leftmost
-    open nonterminal."""
-    if node[0] == "?":
-        for p in by_lhs.get(node[1], ()):
-            if any(best[b] is None for b in p.rhs):
-                continue
-            children = tuple(("?", b) for b in p.rhs)
-            yield ("!", p.weight, p.symbol.name, children)
-        return
-    for i, child in enumerate(node[3]):
-        if _has_open(child):
-            for new_child in _expand_leftmost(child, by_lhs, best):
-                yield (
-                    "!",
-                    node[1],
-                    node[2],
-                    node[3][:i] + (new_child,) + node[3][i + 1:],
-                )
-            return
-
-
-def _has_open(node) -> bool:
-    if node[0] == "?":
-        return True
-    return any(_has_open(c) for c in node[3])
-
-
-def _to_tree(node) -> DerivationTree:
-    return DerivationTree(node[2], tuple(_to_tree(c) for c in node[3]))
 
 
 def n_best_trees(
@@ -375,61 +313,87 @@ def n_best_trees(
     if n < 1:
         raise ValueError("n must be at least 1")
     best = _best_completions(g)
-    if best.get(g.start) is None:
-        warnings.warn(
-            "grammar generates the empty language", EmptyLanguageWarning
-        )
+    if best[g.start] is None:
+        warnings.warn("grammar generates the empty language", EmptyLanguageWarning)
         return []
-    by_lhs = _productions_by_lhs(g)
+    # Bounds are exact integers: every weight times the least common
+    # multiple of the rule weights' denominators.
+    scale = math.lcm(*(p.weight.denominator for p in g.productions))
+    least = {a: (int(b[0] * scale), b[1])
+             for a, b in best.items() if b is not None}
+    # Expanding a nonterminal by a productive production moves the
+    # completion bound by the production's own pair plus its children's
+    # least pairs minus its left-hand side's least pair.
+    steps: Dict[str, List[tuple]] = {}
+    for p in g.productions:
+        if all(b in least for b in p.rhs):
+            w = int(p.weight * scale) - least[p.lhs][0]
+            s = 1 - least[p.lhs][1]
+            for b in p.rhs:
+                w += least[b][0]
+                s += least[b][1]
+            steps.setdefault(p.lhs, []).append(
+                (w, s, (p.symbol.name, p.symbol.rank), p.rhs[::-1]))
 
-    root = ("?", g.start)
+    # A leftmost partial derivation is (weight, size, 0, counter, chain,
+    # stack): the chain links the symbols applied so far, latest first,
+    # and the stack the open nonterminals, leftmost on top.  A complete
+    # one comes back as (weight, size, 1, serialization), so each bound
+    # pops its open derivations first and then its trees in
+    # serialization order.  Only open pops count toward the budget, and
+    # the search ends on the first open pop after the n-th tree.
     counter = 0
-    heap = [(best[g.start], counter, root)]
+    heap = [(*least[g.start], 0, counter, None, (g.start, None))]
     results: List[Tuple[DerivationTree, Fraction]] = []
     seen = set()
-    # Complete derivations pop in non-decreasing (weight, size) order;
-    # ties at one (weight, size) level are buffered and ordered by
-    # serialization before emission.
-    pending_level = None
-    pending: List[Tuple[str, DerivationTree]] = []
+    # Each distinct subtree is built once, keyed in ``trees`` by its
+    # serialization; ``built`` finds that string, one object per
+    # subtree, from the label and the children's strings.
+    built: Dict[tuple, str] = {}
+    trees: Dict[str, DerivationTree] = {}
     pops = 0
-
-    def flush():
-        nonlocal pending, pending_level
-        for ser, t in sorted(pending):
-            if ser in seen:
-                continue
-            seen.add(ser)
-            results.append((t, pending_level[0]))
-            if len(results) >= n:
-                break
-        pending = []
-        pending_level = None
-
-    while heap and len(results) < n:
-        bound, _c, node = heapq.heappop(heap)
+    while heap:
+        item = heapq.heappop(heap)
+        if item[2]:
+            if len(results) < n and item[3] not in seen:
+                seen.add(item[3])
+                results.append((trees[item[3]], Fraction(item[0], scale)))
+            continue
         pops += 1
         if pops > budget:
             raise BudgetExceededError(
                 f"n-best search exceeded its budget of {budget} candidate "
                 f"pops"
             )
-        if pending_level is not None and bound > pending_level:
-            flush()
-            if len(results) >= n:
-                break
-        if not _has_open(node):
-            t = _to_tree(node)
-            if pending_level is None:
-                pending_level = bound
-            pending.append((t.serialize(), t))
+        if len(results) >= n:
+            break
+        w, s, _, _, chain, stack = item
+        if stack is None:
+            # The chain lists the tree in reverse preorder, so each
+            # node's children are on top of the stack, leftmost last.
+            nodes: List[str] = []
+            while chain is not None:
+                (name, k), chain = chain
+                key = (name, *nodes[:-k - 1:-1])
+                del nodes[len(nodes) - k:]
+                text = built.get(key)
+                if text is None:
+                    text = built[key] = (
+                        f"{name}({' '.join(key[1:])})" if k else name)
+                    trees[text] = DerivationTree(
+                        name, tuple(trees[x] for x in key[1:]))
+                nodes.append(text)
+            heapq.heappush(heap, (w, s, 1, text))
             continue
-        for succ in _expand_leftmost(node, by_lhs, best):
+        a, rest = stack
+        for dw, ds, symbol, rhs in steps[a]:
+            top = rest
+            for b in rhs:
+                top = (b, top)
             counter += 1
-            heapq.heappush(heap, (_partial_bound(succ, best), counter, succ))
-    if pending and len(results) < n:
-        flush()
-    return results[:n]
+            heapq.heappush(
+                heap, (w + dw, s + ds, 0, counter, (symbol, chain), top))
+    return results
 
 
 _TREE_TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")

@@ -38,8 +38,12 @@ _EDGE_RE = re.compile(
     _NODE_ID % ("1", "1") + r"\s*->\s*" + _NODE_ID % ("2", "2") + _ATTRS + r"\s*;?\s*$"
 )
 _NODE_RE = re.compile(_NODE_ID % ("1", "1") + _ATTRS + r"\s*;?\s*$")
-_LABEL_RE = re.compile(
-    r'label\s*=\s*(?:"(' + _QUOTED + r')"|([A-Za-z0-9_.\-]+))')
+# One ``key=value`` attribute, else one quoted string or other
+# character, so that text inside a quoted value never reads as a key.
+_ATTR_RE = re.compile(
+    r'(?:"(?P<qk>' + _QUOTED + r')"|(?P<bk>[A-Za-z0-9_.\-]+))\s*=\s*'
+    r'(?:"(?P<qv>' + _QUOTED + r')"|(?P<bv>[A-Za-z0-9_.\-]+))'
+    r'|"' + _QUOTED + r'"|[^"]')
 
 
 def _unquote(text: str) -> str:
@@ -51,13 +55,14 @@ def _get_id(m: "re.Match", which: str) -> str:
     return _unquote(quoted) if quoted is not None else m.group("b" + which)
 
 
-def _parse_label(attrs: Optional[str], lineno: int) -> Optional[str]:
-    if not attrs:
-        return None
-    m = _LABEL_RE.search(attrs)
-    if m is None:
-        return None
-    return _unquote(m.group(1)) if m.group(1) is not None else m.group(2)
+def _parse_label(attrs: Optional[str]) -> Optional[str]:
+    """The value of the ``label`` attribute; as in Graphviz, the last
+    one wins."""
+    label = None
+    for m in _ATTR_RE.finditer(attrs or ""):
+        if _get_id(m, "k") == "label":
+            label = _get_id(m, "v")
+    return label
 
 
 class _Body:
@@ -105,7 +110,7 @@ def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
         m = _EDGE_RE.match(line)
         if m:
             src, tgt = _get_id(m, "1"), _get_id(m, "2")
-            label = _parse_label(m.group("attrs"), lineno)
+            label = _parse_label(m.group("attrs"))
             if label is None:
                 raise GvSyntaxError("edge statement without a label attribute", lineno)
             body.declare(src, None, lineno)
@@ -115,7 +120,7 @@ def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
         m = _NODE_RE.match(line)
         if m:
             node = _get_id(m, "1")
-            body.declare(node, _parse_label(m.group("attrs"), lineno), lineno)
+            body.declare(node, _parse_label(m.group("attrs")), lineno)
             continue
         raise GvSyntaxError(f"cannot parse statement: {line!r}", lineno)
     return body

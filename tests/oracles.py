@@ -2,15 +2,17 @@
 
 These deliberately use the most naive correct strategy (exhaustive
 bijection search, the unpruned canonical search, full derivation
-enumeration, undeduplicated recursive set evaluation) and stay
-independent of the code paths they check.
+enumeration, the nested-tuple n-best search, undeduplicated recursive
+set evaluation) and stay independent of the code paths they check.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import permutations, product
 
 from gexpand import (
     Algebra,
+    BudgetExceededError,
     DerivationTree,
     EmptyConstant,
     ExpansionOperation,
@@ -210,6 +212,130 @@ def best_trees_by_enumeration(g: WeightedRtg, n: int, max_height: int):
         by_tree.values(), key=lambda tw: (tw[1], tw[0].size(), tw[0].serialize())
     )
     return ranked[:n]
+
+
+def _naive_best_completions(g: WeightedRtg):
+    """Least (weight, node count) pair of a tree derivable from each
+    nonterminal; None marks unproductive nonterminals."""
+    best = {a: None for a in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            parts = [best[b] for b in p.rhs]
+            if any(part is None for part in parts):
+                continue
+            cand = (p.weight + sum((w for w, _s in parts), Fraction(0)),
+                    1 + sum(s for _w, s in parts))
+            if best[p.lhs] is None or cand < best[p.lhs]:
+                best[p.lhs] = cand
+                changed = True
+    return best
+
+
+# The best-first search over nested partial derivations, kept as it was
+# before the search moved to flat derivation chains.  Unexpanded
+# nonterminals appear as ("?", name) and applied productions as
+# ("!", weight, symbol_name, children).
+
+
+def _partial_bound(node, best):
+    if node[0] == "?":
+        return best[node[1]]
+    w = node[1]
+    s = 1
+    for child in node[3]:
+        cw, cs = _partial_bound(child, best)
+        w += cw
+        s += cs
+    return (w, s)
+
+
+def _expand_leftmost(node, by_lhs, best):
+    if node[0] == "?":
+        for p in by_lhs.get(node[1], ()):
+            if any(best[b] is None for b in p.rhs):
+                continue
+            children = tuple(("?", b) for b in p.rhs)
+            yield ("!", p.weight, p.symbol.name, children)
+        return
+    for i, child in enumerate(node[3]):
+        if _has_open(child):
+            for new_child in _expand_leftmost(child, by_lhs, best):
+                yield (
+                    "!",
+                    node[1],
+                    node[2],
+                    node[3][:i] + (new_child,) + node[3][i + 1:],
+                )
+            return
+
+
+def _has_open(node) -> bool:
+    if node[0] == "?":
+        return True
+    return any(_has_open(c) for c in node[3])
+
+
+def _to_tree(node) -> DerivationTree:
+    return DerivationTree(node[2], tuple(_to_tree(c) for c in node[3]))
+
+
+def naive_n_best_trees(g: WeightedRtg, n: int, budget: int = 10**6):
+    """(the n best (tree, weight) pairs, heap pops) from the nested
+    search; raises BudgetExceededError on pop ``budget + 1``."""
+    best = _naive_best_completions(g)
+    if best.get(g.start) is None:
+        return [], 0
+    by_lhs = {}
+    for p in g.productions:
+        by_lhs.setdefault(p.lhs, []).append(p)
+
+    root = ("?", g.start)
+    counter = 0
+    heap = [(best[g.start], counter, root)]
+    results = []
+    seen = set()
+    pending_level = None
+    pending = []
+    pops = 0
+
+    def flush():
+        nonlocal pending, pending_level
+        for ser, t in sorted(pending):
+            if ser in seen:
+                continue
+            seen.add(ser)
+            results.append((t, pending_level[0]))
+            if len(results) >= n:
+                break
+        pending = []
+        pending_level = None
+
+    while heap and len(results) < n:
+        bound, _c, node = heapq.heappop(heap)
+        pops += 1
+        if pops > budget:
+            raise BudgetExceededError(
+                f"n-best search exceeded its budget of {budget} candidate "
+                f"pops"
+            )
+        if pending_level is not None and bound > pending_level:
+            flush()
+            if len(results) >= n:
+                break
+        if not _has_open(node):
+            t = _to_tree(node)
+            if pending_level is None:
+                pending_level = bound
+            pending.append((t.serialize(), t))
+            continue
+        for succ in _expand_leftmost(node, by_lhs, best):
+            counter += 1
+            heapq.heappush(heap, (_partial_bound(succ, best), counter, succ))
+    if pending and len(results) < n:
+        flush()
+    return results[:n], pops
 
 
 def naive_evaluate(t: DerivationTree, a: Algebra):

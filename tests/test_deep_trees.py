@@ -2,14 +2,22 @@
 
 Every traversal of a derivation tree runs on an explicit stack, so a
 chain of a few thousand operations parses, prints, evaluates and goes
-through the CLI like a shallow one.  The graphs stay one or two nodes.
+through the CLI like a shallow one, and the N-best search reaches it.
+The graphs stay one or two nodes.
 """
 
 import json
 
 import pytest
 
-from gexpand import EvalConfig, evaluate, parse_operation_file, parse_tree
+from gexpand import (
+    EvalConfig,
+    evaluate,
+    n_best_trees,
+    parse_operation_file,
+    parse_rtg,
+    parse_tree,
+)
 from gexpand.cli import main
 
 DEPTH = 3000
@@ -66,3 +74,13 @@ def test_cli_tree_file(tmp_path, mode, capsys):
         "g0_0.gv", "g1_0.gv", "manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert [r["tree"] for r in manifest["graphs"]] == [CHAIN, TREES["union"]]
+
+
+@pytest.mark.parametrize("n", [1200, 3000])
+def test_n_best_reaches_deep_trees(n):
+    g = parse_rtg("S\nS -> f(S) # 1\nS -> a # 1\n")
+    best = n_best_trees(g, n)
+    # The only tree of weight k is f^(k-1)(a).
+    assert [w for _t, w in best] == list(range(1, n + 1))
+    assert best[-1][0].serialize() == "f(" * (n - 1) + "a" + ")" * (n - 1)
+    assert best[-1][0].size() == n

@@ -4,6 +4,7 @@ import itertools
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from oracles import (
     best_trees_by_enumeration,
     derivation_count,
     enumerate_derivations,
+    naive_n_best_trees,
 )
 
 
@@ -271,6 +273,54 @@ class TestNBestTrees:
         for t, w in trees_and_weights.items():
             w2 = min_tree_weight(g2, t)
             assert w2 is not None and w2 >= w
+
+
+# Rule weights with denominators 2, 3, 4 and 10, beside zeros and
+# integers, so that ties across fractions are common.
+FRACTIONAL_WEIGHTS = (0, 1, 2, Fraction(1, 2), Fraction(1, 3),
+                      Fraction(3, 4), Fraction(7, 10), Fraction(5, 2))
+ORACLE_BUDGET = 4000
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+class TestNBestAgainstNestedSearch:
+    """The flat search returns what the nested-tuple search returned and
+    fails on the same pop."""
+
+    @given(seeds, st.sampled_from([1, 2, 7, 40]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_trees_weights_and_budget(self, s, n, fractional):
+        rng = random.Random(s)
+        g = random_grammar(rng, weight_choices=FRACTIONAL_WEIGHTS
+                           if fractional else (0, 1, 2, 3, 4, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyLanguageWarning)
+            try:
+                expected, pops = naive_n_best_trees(g, n, ORACLE_BUDGET)
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError):
+                    n_best_trees(g, n, ORACLE_BUDGET)
+                return
+            got = n_best_trees(g, n, budget=pops)
+            assert [(t.serialize(), w) for t, w in got] == [
+                (t.serialize(), w) for t, w in expected
+            ]
+            for t, w in got:
+                assert type(w) is Fraction and min_tree_weight(g, t) == w
+            if pops:
+                for budget in {pops - 1, rng.randrange(pops)}:
+                    with pytest.raises(BudgetExceededError):
+                        n_best_trees(g, n, budget=budget)
+
+    @pytest.mark.parametrize("name, n", [("amr", 740), ("symmetric", 43)])
+    def test_bench_grammars(self, name, n):
+        g = parse_rtg((BENCH_INPUTS / f"{name}.rtg").read_text())
+        expected, pops = naive_n_best_trees(g, n)
+        assert [(t.serialize(), w) for t, w in n_best_trees(g, n, pops)] == [
+            (t.serialize(), w) for t, w in expected
+        ]
+        with pytest.raises(BudgetExceededError):
+            n_best_trees(g, n, pops - 1)
 
 
 class TestReachableNonterminals:

@@ -63,6 +63,32 @@ class TestParseGv:
         with pytest.raises(GvSyntaxError):
             parse_gv('digraph {\n  "a" [label="x"];\n  // ports: a a\n}')
 
+    @pytest.mark.parametrize("attrs, label", [
+        ('xlabel="q", label="r"', "r"),
+        ('tooltip="label=z", label="r"', "r"),
+        ('label="x", label=y', "y"),
+        ('label="x" label="y"', "y"),
+        ('"label"="k"', "k"),
+        ('tooltip="a \\" label=z"', "a"),
+        ('xlabel="q"', "a"),
+    ])
+    def test_node_label_is_the_last_label_attribute(self, attrs, label):
+        g = parse_gv(f"digraph {{\n  a [{attrs}];\n}}")
+        assert g.labels == {"a": label}
+
+    @pytest.mark.parametrize("attrs, label", [
+        ('taillabel="t", label="e"', "e"),
+        ('headlabel="h" label=e', "e"),
+        ('label="e1", label="e2"', "e2"),
+    ])
+    def test_edge_label_is_the_last_label_attribute(self, attrs, label):
+        g = parse_gv(f"digraph {{\n  a -> b [{attrs}];\n}}")
+        assert g.edges == {("a", label, "b")}
+
+    def test_edge_with_only_other_labels_rejected(self):
+        with pytest.raises(GvSyntaxError):
+            parse_gv('digraph {\n  a -> b [taillabel="t"];\n}')
+
 
 class TestEmitGv:
     def test_running_result_matches_expected_text(self):
