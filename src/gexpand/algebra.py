@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .graphs import Graph, canonical_key
 from .gvio import GvSyntaxError, parse_statements
@@ -146,25 +146,6 @@ def enumerate_context_assignments(
     return assignments
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]) -> None:
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Deterministic representative: smaller name wins.
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def apply_expansion(
     op: ExpansionOperation,
     arg: Graph,
@@ -197,11 +178,14 @@ def apply_expansion(
         rename[v] = fresh
         used.add(fresh)
 
-    uf = _UnionFind(list(arg.nodes) + list(rename.values()))
-    for i, dock in enumerate(op.docks):
-        uf.union(rename[dock], arg.ports[i])
+    context = set(op.context)
+    arg_ports = set(arg.ports)
     for u, v in assignment.items():
-        if v in set(arg.ports):
+        if u not in context:
+            raise ValueError(
+                f"{u!r} is not a context node of operation {op.name!r}"
+            )
+        if v in arg_ports:
             raise ValueError(
                 f"context node {u!r} mapped to argument port {v!r}"
             )
@@ -210,46 +194,41 @@ def apply_expansion(
                 f"context node {u!r} mapped to node {v!r} with a "
                 f"different label"
             )
-        uf.union(rename[u], v)
 
-    classes: Dict[str, List[str]] = {}
-    for x in list(arg.nodes) + list(rename.values()):
-        classes.setdefault(uf.find(x), []).append(x)
+    # Every fusion class is a star: a dock with the argument ports fused
+    # to it, or an argument non-port with the context nodes mapped to
+    # it.  The hub gives the class its label, its least member its name.
+    labels: Dict[str, Optional[str]] = dict(arg.labels)
+    labels.update((rename[v], op.template.labels[v]) for v in op.node_order)
+    stars: Dict[str, List[str]] = {}
+    for dock, port in zip(op.docks, arg.ports):
+        stars.setdefault(rename[dock], []).append(port)
+    for hub, fused in stars.items():
+        if labels[hub] is None:
+            found = [arg.labels[p] for p in fused]
+            if len(set(found)) > 1 and on_label_conflict == "error":
+                names = ", ".join(repr(p) for p in fused)
+                raise LabelConflictError(
+                    f"operation {op.name!r}: wildcard dock merges argument "
+                    f"ports with different labels ({names})"
+                )
+            labels[hub] = found[0]
+    for u, v in assignment.items():
+        stars.setdefault(v, []).append(rename[u])
 
-    template_labels = {rename[v]: op.template.labels[v] for v in op.template.nodes}
-    arg_port_pos = {p: i for i, p in enumerate(arg.ports)}
-    labels: Dict[str, Optional[str]] = {}
-    for rep, members in classes.items():
-        tmpl = sorted(
-            {template_labels[m] for m in members if m in template_labels}
-            - {None}
-        )
-        if tmpl:
-            labels[rep] = tmpl[0]
-            continue
-        arg_members = [m for m in members if m in arg.nodes]
-        port_members = sorted(
-            (m for m in arg_members if m in arg_port_pos),
-            key=lambda m: arg_port_pos[m],
-        )
-        ordered = port_members + sorted(set(arg_members) - set(port_members))
-        found = [arg.labels[m] for m in ordered]
-        if len(set(found)) > 1 and on_label_conflict == "error":
-            names = ", ".join(repr(m) for m in ordered)
-            raise LabelConflictError(
-                f"operation {op.name!r}: wildcard dock merges argument "
-                f"ports with different labels ({names})"
-            )
-        labels[rep] = found[0]
-
-    nodes = set(classes)
-    edges = set()
-    for s, l, t in arg.edges:
-        edges.add((uf.find(s), l, uf.find(t)))
-    for s, l, t in op.template.edges:
-        edges.add((uf.find(rename[s]), l, uf.find(rename[t])))
-    ports = tuple(uf.find(rename[p]) for p in op.ports)
-    return Graph(nodes, edges, labels, ports)
+    name = {x: x for x in labels}
+    for hub, leaves in stars.items():
+        least = min(hub, *leaves)
+        name[hub] = least
+        for x in leaves:
+            name[x] = least
+            del labels[x]
+    edges = {(name[s], l, name[t]) for s, l, t in arg.edges}
+    edges.update((name[rename[s]], l, name[rename[t]])
+                 for s, l, t in op.template.edges)
+    labels = {name[x]: lab for x, lab in labels.items()}
+    ports = tuple(name[rename[p]] for p in op.ports)
+    return Graph(set(name.values()), edges, labels, ports)
 
 
 def apply_expansion_all(

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,13 +25,9 @@ from .algebra import (
     check_extension,
     parse_operation_file,
 )
-from .evaluator import (
-    EvalConfig,
-    EvaluationError,
-    ResultCapExceededError,
-    evaluate_corpus,
-)
+from .evaluator import EvalConfig, evaluate_corpus
 from .grammar import (
+    BudgetExceededError,
     DerivationTree,
     RankConflictError,
     RtgSyntaxError,
@@ -52,30 +48,25 @@ from .substitution import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One pipeline run.  Field names are the argparse destinations and
-    the keys of the manifest's ``config`` block."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(EvalConfig):
+    """One pipeline run: the evaluation settings it inherits plus the
+    inputs and corpus options.  Field names are the argparse
+    destinations and the keys of the manifest's ``config`` block; the
+    defaults here are the command line's."""
 
     operations: str
     trees: Optional[str] = None
     rtg: Optional[str] = None
     best_count: int = 1
     definitions: Optional[str] = None
-    min_nodes: Optional[int] = None
-    max_nodes: Optional[int] = None
-    required_op: Optional[str] = None
-    mode: str = "sample"
-    seed: int = 0
     out: str = "./corpus"
-    result_cap: int = 10_000
     instantiation_cap: int = 10_000
-    tree_size_bounds: bool = False
     per_label: bool = False
-    injective_contexts: bool = False
     dedup_across_trees: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if (self.trees is None) == (self.rtg is None):
             raise ValueError("exactly one of -t and --rtg must be given")
         if self.rtg is not None and self.best_count < 1:
@@ -84,6 +75,15 @@ class RunConfig:
 
 class ConfigError(ValueError):
     pass
+
+
+# What bad inputs or settings make a run raise; ``main`` reports each
+# as one ``error:`` line.
+_INPUT_ERRORS = (
+    ConfigError, OperationFileError, RtgSyntaxError, RankConflictError,
+    GvSyntaxError, DefinitionError, BudgetExceededError,
+    InstantiationCapError,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,10 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="file of derivation trees, one per line")
     src.add_argument("--rtg", metavar="FILE",
                      help="weighted regular tree grammar in rtg format")
-    p.add_argument("-N", "--best", dest="best_count", type=int, default=1,
-                   metavar="N",
+    p.add_argument("-N", "--best", dest="best_count", type=int, metavar="N",
                    help="number of best trees to extract from the grammar "
-                        "(with --rtg; default 1)")
+                        "(with --rtg; default %(default)s)")
     p.add_argument("-d", "--definitions", metavar="FILE",
                    help="definition file of one-to-many label replacements")
     p.add_argument("-L", "--min-nodes", type=int, metavar="N",
@@ -115,19 +114,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--required-op", metavar="NAME",
                    help="only keep graphs whose derivation uses this "
                         "operation at least once")
-    p.add_argument("--mode", choices=("enumerate", "sample"), default="sample",
+    p.add_argument("--mode", choices=("enumerate", "sample"),
                    help="emit all context choices per tree, or one seeded "
-                        "sample (default: sample)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sample mode (default 0)")
-    p.add_argument("--out", default="./corpus", metavar="DIR",
-                   help="output directory (default ./corpus)")
-    p.add_argument("--result-cap", type=int, default=10_000,
+                        "sample (default: %(default)s)")
+    p.add_argument("--seed", type=int,
+                   help="seed for sample mode (default %(default)s)")
+    p.add_argument("--out", metavar="DIR",
+                   help="output directory (default %(default)s)")
+    p.add_argument("--result-cap", type=int,
                    help="abort enumerate mode when an intermediate set "
-                        "exceeds this many graphs (default 10000)")
-    p.add_argument("--instantiation-cap", type=int, default=10_000,
+                        "exceeds this many graphs (default %(default)s)")
+    p.add_argument("--instantiation-cap", type=int,
                    help="per-graph cap on definition-file combinations "
-                        "(default 10000)")
+                        "(default %(default)s)")
     p.add_argument("--tree-size-bounds", action="store_true",
                    help="apply -L/-H to derivation tree node counts "
                         "instead of graph node counts")
@@ -148,6 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "generating anything")
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
+    p.set_defaults(**{f.name: f.default for f in fields(RunConfig)
+                      if f.default is not MISSING})
     return p
 
 
@@ -266,13 +267,9 @@ def template_labels_producible(algebra: Algebra) -> set:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the pipeline; returns the process exit status."""
-    try:
-        algebra, grammar, trees, definitions = _load_inputs(cfg)
-    except (ConfigError, OperationFileError, RtgSyntaxError,
-            RankConflictError, GvSyntaxError, DefinitionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Execute the pipeline; returns the process exit status.  Faults
+    in the inputs raise one of ``_INPUT_ERRORS``."""
+    algebra, grammar, trees, definitions = _load_inputs(cfg)
 
     rank_findings = _symbol_rank_findings(algebra, grammar, trees)
     if rank_findings:
@@ -285,33 +282,14 @@ def run(cfg: RunConfig) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             best = n_best_trees(grammar, cfg.best_count)
-        for w in caught:
-            all_warnings.append(str(w.message))
+        all_warnings.extend(str(w.message) for w in caught)
         trees = [t for t, _w in best]
         weights = [str(w) for _t, w in best]
     else:
         weights = ["0"] * len(trees)
 
-    eval_cfg = EvalConfig(
-        mode=cfg.mode,
-        seed=cfg.seed,
-        result_cap=cfg.result_cap,
-        min_nodes=cfg.min_nodes,
-        max_nodes=cfg.max_nodes,
-        required_op=cfg.required_op,
-        size_on_trees=cfg.tree_size_bounds,
-        injective_contexts=cfg.injective_contexts,
-    )
-    try:
-        outcomes = evaluate_corpus(
-            trees,
-            algebra,
-            eval_cfg,
-            dedup_across_trees=cfg.dedup_across_trees,
-        )
-    except (EvaluationError, ResultCapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    outcomes = evaluate_corpus(
+        trees, algebra, cfg, dedup_across_trees=cfg.dedup_across_trees)
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -322,19 +300,12 @@ def run(cfg: RunConfig) -> int:
         source = outcome.source_tree.serialize()
         variant = 0
         for g in outcome.graphs:
-            if definitions is not None:
-                try:
-                    instances = instantiate_all(
-                        g,
-                        definitions,
-                        per_label=cfg.per_label,
-                        cap=cfg.instantiation_cap,
-                    )
-                except InstantiationCapError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-            else:
+            if definitions is None:
                 instances = [g]
+            else:
+                instances = instantiate_all(g, definitions,
+                                            per_label=cfg.per_label,
+                                            cap=cfg.instantiation_cap)
             for inst in instances:
                 filename = f"g{tree_index}_{variant}.gv"
                 (out_dir / filename).write_text(emit_gv(inst))
@@ -377,21 +348,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.argv[1:] if argv is None else argv
         )
     except ValueError as exc:
+        # Every config check fires here, before any file is touched.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if validate_only:
-        try:
-            report, fatal = validate(cfg)
-        except (ConfigError, OperationFileError, RtgSyntaxError,
-                RankConflictError, GvSyntaxError, DefinitionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for line in report:
-            print(line)
-        if not report:
-            print("ok: no findings")
-        return 1 if fatal else 0
-    return run(cfg)
+    try:
+        if not validate_only:
+            return run(cfg)
+        report, fatal = validate(cfg)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for line in report:
+        print(line)
+    if not report:
+        print("ok: no findings")
+    return 1 if fatal else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

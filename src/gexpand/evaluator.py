@@ -40,7 +40,7 @@ class EvalConfig:
     min_nodes: Optional[int] = None
     max_nodes: Optional[int] = None
     required_op: Optional[str] = None
-    size_on_trees: bool = False
+    tree_size_bounds: bool = False
     injective_contexts: bool = False
 
     def __post_init__(self) -> None:
@@ -234,7 +234,7 @@ def evaluate(
         )
         return EvalOutcome(t, (), tuple(diags))
 
-    if cfg.size_on_trees:
+    if cfg.tree_size_bounds:
         size = t.size()
         if cfg.min_nodes is not None and size < cfg.min_nodes:
             diags.append(f"size-filtered: tree has {size} nodes, minimum is {cfg.min_nodes}")
@@ -263,7 +263,7 @@ def evaluate(
         g = t.fold(partial(_sample_node, a, cfg, tree_index, diags))
         graphs = [] if g is None else [g]
 
-    if not cfg.size_on_trees:
+    if not cfg.tree_size_bounds:
         kept = []
         for g in graphs:
             n = len(g.nodes)

@@ -79,10 +79,28 @@ class WeightedRtg:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DerivationTree:
     label: str
     children: Tuple["DerivationTree", ...] = ()
+
+    # Equality, hashing and repr run on an explicit stack like every
+    # other traversal.  The preorder (label, rank) sequence determines
+    # the tree; the serialization does not, since a label may itself
+    # look like ``f(a)``.
+    def _preorder(self) -> List[Tuple[str, int]]:
+        return [(node.label, len(node.children)) for node in self.walk()]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        return f"DerivationTree({self.serialize()})"
 
     @property
     def rank(self) -> int:

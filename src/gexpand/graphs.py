@@ -69,9 +69,6 @@ class Graph:
     def type(self) -> int:
         return len(self.ports)
 
-    def label(self, node: str) -> Optional[str]:
-        return self.labels[node]
-
     def __repr__(self) -> str:
         return (
             f"Graph(nodes={len(self.nodes)}, edges={len(self.edges)}, "

@@ -3,12 +3,14 @@
 These deliberately use the most naive correct strategy (exhaustive
 bijection search, the unpruned canonical search, full derivation
 enumeration, the nested-tuple n-best search, undeduplicated recursive
-set evaluation) and stay independent of the code paths they check.
+set evaluation, union-find fusion) and stay independent of the code
+paths they check.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import permutations, product
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from gexpand import (
     Algebra,
@@ -16,7 +18,9 @@ from gexpand import (
     DerivationTree,
     EmptyConstant,
     ExpansionOperation,
+    ExpansionTypeError,
     Graph,
+    LabelConflictError,
     UnionOperation,
     WeightedRtg,
     apply_expansion,
@@ -362,6 +366,116 @@ def naive_evaluate(t: DerivationTree, a: Algebra):
         for assignment in enumerate_context_assignments(op, g):
             out.append(apply_expansion(op, g, assignment))
     return out
+
+
+class _UnionFind:
+    def __init__(self, items: Iterable[str]) -> None:
+        self.parent = {x: x for x in items}
+
+    def find(self, x: str) -> str:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # Deterministic representative: smaller name wins.
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def union_find_apply_expansion(
+    op: ExpansionOperation,
+    arg: Graph,
+    assignment: Mapping[str, str],
+    on_label_conflict: str = "first",
+) -> Graph:
+    """``apply_expansion`` as it was before fusion classes were built
+    as stars: a union-find over all nodes, whose representative (the
+    smaller name wins each union) names each class.  Kept verbatim.
+
+    Apply an expansion operation to an argument graph under a fixed
+    context assignment.
+
+    A labelled dock keeps its template label after fusion; an
+    unlabelled (wildcard) dock inherits the argument port's label.  When
+    a repeated wildcard dock merges argument ports whose labels differ,
+    the earliest merged port's label wins under ``"first"``; under
+    ``"error"`` a LabelConflictError is raised instead.
+    """
+    if arg.type != len(op.docks):
+        raise ExpansionTypeError(
+            f"operation {op.name!r} needs an argument with {len(op.docks)} "
+            f"ports, got {arg.type}"
+        )
+    if on_label_conflict not in ("first", "error"):
+        raise ValueError(f"bad on_label_conflict: {on_label_conflict!r}")
+
+    used = set(arg.nodes)
+    rename: Dict[str, str] = {}
+    for i, v in enumerate(op.node_order):
+        fresh = f"+{i}"
+        while fresh in used:
+            fresh = fresh + "'"
+        rename[v] = fresh
+        used.add(fresh)
+
+    uf = _UnionFind(list(arg.nodes) + list(rename.values()))
+    for i, dock in enumerate(op.docks):
+        uf.union(rename[dock], arg.ports[i])
+    for u, v in assignment.items():
+        if v in set(arg.ports):
+            raise ValueError(
+                f"context node {u!r} mapped to argument port {v!r}"
+            )
+        if arg.labels[v] != op.template.labels[u]:
+            raise ValueError(
+                f"context node {u!r} mapped to node {v!r} with a "
+                f"different label"
+            )
+        uf.union(rename[u], v)
+
+    classes: Dict[str, List[str]] = {}
+    for x in list(arg.nodes) + list(rename.values()):
+        classes.setdefault(uf.find(x), []).append(x)
+
+    template_labels = {rename[v]: op.template.labels[v] for v in op.template.nodes}
+    arg_port_pos = {p: i for i, p in enumerate(arg.ports)}
+    labels: Dict[str, Optional[str]] = {}
+    for rep, members in classes.items():
+        tmpl = sorted(
+            {template_labels[m] for m in members if m in template_labels}
+            - {None}
+        )
+        if tmpl:
+            labels[rep] = tmpl[0]
+            continue
+        arg_members = [m for m in members if m in arg.nodes]
+        port_members = sorted(
+            (m for m in arg_members if m in arg_port_pos),
+            key=lambda m: arg_port_pos[m],
+        )
+        ordered = port_members + sorted(set(arg_members) - set(port_members))
+        found = [arg.labels[m] for m in ordered]
+        if len(set(found)) > 1 and on_label_conflict == "error":
+            names = ", ".join(repr(m) for m in ordered)
+            raise LabelConflictError(
+                f"operation {op.name!r}: wildcard dock merges argument "
+                f"ports with different labels ({names})"
+            )
+        labels[rep] = found[0]
+
+    nodes = set(classes)
+    edges = set()
+    for s, l, t in arg.edges:
+        edges.add((uf.find(s), l, uf.find(t)))
+    for s, l, t in op.template.edges:
+        edges.add((uf.find(rename[s]), l, uf.find(rename[t])))
+    ports = tuple(uf.find(rename[p]) for p in op.ports)
+    return Graph(nodes, edges, labels, ports)
 
 
 def same_graph_set(xs, ys) -> bool:

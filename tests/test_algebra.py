@@ -35,7 +35,11 @@ from fixtures import (
     running_result_graph,
 )
 from generators import random_expansion_operation, random_graph
-from oracles import same_graph_set, same_graph_set_brute_force
+from oracles import (
+    same_graph_set,
+    same_graph_set_brute_force,
+    union_find_apply_expansion,
+)
 
 seeds = st.integers(0, 10**9)
 
@@ -233,6 +237,49 @@ class TestApplyExpansion:
         arg = repeated_dock_argument()
         for g in apply_expansion_all(op, arg):
             assert g.type == len(op.ports)
+
+    def test_matches_union_find_fusion_node_for_node(self):
+        # Node names must not change (sample-mode draws index sorted
+        # names), so the comparison is on the raw graphs.  Argument
+        # names sort before ("*"), at ("+", colliding) and after ("v")
+        # the template's fresh names "+0", "+1", ...
+        checked = 0
+        for s in range(400):
+            op = op_from_seed(s)
+            rng = random.Random(s)
+            for _ in range(6):
+                base = random_graph(rng, 6)
+                if base.type != len(op.docks):
+                    continue
+                for prefix in ("v", "+", "*"):
+                    arg = rename_nodes(base, {
+                        v: prefix + v[1:] for v in base.nodes})
+                    for a in enumerate_context_assignments(op, arg):
+                        for mode in ("first", "error"):
+                            try:
+                                want = union_find_apply_expansion(
+                                    op, arg, a, mode)
+                            except LabelConflictError:
+                                with pytest.raises(LabelConflictError):
+                                    apply_expansion(op, arg, a, mode)
+                                continue
+                            got = apply_expansion(op, arg, a, mode)
+                            assert (got.nodes, got.edges, got.labels,
+                                    got.ports) == (want.nodes, want.edges,
+                                                   want.labels, want.ports)
+                            checked += 1
+        assert checked > 1000
+
+    def test_assignment_key_must_be_a_context_node(self):
+        op = repeated_dock_operation()
+        arg = repeated_dock_argument()
+        assignment = enumerate_context_assignments(op, arg)[0]
+        target = next(iter(assignment.values()))
+        for key in set(op.docks) | set(op.ports):
+            with pytest.raises(ValueError, match="not a context node"):
+                apply_expansion(op, arg, {**assignment, key: target})
+        with pytest.raises(ValueError, match="not a context node"):
+            apply_expansion(op, arg, {"absent": target})
 
     @given(seeds, seeds)
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line pipeline and corpus writer."""
 
 import json
+from functools import partial
 
 import pytest
 
-from gexpand.cli import main
-from gexpand import is_isomorphic, parse_gv
+import gexpand.cli
+from gexpand.cli import RunConfig, config_from_args, main
+from gexpand import is_isomorphic, n_best_trees, parse_gv
 from fixtures import RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
 from fixtures import running_result_graph
 
@@ -197,6 +199,73 @@ class TestErrors:
         assert err.startswith("error:") and "backslash" in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+
+# A grammar with one production written twice: every tree has 2^k
+# derivations at one bound, so the N-best search exhausts its budget.
+DUPLICATE_RULE_GRAMMAR = """\
+N0
+N0 -> t7r0 # 5
+N0 -> t5r2(N4 N2) # 4
+N4 -> t0r1(N4) # 0
+N4 -> t0r1(N4) # 0
+N4 -> t5r1(N3) # 2
+N3 -> t5r1(N2) # 2
+N2 -> t6r0 # 4
+N2 -> t3r1(N0) # 5
+"""
+
+DUPLICATE_RULE_OPS = "".join(
+    f"operation {name} {{\n  0 [label=\"{name}\"];\n  port 0;\n}}\n"
+    for name in ("t7r0", "t6r0")
+) + "".join(
+    f"operation {name} {{\n  0;\n  port 0;\n  dock 0;\n}}\n"
+    for name in ("t0r1", "t5r1", "t3r1")
+) + "operation t5r2 { 1 1 }\n"
+
+
+class TestOneErrorLine:
+    """Bad settings and runaway searches end in exactly one ``error:``
+    line and exit status 1, before the output directory exists."""
+
+    def run_failing(self, tmp, capsys, argv):
+        out = tmp / "corpus"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error:")
+        assert not out.exists()
+        return err
+
+    def test_min_nodes_above_max_nodes(self, inputs, capsys):
+        tmp, ops, trees, _rtg = inputs
+        err = self.run_failing(
+            tmp, capsys, ["-g", str(ops), "-t", str(trees),
+                          "-L", "5", "-H", "3"])
+        assert "min_nodes exceeds max_nodes" in err
+
+    def test_zero_result_cap(self, inputs, capsys):
+        tmp, ops, trees, _rtg = inputs
+        err = self.run_failing(
+            tmp, capsys, ["-g", str(ops), "-t", str(trees),
+                          "--result-cap", "0"])
+        assert "result_cap" in err
+
+    def test_n_best_budget_overflow(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gexpand.cli, "n_best_trees",
+                            partial(n_best_trees, budget=5))
+        ops = tmp_path / "ops.txt"
+        ops.write_text(DUPLICATE_RULE_OPS)
+        rtg = tmp_path / "dup.rtg"
+        rtg.write_text(DUPLICATE_RULE_GRAMMAR)
+        err = self.run_failing(
+            tmp_path, capsys, ["-g", str(ops), "--rtg", str(rtg), "-N", "40"])
+        assert "budget of 5" in err
+
+    def test_argparse_adds_no_default_of_its_own(self):
+        cfg, validate_only = config_from_args(["-g", "o", "--rtg", "r"])
+        assert cfg == RunConfig(operations="o", rtg="r")
+        assert not validate_only
 
 
 class TestValidate:

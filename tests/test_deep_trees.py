@@ -17,6 +17,7 @@ from gexpand import (
     parse_operation_file,
     parse_rtg,
     parse_tree,
+    tree,
 )
 from gexpand.cli import main
 
@@ -48,6 +49,32 @@ def test_parse_serialize_size_round_trip(name):
     assert t.size() == SIZES[name]
     assert sum(1 for _ in t.walk()) == SIZES[name]
     assert parse_tree(t.serialize()).size() == SIZES[name]
+
+
+def test_hash():
+    assert hash(parse_tree(CHAIN)) == hash(parse_tree(CHAIN))
+
+
+def test_equality():
+    assert parse_tree(CHAIN) == parse_tree(CHAIN)
+    assert parse_tree(CHAIN) != parse_tree(TREES["union"])
+    assert parse_tree(CHAIN) != parse_tree(CHAIN.replace("dot", "pass"))
+
+
+def test_repr():
+    assert repr(parse_tree(CHAIN)) == f"DerivationTree({CHAIN})"
+
+
+def test_set_of_trees():
+    assert len({parse_tree(CHAIN), parse_tree(CHAIN)}) == 1
+    assert parse_tree(CHAIN) in {parse_tree(CHAIN), parse_tree("dot")}
+
+
+def test_equality_is_structural_not_textual():
+    # One leaf labelled "f(a)" serializes like f applied to a.
+    assert tree("f(a)").serialize() == tree("f", tree("a")).serialize()
+    assert tree("f(a)") != tree("f", tree("a"))
+    assert tree("f", tree("a")) == parse_tree("f(a)")
 
 
 @pytest.mark.parametrize("mode", ["enumerate", "sample"])

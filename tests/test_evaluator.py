@@ -239,10 +239,10 @@ class TestFilters:
 
     def test_tree_size_bounds_use_tree_node_counts(self):
         # The running tree has 5 nodes; its graph has 4.
-        cfg = EvalConfig(mode="enumerate", max_nodes=4, size_on_trees=True)
+        cfg = EvalConfig(mode="enumerate", max_nodes=4, tree_size_bounds=True)
         out = evaluate(RUNNING_TREE, running_algebra(), cfg)
         assert out.graphs == ()
-        cfg = EvalConfig(mode="enumerate", min_nodes=5, size_on_trees=True)
+        cfg = EvalConfig(mode="enumerate", min_nodes=5, tree_size_bounds=True)
         out = evaluate(RUNNING_TREE, running_algebra(), cfg)
         assert len(out.graphs) == 1
 
