@@ -71,6 +71,8 @@ class RunConfig(EvalConfig):
             raise ValueError("exactly one of -t and --rtg must be given")
         if self.rtg is not None and self.best_count < 1:
             raise ValueError("-N must be at least 1")
+        if self.instantiation_cap < 1:
+            raise ValueError("--instantiation-cap must be at least 1")
 
 
 class ConfigError(ValueError):

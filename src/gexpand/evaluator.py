@@ -2,8 +2,9 @@
 algebra.
 
 Enumerate mode materializes the full set-valued semantics (deduplicated
-up to isomorphism at every level); sample mode draws one admissible
-context choice per context node from a seeded, replayable stream.
+up to isomorphism at every level) and evaluates each distinct subtree
+object once per corpus; sample mode draws one admissible context choice
+per context node from a seeded, replayable stream.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     Algebra,
@@ -107,11 +108,10 @@ def _enumerate_node(
     cfg: EvalConfig,
     diags: List[str],
     t: DerivationTree,
-    _path: str,
     args: List[List[Graph]],
 ) -> List[Graph]:
-    """Fold step of enumerate mode: every graph of node ``t``, given
-    the graph sets of its children."""
+    """Step of enumerate mode: every graph of node ``t``, given the
+    graph sets of its children."""
     op = a[t.label]
     if isinstance(op, EmptyConstant):
         return [empty_graph()]
@@ -151,6 +151,52 @@ def _enumerate_node(
                 f"of type {len(op.docks)}"
             )
     return results
+
+
+# What enumerate mode knows about an evaluated subtree: its graphs and
+# the diagnostics of its whole subtree in post-order, or the message of
+# the ResultCapExceededError it raised.
+_Memo = Dict[int, Union[Tuple[List[Graph], Tuple[str, ...]], str]]
+
+
+def _enumerate_tree(
+    t: DerivationTree, a: Algebra, cfg: EvalConfig, memo: _Memo
+) -> Tuple[List[Graph], Tuple[str, ...]]:
+    """Every graph of tree ``t`` and the diagnostics of its evaluation.
+
+    Nodes are evaluated in post-order, children left to right, as by
+    ``DerivationTree.fold``, but a node found in ``memo`` (keyed by
+    ``id(node)``) is not descended into: its stored graphs and
+    diagnostics are reused, or its stored error is raised again.  The
+    caller keeps every node alive while the memo is in use.
+    """
+    done: List[Tuple[List[Graph], Tuple[str, ...]]] = []
+    # (node, expanded): expanded once its children are above it.
+    stack = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        entry = memo.get(id(node))
+        if entry is None:
+            children = node.children
+            if children and not expanded:
+                stack.append((node, True))
+                stack.extend((c, False) for c in reversed(children))
+                continue
+            kids = done[len(done) - len(children):]
+            del done[len(done) - len(children):]
+            own: List[str] = []
+            try:
+                graphs = _enumerate_node(
+                    a, cfg, own, node, [g for g, _d in kids])
+            except ResultCapExceededError as exc:
+                memo[id(node)] = str(exc)
+                raise
+            diags = tuple(d for _g, ds in kids for d in ds) + tuple(own)
+            entry = memo[id(node)] = (graphs, diags)
+        elif entry.__class__ is str:
+            raise ResultCapExceededError(entry)
+        done.append(entry)
+    return done[0]
 
 
 def _capped(graphs: List[Graph], cfg: EvalConfig, symbol: str) -> List[Graph]:
@@ -225,6 +271,15 @@ def evaluate(
     a hard error); unknown symbols, arity mismatches, and a blown
     result cap do raise.
     """
+    return _evaluate(t, a, cfg, tree_index, {})
+
+
+def _evaluate(
+    t: DerivationTree, a: Algebra, cfg: EvalConfig, tree_index: int,
+    memo: _Memo,
+) -> EvalOutcome:
+    """``evaluate``, sharing enumerate-mode subtree results through
+    ``memo``."""
     _check_tree(t, a)
     diags: List[str] = []
 
@@ -258,7 +313,8 @@ def evaluate(
             return EvalOutcome(t, (), tuple(diags))
 
     if cfg.mode == "enumerate":
-        graphs = t.fold(partial(_enumerate_node, a, cfg, diags))
+        graphs, subtree_diags = _enumerate_tree(t, a, cfg, memo)
+        diags.extend(subtree_diags)
     else:
         g = t.fold(partial(_sample_node, a, cfg, tree_index, diags))
         graphs = [] if g is None else [g]
@@ -290,14 +346,19 @@ def evaluate_corpus(
 ) -> List[EvalOutcome]:
     """Evaluate trees independently, preserving input order.
 
-    Per-tree evaluation errors become diagnostics instead of aborting
-    the corpus.  ``parallel`` is accepted for compatibility and has no
-    effect: trees are evaluated one after another.
+    In enumerate mode each distinct subtree object is evaluated once
+    for the whole corpus; the outcomes equal those of ``evaluate`` on
+    each tree alone.  Per-tree evaluation errors become diagnostics
+    instead of aborting the corpus.  ``parallel`` is accepted for
+    compatibility and has no effect: trees are evaluated one after
+    another.
     """
+    # ``trees`` keeps every node alive, so the ids in the memo stay valid.
+    memo: _Memo = {}
     outcomes = []
     for index, t in enumerate(trees):
         try:
-            outcomes.append(evaluate(t, a, cfg, tree_index=index))
+            outcomes.append(_evaluate(t, a, cfg, index, memo))
         except (EvaluationError, ResultCapExceededError) as exc:
             outcomes.append(EvalOutcome(t, (), (f"error: {exc}",)))
 

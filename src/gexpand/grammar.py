@@ -420,6 +420,23 @@ _TREE_TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")
 def parse_tree(text: str, lineno: int = 1) -> DerivationTree:
     """Parse one tree in functional ``f(a b)`` or bracket ``f[a, b]``
     notation."""
+    return _parse_tree(text, lineno, {})
+
+
+def _parse_tree(
+    text: str, lineno: int, interned: Dict[tuple, DerivationTree]
+) -> DerivationTree:
+    """``parse_tree`` that builds each node through ``interned``, keyed
+    by its label and its children's identities, so that equal subtrees
+    parsed with one dict are one object."""
+
+    def node(label: str, children: Tuple[DerivationTree, ...]) -> DerivationTree:
+        key = (label, *map(id, children))
+        t = interned.get(key)
+        if t is None:
+            t = interned[key] = DerivationTree(label, children)
+        return t
+
     tokens = _TREE_TOKEN.findall(text)
     end = len(tokens)
     pos = 0
@@ -438,7 +455,7 @@ def parse_tree(text: str, lineno: int = 1) -> DerivationTree:
             pos += 1
         else:
             (open_nodes[-1][2] if open_nodes else root).append(
-                DerivationTree(label))
+                node(label, ()))
         # Skip separators and close every argument list that ends here.
         while open_nodes:
             parent, closing, children = open_nodes[-1]
@@ -451,7 +468,7 @@ def parse_tree(text: str, lineno: int = 1) -> DerivationTree:
             pos += 1
             open_nodes.pop()
             (open_nodes[-1][2] if open_nodes else root).append(
-                DerivationTree(parent, tuple(children)))
+                node(parent, tuple(children)))
     if pos != end:
         raise RtgSyntaxError(f"trailing tokens after tree: {tokens[pos:]}", lineno)
     return root[0]
@@ -459,14 +476,16 @@ def parse_tree(text: str, lineno: int = 1) -> DerivationTree:
 
 def parse_tree_file(text: str) -> List[DerivationTree]:
     """One tree per non-empty line; symbol ranks must be consistent
-    across the whole file."""
+    across the whole file.  Equal subtrees, on one line or on several,
+    are one object."""
     trees: List[DerivationTree] = []
     ranks: Dict[str, Tuple[int, int]] = {}
+    interned: Dict[tuple, DerivationTree] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT_RE.sub("", raw).strip()
         if not line:
             continue
-        t = parse_tree(line, lineno)
+        t = _parse_tree(line, lineno, interned)
         trees.append(t)
         for node in t.walk():
             if node.label in ranks and ranks[node.label][0] != node.rank:

@@ -251,6 +251,15 @@ class TestOneErrorLine:
                           "--result-cap", "0"])
         assert "result_cap" in err
 
+    def test_zero_instantiation_cap(self, inputs, capsys):
+        tmp, ops, trees, _rtg = inputs
+        defs = tmp / "defs.txt"
+        defs.write_text("she: she, he\n")
+        err = self.run_failing(
+            tmp, capsys, ["-g", str(ops), "-t", str(trees), "-d", str(defs),
+                          "--instantiation-cap", "0"])
+        assert "--instantiation-cap must be at least 1" in err
+
     def test_n_best_budget_overflow(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(gexpand.cli, "n_best_trees",
                             partial(n_best_trees, budget=5))

@@ -1,26 +1,40 @@
 """Tests for bottom-up evaluation in enumerate and sample modes."""
 
 import random
+import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gexpand import (
+    Algebra,
+    BudgetExceededError,
+    DerivationTree,
     EvalConfig,
     EvaluationError,
     ExpansionOperation,
     ResultCapExceededError,
+    UnionOperation,
     canonical_key,
     evaluate,
     evaluate_corpus,
     is_isomorphic,
+    n_best_trees,
     parse_operation_file,
+    parse_rtg,
     parse_tree,
     parse_tree_file,
 )
+from gexpand import evaluator
 from fixtures import RUNNING_OPS, RUNNING_TREE_TEXT, running_result_graph
-from generators import random_algebra_and_tree, total_context_nodes
+from generators import (
+    random_algebra_and_tree,
+    random_expansion_operation,
+    random_grammar,
+    total_context_nodes,
+)
 from oracles import naive_evaluate, same_graph_set
 
 seeds = st.integers(0, 10**9)
@@ -303,3 +317,153 @@ class TestEvaluateCorpus:
             trees, running_algebra(), cfg, dedup_across_trees=True
         )
         assert [len(o.graphs) for o in deduped] == [1, 0]
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+def random_algebra_for(rng, grammar):
+    """An algebra over a grammar's terminals: unions at rank 2, random
+    expansion operations with up to two context nodes otherwise.
+
+    Each nonterminal gets a random type in {1, 2}, and an operation's
+    dock and port counts are the types of the first production that
+    uses it, so that most trees are well typed.  Leaves get no context
+    nodes: their argument is the empty graph, which no context node
+    matches."""
+    nt_type = {a: rng.randint(1, 2) for a in sorted(grammar.nonterminals)}
+    ops = {}
+    for p in grammar.productions:
+        name = p.symbol.name
+        if name in ops:
+            continue
+        arg_types = [nt_type[b] for b in p.rhs]
+        if p.symbol.rank == 2:
+            ops[name] = UnionOperation(name, *arg_types)
+        else:
+            ops[name] = random_expansion_operation(
+                rng, name, dock_count=sum(arg_types),
+                port_count=nt_type[p.lhs],
+                max_context=2 if p.symbol.rank else 0)
+    return Algebra(ops)
+
+
+def unshared(t):
+    """``t`` rebuilt with a fresh object at every position."""
+    return t.fold(
+        lambda node, _path, children: DerivationTree(node.label, tuple(children)))
+
+
+def unshared_corpus(trees, algebra, cfg):
+    """``evaluate_corpus`` without any subtree sharing: each tree is
+    copied node by node and evaluated alone."""
+    outcomes = []
+    for index, t in enumerate(trees):
+        try:
+            out = evaluate(unshared(t), algebra, cfg, tree_index=index)
+        except (EvaluationError, ResultCapExceededError) as exc:
+            outcomes.append(((), (f"error: {exc}",)))
+        else:
+            outcomes.append((out.graphs, out.diagnostics))
+    return outcomes
+
+
+def assert_same_as_unshared(trees, algebra, cfg):
+    """Outcome by outcome: the same graphs, node names included, and
+    the same diagnostics."""
+    def exact(graphs):
+        return [(g.nodes, g.edges, g.labels, g.ports) for g in graphs]
+
+    got = evaluate_corpus(trees, algebra, cfg)
+    want = unshared_corpus(trees, algebra, cfg)
+    assert [o.source_tree for o in got] == list(trees)
+    for outcome, (graphs, diagnostics) in zip(got, want, strict=True):
+        assert exact(outcome.graphs) == exact(graphs)
+        assert outcome.diagnostics == diagnostics
+
+
+def bench_corpus(name, n):
+    algebra = parse_operation_file((BENCH_INPUTS / f"{name}.ops").read_text())
+    grammar = parse_rtg((BENCH_INPUTS / f"{name}.rtg").read_text())
+    return algebra, [t for t, _w in n_best_trees(grammar, n)]
+
+
+@pytest.fixture()
+def steps(monkeypatch):
+    """Records the node of every enumerate-mode step."""
+    calls = []
+    real = evaluator._enumerate_node
+
+    def counted(a, cfg, diags, t, args):
+        calls.append(t)
+        return real(a, cfg, diags, t, args)
+
+    monkeypatch.setattr(evaluator, "_enumerate_node", counted)
+    return calls
+
+
+class TestSharedSubtrees:
+    """Enumerate mode evaluates each distinct subtree object once per
+    corpus; the outcomes equal evaluating every tree alone."""
+
+    @given(seeds, st.sampled_from([5, 20, 60]), st.booleans(),
+           st.sampled_from([1, 2, 10_000]))
+    @settings(max_examples=150, deadline=None)
+    def test_memo_equals_evaluation_without_sharing(
+            self, s, n, injective, cap):
+        rng = random.Random(s)
+        grammar = random_grammar(rng)
+        algebra = random_algebra_for(rng, grammar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                trees = [t for t, _w in n_best_trees(grammar, n, budget=5000)]
+            except BudgetExceededError:
+                assume(False)
+        assert_same_as_unshared(trees, algebra, EvalConfig(
+            mode="enumerate", result_cap=cap, injective_contexts=injective))
+
+    @pytest.mark.parametrize("cap", [1, 2, 10_000])
+    @pytest.mark.parametrize("injective", [False, True])
+    @pytest.mark.parametrize("name, n", [("amr", 300), ("symmetric", 43)])
+    def test_bench_corpora_equal_evaluation_without_sharing(
+            self, name, n, injective, cap):
+        algebra, trees = bench_corpus(name, n)
+        assert_same_as_unshared(trees, algebra, EvalConfig(
+            mode="enumerate", result_cap=cap, injective_contexts=injective))
+
+    def test_shared_error_is_reported_for_every_tree(self):
+        trees = [BRANCHING_TREE, parse_tree("pick_context(drop_ports(two_leaves))"),
+                 parse_tree("two_leaves"), BRANCHING_TREE]
+        cfg = EvalConfig(mode="enumerate", result_cap=1)
+        outcomes = evaluate_corpus(trees, branching_algebra(), cfg)
+        errors = [o.diagnostics for o in outcomes]
+        message = ("error: intermediate set at symbol 'pick_context' has 2 "
+                   "graphs, exceeding the cap of 1",)
+        assert errors == [message, message, (), message]
+        assert len(outcomes[2].graphs) == 1
+
+    def test_evaluate_shares_within_one_tree(self, steps):
+        leaf = parse_tree("op4")
+        pair = DerivationTree("op3", (leaf, leaf))
+        out = evaluate(DerivationTree("op2", (pair,)), running_algebra(),
+                       EvalConfig(mode="enumerate"))
+        assert len(out.graphs) == 1
+        assert len(steps) == 3
+
+    @pytest.mark.parametrize("name, n, distinct, nodes", [
+        ("amr", 740, 1_022, 6_322),
+        ("symmetric", 43, 51, 722),
+    ])
+    def test_steps_run_once_per_distinct_subtree(
+            self, steps, name, n, distinct, nodes):
+        algebra, trees = bench_corpus(name, n)
+        assert sum(t.size() for t in trees) == nodes
+        evaluate_corpus(trees, algebra, EvalConfig(mode="enumerate"))
+        assert len(steps) == distinct
+
+    def test_tree_file_subtrees_are_shared(self, steps):
+        trees = parse_tree_file("op3(op4 op5)\nop1(op2(op3(op4 op5)))\n")
+        evaluate_corpus(trees, running_algebra(), EvalConfig(mode="enumerate"))
+        assert len(steps) == 5
+

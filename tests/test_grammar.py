@@ -365,3 +365,21 @@ class TestParseTrees:
     def test_trailing_tokens_rejected(self):
         with pytest.raises(RtgSyntaxError):
             parse_tree("f(a) b")
+
+    def test_equal_subtrees_across_lines_are_one_object(self):
+        first, second = parse_tree_file("f(g(a))\nh(g(a))\n")
+        assert first.children[0] is second.children[0]
+        assert str(first) == "f(g(a))" and str(second) == "h(g(a))"
+
+    def test_equal_subtrees_on_one_line_are_one_object(self):
+        (t,) = parse_tree_file("p(g(a) g(a))\n")
+        left, right = t.children
+        assert left is right and left.children[0] is right.children[0]
+        # Same label, different children: different objects.
+        (u,) = parse_tree_file("p(g(a) g(b))\n")
+        assert u.children[0] is not u.children[1]
+
+    def test_rank_conflict_message_is_unchanged_by_sharing(self):
+        with pytest.raises(RankConflictError, match=(
+                r"line 2: symbol 'g' has rank 2 here but rank 1 at line 1")):
+            parse_tree_file("f(g(a))\nh(g(a) g(a a))\n")
