@@ -22,7 +22,6 @@ from .algebra import (
     apply_expansion_all,
     check_extension,
     context_candidates,
-    context_nodes,
     enumerate_context_assignments,
     parse_operation_file,
 )
@@ -60,7 +59,6 @@ from .graphs import (
     empty_graph,
     is_isomorphic,
     rename_nodes,
-    type_of,
 )
 from .gvio import GvSyntaxError, emit_gv, parse_gv
 from .substitution import (
@@ -105,7 +103,6 @@ __all__ = [
     "canonical_order",
     "check_extension",
     "context_candidates",
-    "context_nodes",
     "disjoint_union",
     "emit_gv",
     "empty_graph",
@@ -126,5 +123,4 @@ __all__ = [
     "parse_tree_file",
     "rename_nodes",
     "tree",
-    "type_of",
 ]

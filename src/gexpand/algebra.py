@@ -113,11 +113,6 @@ class Algebra:
         return (1,)
 
 
-def context_nodes(op: ExpansionOperation) -> frozenset:
-    """Template nodes that are neither ports nor docks."""
-    return frozenset(op.context)
-
-
 def context_candidates(op: ExpansionOperation, arg: Graph) -> List[List[str]]:
     """For each context node of ``op``, in order, the sorted non-port
     nodes of ``arg`` that carry its label."""

@@ -293,8 +293,9 @@ def run(cfg: RunConfig) -> int:
     outcomes = evaluate_corpus(
         trees, algebra, cfg, dedup_across_trees=cfg.dedup_across_trees)
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Every instance and its text is built before anything is written,
+    # so a cap hit leaves no partial corpus behind.
+    files = []
     records = []
     for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
         for diag in outcome.diagnostics:
@@ -310,7 +311,7 @@ def run(cfg: RunConfig) -> int:
                                             cap=cfg.instantiation_cap)
             for inst in instances:
                 filename = f"g{tree_index}_{variant}.gv"
-                (out_dir / filename).write_text(emit_gv(inst))
+                files.append((filename, emit_gv(inst)))
                 records.append(
                     {
                         "file": filename,
@@ -335,6 +336,10 @@ def run(cfg: RunConfig) -> int:
         "warnings": all_warnings,
         "graphs": records,
     }
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for filename, text in files:
+        (out_dir / filename).write_text(text)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

@@ -4,7 +4,9 @@ algebra.
 Enumerate mode materializes the full set-valued semantics (deduplicated
 up to isomorphism at every level) and evaluates each distinct subtree
 object once per corpus; sample mode draws one admissible context choice
-per context node from a seeded, replayable stream.
+per context node from a seeded, replayable stream.  In both modes one
+pre-pass checks each distinct subtree once per corpus and sums what the
+size and required-operation filters read.
 """
 
 from __future__ import annotations
@@ -62,30 +64,6 @@ class EvalOutcome:
     source_tree: DerivationTree
     graphs: Tuple[Graph, ...]
     diagnostics: Tuple[str, ...] = ()
-
-
-def _check_tree(t: DerivationTree, a: Algebra) -> None:
-    for node in t.walk():
-        if node.label not in a:
-            raise EvaluationError(f"unknown symbol {node.label!r} in tree")
-        ranks = a.term_ranks(node.label)
-        if node.rank not in ranks:
-            raise EvaluationError(
-                f"symbol {node.label!r} used with {node.rank} children, "
-                f"algebra allows {ranks}"
-            )
-
-
-def _node_bounds(t: DerivationTree, a: Algebra) -> Tuple[int, int]:
-    """(lower, upper) bound on output node count, from template sizes."""
-    lower = upper = 0
-    for node in t.walk():
-        op = a[node.label]
-        if isinstance(op, ExpansionOperation):
-            upper += len(op.template.nodes)
-            dups = len(op.docks) - len(set(op.docks))
-            lower += max(0, len(op.new_nodes) - dups)
-    return lower, upper
 
 
 def _draw(seed: int, tree_index: int, path: str, ctx_index: int, n: int) -> int:
@@ -153,50 +131,55 @@ def _enumerate_node(
     return results
 
 
-# What enumerate mode knows about an evaluated subtree: its graphs and
-# the diagnostics of its whole subtree in post-order, or the message of
-# the ResultCapExceededError it raised.
-_Memo = Dict[int, Union[Tuple[List[Graph], Tuple[str, ...]], str]]
+def _enumerate_step(
+    a: Algebra,
+    cfg: EvalConfig,
+    t: DerivationTree,
+    _path: None,
+    kids: list,
+) -> Union[Tuple[List[Graph], Tuple[str, ...]], str]:
+    """Memoized fold step of enumerate mode: node ``t``'s graphs and the
+    diagnostics of its whole subtree in post-order, or the message of
+    the first result cap blown in its subtree, in post-order."""
+    for kid in kids:
+        if kid.__class__ is str:
+            return kid
+    own: List[str] = []
+    try:
+        graphs = _enumerate_node(a, cfg, own, t, [g for g, _d in kids])
+    except ResultCapExceededError as exc:
+        return str(exc)
+    return graphs, tuple(d for _g, ds in kids for d in ds) + tuple(own)
 
 
-def _enumerate_tree(
-    t: DerivationTree, a: Algebra, cfg: EvalConfig, memo: _Memo
-) -> Tuple[List[Graph], Tuple[str, ...]]:
-    """Every graph of tree ``t`` and the diagnostics of its evaluation.
-
-    Nodes are evaluated in post-order, children left to right, as by
-    ``DerivationTree.fold``, but a node found in ``memo`` (keyed by
-    ``id(node)``) is not descended into: its stored graphs and
-    diagnostics are reused, or its stored error is raised again.  The
-    caller keeps every node alive while the memo is in use.
-    """
-    done: List[Tuple[List[Graph], Tuple[str, ...]]] = []
-    # (node, expanded): expanded once its children are above it.
-    stack = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        entry = memo.get(id(node))
-        if entry is None:
-            children = node.children
-            if children and not expanded:
-                stack.append((node, True))
-                stack.extend((c, False) for c in reversed(children))
-                continue
-            kids = done[len(done) - len(children):]
-            del done[len(done) - len(children):]
-            own: List[str] = []
-            try:
-                graphs = _enumerate_node(
-                    a, cfg, own, node, [g for g, _d in kids])
-            except ResultCapExceededError as exc:
-                memo[id(node)] = str(exc)
-                raise
-            diags = tuple(d for _g, ds in kids for d in ds) + tuple(own)
-            entry = memo[id(node)] = (graphs, diags)
-        elif entry.__class__ is str:
-            raise ResultCapExceededError(entry)
-        done.append(entry)
-    return done[0]
+def _check_node(
+    a: Algebra, required_op: Optional[str], t: DerivationTree, _path: None,
+    kids: list,
+) -> Union[Tuple[int, int, int, bool], str]:
+    """Memoized fold step of the pre-pass: for node ``t``'s subtree,
+    (tree size, lower and upper bound on output node count from
+    template sizes, uses ``required_op``), or the check message of its
+    first faulty node in preorder."""
+    if t.label not in a:
+        return f"unknown symbol {t.label!r} in tree"
+    ranks = a.term_ranks(t.label)
+    if t.rank not in ranks:
+        return (f"symbol {t.label!r} used with {t.rank} children, "
+                f"algebra allows {ranks}")
+    size, lower, upper, uses = 1, 0, 0, t.label == required_op
+    op = a[t.label]
+    if isinstance(op, ExpansionOperation):
+        upper = len(op.template.nodes)
+        dups = len(op.docks) - len(set(op.docks))
+        lower = max(0, len(op.new_nodes) - dups)
+    for kid in kids:
+        if kid.__class__ is str:
+            return kid
+        size += kid[0]
+        lower += kid[1]
+        upper += kid[2]
+        uses = uses or kid[3]
+    return size, lower, upper, uses
 
 
 def _capped(graphs: List[Graph], cfg: EvalConfig, symbol: str) -> List[Graph]:
@@ -271,26 +254,28 @@ def evaluate(
     a hard error); unknown symbols, arity mismatches, and a blown
     result cap do raise.
     """
-    return _evaluate(t, a, cfg, tree_index, {})
+    return _evaluate(t, a, cfg, tree_index, {}, {})
 
 
 def _evaluate(
     t: DerivationTree, a: Algebra, cfg: EvalConfig, tree_index: int,
-    memo: _Memo,
+    checks: dict, memo: dict,
 ) -> EvalOutcome:
-    """``evaluate``, sharing enumerate-mode subtree results through
-    ``memo``."""
-    _check_tree(t, a)
+    """``evaluate``, sharing the pre-pass values of subtrees through
+    ``checks`` and their enumerate-mode values through ``memo``."""
+    info = t.fold(partial(_check_node, a, cfg.required_op), checks)
+    if info.__class__ is str:
+        raise EvaluationError(info)
+    size, lower, upper, uses_required_op = info
     diags: List[str] = []
 
-    if cfg.required_op is not None and cfg.required_op not in set(t.symbols()):
+    if cfg.required_op is not None and not uses_required_op:
         diags.append(
             f"required-op: tree does not use operation {cfg.required_op!r}"
         )
         return EvalOutcome(t, (), tuple(diags))
 
     if cfg.tree_size_bounds:
-        size = t.size()
         if cfg.min_nodes is not None and size < cfg.min_nodes:
             diags.append(f"size-filtered: tree has {size} nodes, minimum is {cfg.min_nodes}")
             return EvalOutcome(t, (), tuple(diags))
@@ -298,7 +283,6 @@ def _evaluate(
             diags.append(f"size-filtered: tree has {size} nodes, maximum is {cfg.max_nodes}")
             return EvalOutcome(t, (), tuple(diags))
     else:
-        lower, upper = _node_bounds(t, a)
         if cfg.max_nodes is not None and lower > cfg.max_nodes:
             diags.append(
                 f"size-filtered: every result has at least {lower} nodes, "
@@ -313,7 +297,10 @@ def _evaluate(
             return EvalOutcome(t, (), tuple(diags))
 
     if cfg.mode == "enumerate":
-        graphs, subtree_diags = _enumerate_tree(t, a, cfg, memo)
+        value = t.fold(partial(_enumerate_step, a, cfg), memo)
+        if value.__class__ is str:
+            raise ResultCapExceededError(value)
+        graphs, subtree_diags = value
         diags.extend(subtree_diags)
     else:
         g = t.fold(partial(_sample_node, a, cfg, tree_index, diags))
@@ -346,19 +333,20 @@ def evaluate_corpus(
 ) -> List[EvalOutcome]:
     """Evaluate trees independently, preserving input order.
 
-    In enumerate mode each distinct subtree object is evaluated once
-    for the whole corpus; the outcomes equal those of ``evaluate`` on
-    each tree alone.  Per-tree evaluation errors become diagnostics
-    instead of aborting the corpus.  ``parallel`` is accepted for
-    compatibility and has no effect: trees are evaluated one after
-    another.
+    Each distinct subtree object is checked, and in enumerate mode
+    evaluated, once for the whole corpus; the outcomes equal those of
+    ``evaluate`` on each tree alone.  Per-tree evaluation errors become
+    diagnostics instead of aborting the corpus.  ``parallel`` is
+    accepted for compatibility and has no effect: trees are evaluated
+    one after another.
     """
-    # ``trees`` keeps every node alive, so the ids in the memo stay valid.
-    memo: _Memo = {}
+    # ``trees`` keeps every node alive, so the ids in the memos stay valid.
+    checks: dict = {}
+    memo: dict = {}
     outcomes = []
     for index, t in enumerate(trees):
         try:
-            outcomes.append(_evaluate(t, a, cfg, index, memo))
+            outcomes.append(_evaluate(t, a, cfg, index, checks, memo))
         except (EvaluationError, ResultCapExceededError) as exc:
             outcomes.append(EvalOutcome(t, (), (f"error: {exc}",)))
 

@@ -114,39 +114,56 @@ class DerivationTree:
             yield node
             stack.extend(reversed(node.children))
 
-    def fold(self, step: Callable[["DerivationTree", str, List[T]], T]) -> T:
+    def fold(
+        self,
+        step: Callable[["DerivationTree", Optional[str], List[T]], T],
+        memo: Optional[Dict[int, T]] = None,
+    ) -> T:
         """Evaluate the tree bottom-up and return the root's value.
 
         ``step(node, path, values)`` runs once per node, in post-order
         with children left to right; ``values`` holds what the steps of
         the node's children returned.  The root's path is ``r`` and the
         i-th child of the node at path ``p`` has path ``p.i``.
+
+        With ``memo``, a dict keyed by ``id(node)``, every value a step
+        returns is stored, and a node already in ``memo`` is not
+        descended into: its stored value is used, so each distinct node
+        object runs one step however often it occurs, in this tree or in
+        any other folded with the same memo.  A stored value may stand
+        for several positions, so every path is ``None``.  The caller
+        keeps the folded nodes alive while ``memo`` is in use.
         """
         values: List[T] = []
         # (node, path, None) on the way down; (node, path, rank) once the
         # node's children are on the stack above it.
-        stack = [(self, "r", None)]
+        stack = [(self, "r" if memo is None else None, None)]
         while stack:
             node, path, rank = stack.pop()
+            if memo is not None and rank is None and id(node) in memo:
+                values.append(memo[id(node)])
+                continue
             children = node.children
             if not children:
-                values.append(step(node, path, []))
+                value = step(node, path, [])
             elif rank is None:
                 stack.append((node, path, len(children)))
                 for i in range(len(children) - 1, -1, -1):
-                    stack.append((children[i], f"{path}.{i}", None))
+                    stack.append((children[i],
+                                  None if path is None else f"{path}.{i}",
+                                  None))
+                continue
             else:
                 args = values[-rank:]
                 del values[-rank:]
-                values.append(step(node, path, args))
+                value = step(node, path, args)
+            if memo is not None:
+                memo[id(node)] = value
+            values.append(value)
         return values[0]
 
     def size(self) -> int:
         return sum(1 for _ in self.walk())
-
-    def symbols(self) -> Iterator[str]:
-        for node in self.walk():
-            yield node.label
 
     def serialize(self) -> str:
         # A stack of nodes and literal tokens rather than walk(): trees

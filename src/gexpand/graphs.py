@@ -81,11 +81,6 @@ def empty_graph() -> Graph:
     return Graph((), (), {}, ())
 
 
-def type_of(g: Graph) -> int:
-    """The type of a graph: the length of its port sequence."""
-    return g.type
-
-
 def _fresh(name: str, used: set) -> str:
     while name in used:
         name = name + "'"

@@ -19,7 +19,6 @@ from gexpand import (
     apply_expansion,
     apply_expansion_all,
     check_extension,
-    context_nodes,
     disjoint_union,
     empty_graph,
     enumerate_context_assignments,
@@ -54,7 +53,7 @@ def op_from_seed(s: int) -> ExpansionOperation:
 class TestContextNodes:
     def test_repeated_dock_operation_has_two_context_nodes(self):
         op = repeated_dock_operation()
-        assert context_nodes(op) == {"y2", "y3"}
+        assert frozenset(op.context) == {"y2", "y3"}
         assert {op.template.labels[v] for v in op.context} == {"b", "c"}
 
     def test_fully_covered_template_has_no_context(self):
@@ -65,13 +64,13 @@ class TestContextNodes:
             (),
             ("a",),
         )
-        assert context_nodes(op) == frozenset()
+        assert frozenset(op.context) == frozenset()
 
     @given(seeds)
     def test_equals_set_difference(self, s):
         op = op_from_seed(s)
         expected = op.template.nodes - set(op.ports) - set(op.docks)
-        assert context_nodes(op) == expected
+        assert frozenset(op.context) == expected
 
 
 class TestEnumerateContextAssignments:

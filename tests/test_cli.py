@@ -2,6 +2,7 @@
 
 import json
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -225,8 +226,9 @@ DUPLICATE_RULE_OPS = "".join(
 
 
 class TestOneErrorLine:
-    """Bad settings and runaway searches end in exactly one ``error:``
-    line and exit status 1, before the output directory exists."""
+    """Bad settings, runaway searches and cap hits end in exactly one
+    ``error:`` line and exit status 1, before the output directory
+    exists."""
 
     def run_failing(self, tmp, capsys, argv):
         out = tmp / "corpus"
@@ -270,6 +272,17 @@ class TestOneErrorLine:
         err = self.run_failing(
             tmp_path, capsys, ["-g", str(ops), "--rtg", str(rtg), "-N", "40"])
         assert "budget of 5" in err
+
+    def test_instantiation_cap_hit_after_earlier_graphs(
+            self, tmp_path, capsys):
+        # The first trees instantiate within the cap; a later one does not.
+        bench = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+        err = self.run_failing(
+            tmp_path, capsys,
+            ["-g", str(bench / "amr.ops"), "--rtg", str(bench / "amr.rtg"),
+             "-N", "20", "-d", str(bench / "amr.defs"),
+             "--instantiation-cap", "2"])
+        assert "exceeding the cap of 2" in err
 
     def test_argparse_adds_no_default_of_its_own(self):
         cfg, validate_only = config_from_args(["-g", "o", "--rtg", "r"])

@@ -120,6 +120,18 @@ class TestEnumerate:
         with pytest.raises(EvaluationError):
             evaluate(parse_tree("op3(op4)"), running_algebra(), EvalConfig())
 
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    @pytest.mark.parametrize("text, message", [
+        ("bad1(bad2)", "unknown symbol 'bad1' in tree"),
+        ("op2(op3(op4 bad op5))",
+         r"symbol 'op3' used with 3 children, algebra allows \(2,\)"),
+        ("op3(op2(bad) bad2)", "unknown symbol 'bad' in tree"),
+    ])
+    def test_first_faulty_node_in_preorder_is_reported(
+            self, mode, text, message):
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            evaluate(parse_tree(text), running_algebra(), EvalConfig(mode=mode))
+
     def test_missing_context_label_warns_with_zero_graphs(self):
         # op1's context node is labelled she, but the argument comes
         # from op5/op5, which only produces they-nodes.
@@ -215,7 +227,9 @@ class TestFilters:
             EvalConfig(mode="enumerate", max_nodes=3),
         )
         assert out.graphs == ()
-        assert any("size-filtered" in d for d in out.diagnostics)
+        # The template bound sums the new nodes of every operation.
+        assert out.diagnostics == (
+            "size-filtered: every result has at least 4 nodes, maximum is 3",)
 
     def test_min_nodes_keeps_the_running_graph(self):
         out = evaluate(
@@ -389,6 +403,20 @@ def bench_corpus(name, n):
 
 
 @pytest.fixture()
+def checks(monkeypatch):
+    """Records the node of every pre-pass step."""
+    calls = []
+    real = evaluator._check_node
+
+    def counted(a, required_op, t, path, kids):
+        calls.append(t)
+        return real(a, required_op, t, path, kids)
+
+    monkeypatch.setattr(evaluator, "_check_node", counted)
+    return calls
+
+
+@pytest.fixture()
 def steps(monkeypatch):
     """Records the node of every enumerate-mode step."""
     calls = []
@@ -403,17 +431,24 @@ def steps(monkeypatch):
 
 
 class TestSharedSubtrees:
-    """Enumerate mode evaluates each distinct subtree object once per
-    corpus; the outcomes equal evaluating every tree alone."""
+    """Each distinct subtree object is checked, and in enumerate mode
+    evaluated, once per corpus; the outcomes equal evaluating every
+    tree alone."""
 
     @given(seeds, st.sampled_from([5, 20, 60]), st.booleans(),
-           st.sampled_from([1, 2, 10_000]))
+           st.sampled_from([1, 2, 10_000]),
+           st.sampled_from(["enumerate", "sample"]),
+           st.none() | st.integers(0, 12), st.none() | st.integers(0, 12),
+           st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_memo_equals_evaluation_without_sharing(
-            self, s, n, injective, cap):
+            self, s, n, injective, cap, mode, low, high, on_trees, want_op):
         rng = random.Random(s)
         grammar = random_grammar(rng)
         algebra = random_algebra_for(rng, grammar)
+        if low is not None and high is not None and low > high:
+            low, high = high, low
+        required_op = rng.choice(sorted(grammar.terminals)) if want_op else None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
@@ -421,16 +456,29 @@ class TestSharedSubtrees:
             except BudgetExceededError:
                 assume(False)
         assert_same_as_unshared(trees, algebra, EvalConfig(
-            mode="enumerate", result_cap=cap, injective_contexts=injective))
+            mode=mode, result_cap=cap, injective_contexts=injective,
+            min_nodes=low, max_nodes=high, required_op=required_op,
+            tree_size_bounds=on_trees))
 
-    @pytest.mark.parametrize("cap", [1, 2, 10_000])
+    @pytest.mark.parametrize("mode, cap", [
+        ("enumerate", 1), ("enumerate", 2), ("enumerate", 10_000),
+        ("sample", 10_000),
+    ])
     @pytest.mark.parametrize("injective", [False, True])
+    @pytest.mark.parametrize("filters", [
+        {},
+        # Both template-bound prefilters fire, and so does the filter on
+        # evaluated graphs.
+        {"min_nodes": 6, "max_nodes": 9},
+        {"required_op": "and", "tree_size_bounds": True, "max_nodes": 9},
+    ], ids=["unfiltered", "node-bounds", "op-and-tree-size"])
     @pytest.mark.parametrize("name, n", [("amr", 300), ("symmetric", 43)])
     def test_bench_corpora_equal_evaluation_without_sharing(
-            self, name, n, injective, cap):
+            self, name, n, filters, injective, mode, cap):
         algebra, trees = bench_corpus(name, n)
         assert_same_as_unshared(trees, algebra, EvalConfig(
-            mode="enumerate", result_cap=cap, injective_contexts=injective))
+            mode=mode, result_cap=cap, injective_contexts=injective,
+            **filters))
 
     def test_shared_error_is_reported_for_every_tree(self):
         trees = [BRANCHING_TREE, parse_tree("pick_context(drop_ports(two_leaves))"),
@@ -456,11 +504,14 @@ class TestSharedSubtrees:
         ("symmetric", 43, 51, 722),
     ])
     def test_steps_run_once_per_distinct_subtree(
-            self, steps, name, n, distinct, nodes):
+            self, steps, checks, name, n, distinct, nodes):
         algebra, trees = bench_corpus(name, n)
         assert sum(t.size() for t in trees) == nodes
         evaluate_corpus(trees, algebra, EvalConfig(mode="enumerate"))
-        assert len(steps) == distinct
+        assert len(steps) == len(checks) == distinct
+        checks.clear()
+        evaluate_corpus(trees, algebra, EvalConfig(mode="sample"))
+        assert len(steps) == len(checks) == distinct
 
     def test_tree_file_subtrees_are_shared(self, steps):
         trees = parse_tree_file("op3(op4 op5)\nop1(op2(op3(op4 op5)))\n")

@@ -383,3 +383,52 @@ class TestParseTrees:
         with pytest.raises(RankConflictError, match=(
                 r"line 2: symbol 'g' has rank 2 here but rank 1 at line 1")):
             parse_tree_file("f(g(a))\nh(g(a) g(a a))\n")
+
+
+def _term(node, _path, values):
+    """Fold step that rebuilds the serialization of the subtree."""
+    return f"{node.label}({' '.join(values)})" if values else node.label
+
+
+class TestFold:
+    def test_paths_without_memo(self):
+        seen = []
+        parse_tree("f(g(a) b)").fold(
+            lambda node, path, _values: seen.append((node.label, path)))
+        assert seen == [("a", "r.0.0"), ("g", "r.0"), ("b", "r.1"), ("f", "r")]
+
+    def test_memo_runs_one_step_per_distinct_node(self):
+        (t,) = parse_tree_file("p(g(a) g(a) h(g(a) b))\n")
+        steps = []
+
+        def step(node, path, values):
+            steps.append((node, path))
+            return _term(node, path, values)
+
+        memo = {}
+        assert t.fold(step, memo) == t.fold(_term) == t.serialize()
+        assert [node.serialize() for node, _path in steps] == [
+            "a", "g(a)", "b", "h(g(a) b)", "p(g(a) g(a) h(g(a) b))"]
+        assert {path for _node, path in steps} == {None}
+        assert t.size() == 9 and len(memo) == 5
+        # A second fold with the same memo runs no step at all.
+        assert t.fold(step, memo) == t.serialize() and len(steps) == 5
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_memo_over_a_corpus_equals_unmemoized(self, s):
+        g = random_grammar(random.Random(s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyLanguageWarning)
+            trees = [t for t, _w in n_best_trees(g, 8)]
+        steps = []
+
+        def step(node, path, values):
+            steps.append(path)
+            return _term(node, path, values)
+
+        memo = {}
+        for t in trees:
+            assert t.fold(step, memo) == t.fold(_term)
+        assert steps == [None] * len(
+            {id(node) for t in trees for node in t.walk()})

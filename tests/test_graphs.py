@@ -15,7 +15,6 @@ from gexpand import (
     empty_graph,
     is_isomorphic,
     rename_nodes,
-    type_of,
 )
 from generators import random_graph
 from oracles import brute_force_isomorphic
@@ -70,7 +69,7 @@ class TestEmptyGraph:
         assert not g.nodes and not g.edges and not g.ports
 
     def test_type_of_empty_is_zero(self):
-        assert type_of(empty_graph()) == 0
+        assert empty_graph().type == 0
 
     def test_union_of_empties_is_empty(self):
         assert is_isomorphic(
@@ -80,10 +79,10 @@ class TestEmptyGraph:
 
 class TestTypeOf:
     def test_single_port_node(self):
-        assert type_of(single("she")) == 1
+        assert single("she").type == 1
 
     def test_union_of_two_one_port_graphs_has_type_two(self):
-        assert type_of(disjoint_union(single("she"), single("they"))) == 2
+        assert disjoint_union(single("she"), single("they")).type == 2
 
 
 class TestDisjointUnion:
