@@ -66,6 +66,19 @@ class RunConfig(EvalConfig):
     dedup_across_trees: bool = False
 
     def __post_init__(self) -> None:
+        # The inherited checks name fields; a run's messages name flags.
+        if self.result_cap < 1:
+            raise ValueError(
+                f"result_cap must be at least 1 (--result-cap "
+                f"{self.result_cap})")
+        if (
+            self.min_nodes is not None
+            and self.max_nodes is not None
+            and self.min_nodes > self.max_nodes
+        ):
+            raise ValueError(
+                f"min_nodes exceeds max_nodes (-L/--min-nodes "
+                f"{self.min_nodes} > -H/--max-nodes {self.max_nodes})")
         super().__post_init__()
         if (self.trees is None) == (self.rtg is None):
             raise ValueError("exactly one of -t and --rtg must be given")
@@ -189,9 +202,12 @@ def _symbol_rank_findings(
     if grammar is not None:
         symbol_ranks = grammar.terminals
     else:
+        # ``parse_tree_file`` made the ranks consistent and shares
+        # equal subtrees, so each node object is read once.
         symbol_ranks = {}
+        seen: set = set()
         for t in trees or []:
-            for node in t.walk():
+            for node in t.walk(seen):
                 symbol_ranks[node.label] = node.rank
     for name, rank in sorted(symbol_ranks.items()):
         if name not in algebra:

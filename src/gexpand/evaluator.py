@@ -5,8 +5,11 @@ Enumerate mode materializes the full set-valued semantics (deduplicated
 up to isomorphism at every level) and evaluates each distinct subtree
 object once per corpus; sample mode draws one admissible context choice
 per context node from a seeded, replayable stream.  In both modes one
-pre-pass checks each distinct subtree once per corpus and sums what the
-size and required-operation filters read.
+pre-pass checks each distinct subtree once per corpus, sums what the
+size and required-operation filters read, and abstracts the subtree to
+its sample shape: port labels and non-port label counts, which decide
+whether sample mode yields a graph.  Sample mode only draws on trees
+that do.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .algebra import (
     Algebra,
     EmptyConstant,
     ExpansionOperation,
+    Operation,
     UnionOperation,
 )
 from .algebra import apply_expansion, apply_expansion_all, context_candidates
@@ -153,20 +157,25 @@ def _enumerate_step(
 
 
 def _check_node(
-    a: Algebra, required_op: Optional[str], t: DerivationTree, _path: None,
-    kids: list,
-) -> Union[Tuple[int, int, int, bool], str]:
+    a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: None, kids: list,
+) -> Union[Tuple[int, int, int, bool, tuple], str]:
     """Memoized fold step of the pre-pass: for node ``t``'s subtree,
     (tree size, lower and upper bound on output node count from
-    template sizes, uses ``required_op``), or the check message of its
-    first faulty node in preorder."""
+    template sizes, uses ``cfg.required_op``, sample shape), or the
+    check message of its first faulty node in preorder.
+
+    The sample shape is what the graph sample mode draws for the
+    subtree has in common whatever the draws: (the labels of its ports
+    in order, the label counts of its non-port nodes); or, when sample
+    mode yields no graph, (None, the ``zero-result:`` lines it reports,
+    in post-order)."""
     if t.label not in a:
         return f"unknown symbol {t.label!r} in tree"
     ranks = a.term_ranks(t.label)
     if t.rank not in ranks:
         return (f"symbol {t.label!r} used with {t.rank} children, "
                 f"algebra allows {ranks}")
-    size, lower, upper, uses = 1, 0, 0, t.label == required_op
+    size, lower, upper, uses = 1, 0, 0, t.label == cfg.required_op
     op = a[t.label]
     if isinstance(op, ExpansionOperation):
         upper = len(op.template.nodes)
@@ -179,7 +188,60 @@ def _check_node(
         lower += kid[1]
         upper += kid[2]
         uses = uses or kid[3]
-    return size, lower, upper, uses
+    return size, lower, upper, uses, _shape(
+        op, cfg.injective_contexts, [kid[4] for kid in kids])
+
+
+_NO_NODES: tuple = ((), {})
+
+
+def _shape(op: Operation, injective: bool, args: List[tuple]) -> tuple:
+    """The sample shape of a node applying ``op`` to subtrees of the
+    given shapes; the non-port label counts are never mutated, since
+    memoized shapes are shared."""
+    empty = [lines for ports, lines in args if ports is None]
+    if empty:
+        return None, tuple(line for lines in empty for line in lines)
+    if isinstance(op, EmptyConstant):
+        return _NO_NODES
+    if isinstance(op, UnionOperation):
+        (left, left_counts), (right, right_counts) = args
+        if len(left) != op.left_arity or len(right) != op.right_arity:
+            return None, (
+                f"zero-result: union {op.name!r} got argument types "
+                f"({len(left)}, {len(right)}), expected "
+                f"({op.left_arity}, {op.right_arity})",)
+        counts = dict(left_counts)
+        for label, n in right_counts.items():
+            counts[label] = counts.get(label, 0) + n
+        return left + right, counts
+    port_labels, arg_counts = args[0] if args else _NO_NODES
+    if len(port_labels) != len(op.docks):
+        return None, (
+            f"zero-result: operation {op.name!r} needs an argument of "
+            f"type {len(op.docks)}, got {len(port_labels)}",)
+    # Under injectivity the j-th context node with label l has the
+    # count(l) - j candidates the earlier ones with label l left.
+    drawn: Dict[str, int] = {}
+    for u in op.context:
+        label = op.template.labels[u]
+        taken = drawn.get(label, 0) if injective else 0
+        if arg_counts.get(label, 0) <= taken:
+            return None, (
+                f"zero-result: operation {op.name!r} found no context "
+                f"candidate with label {label!r}",)
+        drawn[label] = drawn.get(label, 0) + 1
+
+    def label_of(v: str) -> str:
+        # A wildcard dock takes the label of the first port fused in.
+        label = op.template.labels[v]
+        return port_labels[op.docks.index(v)] if label is None else label
+
+    counts = dict(arg_counts)
+    for v in set(op.docks) - set(op.ports):
+        label = label_of(v)
+        counts[label] = counts.get(label, 0) + 1
+    return tuple(label_of(v) for v in op.ports), counts
 
 
 def _capped(graphs: List[Graph], cfg: EvalConfig, symbol: str) -> List[Graph]:
@@ -195,37 +257,20 @@ def _sample_node(
     a: Algebra,
     cfg: EvalConfig,
     tree_index: int,
-    diags: List[str],
     t: DerivationTree,
     path: str,
-    args: List[Optional[Graph]],
-) -> Optional[Graph]:
-    """Fold step of sample mode: one graph of node ``t``, or None, given
-    one graph (or None) per child; draws are keyed by the node's path."""
+    args: List[Graph],
+) -> Graph:
+    """Fold step of sample mode: one graph of node ``t``, given one
+    graph per child; draws are keyed by the node's path.  Only trees
+    whose sample shape is not empty are folded, so every argument has
+    the right type and every context node a candidate."""
     op = a[t.label]
     if isinstance(op, EmptyConstant):
         return empty_graph()
     if isinstance(op, UnionOperation):
-        left, right = args
-        if left is None or right is None:
-            return None
-        if left.type != op.left_arity or right.type != op.right_arity:
-            diags.append(
-                f"zero-result: union {op.name!r} got argument types "
-                f"({left.type}, {right.type}), expected "
-                f"({op.left_arity}, {op.right_arity})"
-            )
-            return None
-        return disjoint_union(left, right)
+        return disjoint_union(*args)
     arg = args[0] if args else empty_graph()
-    if arg is None:
-        return None
-    if arg.type != len(op.docks):
-        diags.append(
-            f"zero-result: operation {op.name!r} needs an argument of "
-            f"type {len(op.docks)}, got {arg.type}"
-        )
-        return None
     assignment: Dict[str, str] = {}
     for i, (u, candidates) in enumerate(
         zip(op.context, context_candidates(op, arg))
@@ -234,12 +279,6 @@ def _sample_node(
         # enumerate mode drops whole non-injective combinations instead.
         if cfg.injective_contexts:
             candidates = [v for v in candidates if v not in assignment.values()]
-        if not candidates:
-            diags.append(
-                f"zero-result: operation {op.name!r} found no context "
-                f"candidate with label {op.template.labels[u]!r}"
-            )
-            return None
         pick = _draw(cfg.seed, tree_index, path, i, len(candidates))
         assignment[u] = candidates[pick]
     return apply_expansion(op, arg, assignment)
@@ -263,10 +302,10 @@ def _evaluate(
 ) -> EvalOutcome:
     """``evaluate``, sharing the pre-pass values of subtrees through
     ``checks`` and their enumerate-mode values through ``memo``."""
-    info = t.fold(partial(_check_node, a, cfg.required_op), checks)
+    info = t.fold(partial(_check_node, a, cfg), checks)
     if info.__class__ is str:
         raise EvaluationError(info)
-    size, lower, upper, uses_required_op = info
+    size, lower, upper, uses_required_op, (ports, lines) = info
     diags: List[str] = []
 
     if cfg.required_op is not None and not uses_required_op:
@@ -297,14 +336,20 @@ def _evaluate(
             return EvalOutcome(t, (), tuple(diags))
 
     if cfg.mode == "enumerate":
+        # An empty sample shape means no graph here either, but enumerate
+        # mode still evaluates the tree: a subtree below the node that
+        # yields nothing may exceed the result cap, and that makes the
+        # outcome an error.
         value = t.fold(partial(_enumerate_step, a, cfg), memo)
         if value.__class__ is str:
             raise ResultCapExceededError(value)
         graphs, subtree_diags = value
         diags.extend(subtree_diags)
+    elif ports is None:
+        diags.extend(lines)
+        graphs = []
     else:
-        g = t.fold(partial(_sample_node, a, cfg, tree_index, diags))
-        graphs = [] if g is None else [g]
+        graphs = [t.fold(partial(_sample_node, a, cfg, tree_index))]
 
     if not cfg.tree_size_bounds:
         kept = []

@@ -106,11 +106,25 @@ class DerivationTree:
     def rank(self) -> int:
         return len(self.children)
 
-    def walk(self) -> Iterator["DerivationTree"]:
-        """Every node in preorder, children left to right."""
+    def walk(
+        self, seen: Optional[Set[int]] = None
+    ) -> Iterator["DerivationTree"]:
+        """Every node in preorder, children left to right.
+
+        With ``seen``, a set of ``id(node)`` values, a node object
+        already in ``seen`` is skipped together with its subtree, and
+        every node yielded is added: each distinct node object is
+        yielded once, at its first occurrence, however often it occurs
+        in this tree or in any other walked with the same set.  The
+        caller keeps the walked nodes alive while ``seen`` is in use.
+        """
         stack = [self]
         while stack:
             node = stack.pop()
+            if seen is not None:
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
             yield node
             stack.extend(reversed(node.children))
 
@@ -498,13 +512,16 @@ def parse_tree_file(text: str) -> List[DerivationTree]:
     trees: List[DerivationTree] = []
     ranks: Dict[str, Tuple[int, int]] = {}
     interned: Dict[tuple, DerivationTree] = {}
+    # A subtree object met before holds only nodes already checked,
+    # whose first lines are already recorded, so it is skipped.
+    checked: Set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT_RE.sub("", raw).strip()
         if not line:
             continue
         t = _parse_tree(line, lineno, interned)
         trees.append(t)
-        for node in t.walk():
+        for node in t.walk(checked):
             if node.label in ranks and ranks[node.label][0] != node.rank:
                 prev_rank, prev_line = ranks[node.label]
                 raise RankConflictError(

@@ -13,7 +13,7 @@ produced by evaluation are always fully labelled.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 
 Edge = Tuple[str, str, str]
@@ -166,23 +166,41 @@ def _canonical_search(g: Graph) -> Tuple[Tuple[str, ...], tuple]:
 
     Ports come first in port order (isomorphisms must preserve port
     positions); the remaining nodes are placed by a depth-first search
-    for the least certificate, guided by WL colours.  Each level
-    branches, in name order, on the nodes of the least remaining colour
-    whose edges to the placed nodes have the least signature.  Of
-    several twins among them (non-port nodes with the same label and the
-    same labelled in- and out-neighbours) only the first is branched on:
-    swapping two twins is an automorphism fixing every other node, so
-    their subtrees reach the same certificates, and the first leaf that
-    reaches the least one lies under the first twin.
+    for the least certificate, guided by WL colours.  When the colours
+    of the remaining nodes are pairwise distinct, the partition is
+    discrete and already a leaf of that search: every level would have
+    one candidate, the node of the least remaining colour.
     """
     order = list(g.ports)
-    placed = {v: i for i, v in enumerate(order)}
-    remaining = set(g.nodes) - placed.keys()
+    remaining = g.nodes - set(order)
     if not remaining:
         return tuple(order), _certificate(g, order)
 
     out_adj, in_adj = _adjacency(g)
     color = _wl_colors(g, out_adj, in_adj)
+    if len({color[v] for v in remaining}) == len(remaining):
+        order.extend(sorted(remaining, key=color.__getitem__))
+        return tuple(order), _certificate(g, order)
+    return _least_leaf(g, order, set(remaining), color, out_adj, in_adj)
+
+
+def _least_leaf(
+    g: Graph, order: List[str], remaining: Set[str], color: dict,
+    out_adj: dict, in_adj: dict,
+) -> Tuple[Tuple[str, ...], tuple]:
+    """The search of ``_canonical_search`` below the nodes already in
+    ``order``: the order and certificate of its least leaf.
+
+    Each level branches, in name order, on the nodes of the least
+    remaining colour whose edges to the placed nodes have the least
+    signature.  Of several twins among them (non-port nodes with the
+    same label and the same labelled in- and out-neighbours) only the
+    first is branched on: swapping two twins is an automorphism fixing
+    every other node, so their subtrees reach the same certificates,
+    and the first leaf that reaches the least one lies under the first
+    twin.
+    """
+    placed = {v: i for i, v in enumerate(order)}
     twin = {}
 
     def branches():

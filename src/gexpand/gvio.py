@@ -201,17 +201,21 @@ def emit_gv(g: Graph) -> str:
     isomorphic graphs serialize to byte-identical text.
     """
     order = canonical_order(g)
-    name = {v: f"n{i}" for i, v in enumerate(order)}
+    pos = {v: i for i, v in enumerate(order)}
+    quoted: Dict[str, str] = {}
     out = ["digraph {"]
-    for v in order:
+    for i, v in enumerate(order):
         lab = g.labels[v]
         if lab is None:
             raise ValueError(f"cannot emit wildcard-labelled node {v!r}")
-        out.append(f"  {_quote(name[v])} [label={_quote(lab)}];")
-    pos = {v: i for i, v in enumerate(order)}
-    for s, l, t in sorted(g.edges, key=lambda e: (pos[e[0]], e[1], pos[e[2]])):
-        out.append(f"  {_quote(name[s])} -> {_quote(name[t])} [label={_quote(l)}];")
-    ports = " ".join(name[p] for p in g.ports)
-    out.append(f"  // ports:{(' ' + ports) if ports else ''}")
+        if lab not in quoted:
+            quoted[lab] = _quote(lab)
+        out.append(f'  "n{i}" [label={quoted[lab]}];')
+    for s, l, t in sorted((pos[s], l, pos[t]) for s, l, t in g.edges):
+        if l not in quoted:
+            quoted[l] = _quote(l)
+        out.append(f'  "n{s}" -> "n{t}" [label={quoted[l]}];')
+    ports = "".join(f" n{pos[p]}" for p in g.ports)
+    out.append(f"  // ports:{ports}")
     out.append("}")
     return "\n".join(out) + "\n"

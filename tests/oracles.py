@@ -3,10 +3,11 @@
 These deliberately use the most naive correct strategy (exhaustive
 bijection search, the unpruned canonical search, full derivation
 enumeration, the nested-tuple n-best search, undeduplicated recursive
-set evaluation, union-find fusion) and stay independent of the code
-paths they check.
+set evaluation, sample evaluation of every node of every tree,
+union-find fusion) and stay independent of the code paths they check.
 """
 
+import hashlib
 import heapq
 from fractions import Fraction
 from itertools import permutations, product
@@ -23,7 +24,9 @@ from gexpand import (
     LabelConflictError,
     UnionOperation,
     WeightedRtg,
+    EvalConfig,
     apply_expansion,
+    context_candidates,
     disjoint_union,
     empty_graph,
     enumerate_context_assignments,
@@ -366,6 +369,139 @@ def naive_evaluate(t: DerivationTree, a: Algebra):
         for assignment in enumerate_context_assignments(op, g):
             out.append(apply_expansion(op, g, assignment))
     return out
+
+
+def _draw(seed: int, tree_index: int, path: str, ctx_index: int, n: int) -> int:
+    key = f"{seed}|{tree_index}|{path}|{ctx_index}".encode()
+    digest = hashlib.sha256(key).digest()
+    return int.from_bytes(digest[:8], "big") % n
+
+
+def naive_sample(t: DerivationTree, a: Algebra, cfg: EvalConfig,
+                 tree_index: int = 0, path: str = "r", diags=None):
+    """(the graph sample mode draws for ``t``, or None; the
+    ``zero-result:`` lines of its nodes in post-order), found by
+    running the sample step on every node, as sample mode did before
+    it skipped trees that yield no graph."""
+    if diags is None:
+        diags = []
+    args = [naive_sample(c, a, cfg, tree_index, f"{path}.{i}", diags)[0]
+            for i, c in enumerate(t.children)]
+    op = a[t.label]
+    if isinstance(op, EmptyConstant):
+        return empty_graph(), diags
+    if isinstance(op, UnionOperation):
+        left, right = args
+        if left is None or right is None:
+            return None, diags
+        if left.type != op.left_arity or right.type != op.right_arity:
+            diags.append(
+                f"zero-result: union {op.name!r} got argument types "
+                f"({left.type}, {right.type}), expected "
+                f"({op.left_arity}, {op.right_arity})"
+            )
+            return None, diags
+        return disjoint_union(left, right), diags
+    arg = args[0] if args else empty_graph()
+    if arg is None:
+        return None, diags
+    if arg.type != len(op.docks):
+        diags.append(
+            f"zero-result: operation {op.name!r} needs an argument of "
+            f"type {len(op.docks)}, got {arg.type}"
+        )
+        return None, diags
+    assignment: Dict[str, str] = {}
+    for i, (u, candidates) in enumerate(
+        zip(op.context, context_candidates(op, arg))
+    ):
+        if cfg.injective_contexts:
+            candidates = [v for v in candidates if v not in assignment.values()]
+        if not candidates:
+            diags.append(
+                f"zero-result: operation {op.name!r} found no context "
+                f"candidate with label {op.template.labels[u]!r}"
+            )
+            return None, diags
+        pick = _draw(cfg.seed, tree_index, path, i, len(candidates))
+        assignment[u] = candidates[pick]
+    return apply_expansion(op, arg, assignment), diags
+
+
+def _naive_check(t: DerivationTree, a: Algebra) -> Optional[str]:
+    """The message of the first faulty node in preorder, if any."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.label not in a:
+            return f"unknown symbol {node.label!r} in tree"
+        ranks = a.term_ranks(node.label)
+        if node.rank not in ranks:
+            return (f"symbol {node.label!r} used with {node.rank} children, "
+                    f"algebra allows {ranks}")
+        stack.extend(reversed(node.children))
+    return None
+
+
+def naive_sample_corpus(trees, a: Algebra, cfg: EvalConfig):
+    """Sample-mode ``evaluate_corpus`` as (graphs, diagnostics) per
+    tree: the tree check, the required-operation and size filters, and
+    ``naive_sample`` on every tree that passes them."""
+    outcomes = []
+    for index, t in enumerate(trees):
+        problem = _naive_check(t, a)
+        if problem is not None:
+            outcomes.append(((), (f"error: {problem}",)))
+            continue
+        nodes = list(t.walk())
+        lower = upper = 0
+        for node in nodes:
+            op = a[node.label]
+            if isinstance(op, ExpansionOperation):
+                upper += len(op.template.nodes)
+                dups = len(op.docks) - len(set(op.docks))
+                lower += max(0, len(op.new_nodes) - dups)
+        low, high = cfg.min_nodes, cfg.max_nodes
+        if cfg.required_op is not None and all(
+                node.label != cfg.required_op for node in nodes):
+            outcomes.append(((), (
+                f"required-op: tree does not use operation "
+                f"{cfg.required_op!r}",)))
+            continue
+        if cfg.tree_size_bounds:
+            if low is not None and len(nodes) < low:
+                outcomes.append(((), (
+                    f"size-filtered: tree has {len(nodes)} nodes, minimum "
+                    f"is {low}",)))
+                continue
+            if high is not None and len(nodes) > high:
+                outcomes.append(((), (
+                    f"size-filtered: tree has {len(nodes)} nodes, maximum "
+                    f"is {high}",)))
+                continue
+        else:
+            if high is not None and lower > high:
+                outcomes.append(((), (
+                    f"size-filtered: every result has at least {lower} "
+                    f"nodes, maximum is {high}",)))
+                continue
+            if low is not None and upper < low:
+                outcomes.append(((), (
+                    f"size-filtered: every result has at most {upper} "
+                    f"nodes, minimum is {low}",)))
+                continue
+        g, diags = naive_sample(t, a, cfg, index)
+        graphs = () if g is None else (g,)
+        if graphs and not cfg.tree_size_bounds:
+            n = len(g.nodes)
+            if (low is not None and n < low) or (high is not None and n > high):
+                graphs = ()
+                diags.append(
+                    "size-filtered: all evaluated graphs fall outside "
+                    f"[{low}, {high}]"
+                )
+        outcomes.append((graphs, tuple(diags)))
+    return outcomes
 
 
 class _UnionFind:

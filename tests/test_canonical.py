@@ -2,6 +2,7 @@
 unpruned one, and symmetric graphs cost one leaf of the search."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,22 @@ class TestExactness:
     def test_path_without_ports(self):
         assert_same_as_naive(path(30, ported=False))
 
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_only_graphs_with_a_coarse_partition_are_searched(self, s):
+        rng = random.Random(s)
+        g = random_graph(rng)
+        if rng.random() < 0.3:
+            g = plant_twins(rng, g)
+        g = shuffled_names(rng, g)
+        rest = g.nodes - set(g.ports)
+        color = graphs._wl_colors(g, *graphs._adjacency(g))
+        discrete = len({color[v] for v in rest}) == len(rest)
+        with mock.patch.object(graphs, "_least_leaf",
+                               wraps=graphs._least_leaf) as search:
+            assert_same_as_naive(g)
+        assert search.called == (bool(rest) and not discrete)
+
 
 @pytest.fixture()
 def certificates(monkeypatch):
@@ -194,6 +211,22 @@ class TestWork:
         emit_gv(g)
         assert canonical_key(g) == key and canonical_order(g) is order
         assert len(certificates) == 1
+
+    @pytest.mark.parametrize("g", [
+        path(200), path(30, ported=False),
+    ], ids=["ported", "unported"])
+    def test_discrete_graph_enters_no_search_level(
+            self, monkeypatch, certificates, g):
+        rest = g.nodes - set(g.ports)
+        color = graphs._wl_colors(g, *graphs._adjacency(g))
+        assert len({color[v] for v in rest}) == len(rest)
+
+        def no_search(*_args):
+            raise AssertionError("searched a discrete graph")
+
+        monkeypatch.setattr(graphs, "_least_leaf", no_search)
+        assert canonical_order(g) == naive_canonical_order(g)
+        assert certificates == [len(g.nodes)]
 
     def test_search_deeper_than_the_recursion_limit(self):
         nodes = [f"v{i:04d}" for i in range(1500)]

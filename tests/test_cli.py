@@ -8,7 +8,15 @@ import pytest
 
 import gexpand.cli
 from gexpand.cli import RunConfig, config_from_args, main
-from gexpand import is_isomorphic, n_best_trees, parse_gv
+from gexpand import (
+    DerivationTree,
+    is_isomorphic,
+    n_best_trees,
+    parse_gv,
+    parse_operation_file,
+    parse_rtg,
+    parse_tree_file,
+)
 from fixtures import RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
 from fixtures import running_result_graph
 
@@ -253,6 +261,19 @@ class TestOneErrorLine:
                           "--result-cap", "0"])
         assert "result_cap" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["-L", "5", "-H", "3"], "error: min_nodes exceeds max_nodes "
+                                 "(-L/--min-nodes 5 > -H/--max-nodes 3)"),
+        (["--result-cap", "0"],
+         "error: result_cap must be at least 1 (--result-cap 0)"),
+    ])
+    def test_config_errors_name_the_flags(self, inputs, capsys, flags,
+                                          message):
+        tmp, ops, trees, _rtg = inputs
+        err = self.run_failing(
+            tmp, capsys, ["-g", str(ops), "-t", str(trees)] + flags)
+        assert err == message + "\n"
+
     def test_zero_instantiation_cap(self, inputs, capsys):
         tmp, ops, trees, _rtg = inputs
         defs = tmp / "defs.txt"
@@ -291,6 +312,24 @@ class TestOneErrorLine:
 
 
 class TestValidate:
+    def test_symbol_ranks_read_each_node_object_once(self, monkeypatch):
+        bench = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+        algebra = parse_operation_file((bench / "amr.ops").read_text())
+        grammar = parse_rtg((bench / "amr.rtg").read_text())
+        trees = parse_tree_file(
+            "".join(f"{t}\n" for t, _w in n_best_trees(grammar, 3000)))
+        visits = []
+        real = DerivationTree.walk
+
+        def counted(self, *args):
+            for node in real(self, *args):
+                visits.append(node)
+                yield node
+
+        monkeypatch.setattr(DerivationTree, "walk", counted)
+        assert gexpand.cli._symbol_rank_findings(algebra, None, trees) == []
+        assert len(visits) == 4_204
+
     def test_clean_fixture_reports_no_findings(self, inputs, capsys):
         _tmp, ops, trees, _rtg = inputs
         assert main(["-g", str(ops), "-t", str(trees), "--validate"]) == 0

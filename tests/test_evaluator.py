@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,12 @@ from generators import (
     random_grammar,
     total_context_nodes,
 )
-from oracles import naive_evaluate, same_graph_set
+from oracles import (
+    naive_evaluate,
+    naive_sample,
+    naive_sample_corpus,
+    same_graph_set,
+)
 
 seeds = st.integers(0, 10**9)
 
@@ -336,9 +342,10 @@ class TestEvaluateCorpus:
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
-def random_algebra_for(rng, grammar):
+def random_algebra_for(rng, grammar, max_context=2):
     """An algebra over a grammar's terminals: unions at rank 2, random
-    expansion operations with up to two context nodes otherwise.
+    expansion operations with up to ``max_context`` context nodes
+    otherwise.
 
     Each nonterminal gets a random type in {1, 2}, and an operation's
     dock and port counts are the types of the first production that
@@ -358,7 +365,7 @@ def random_algebra_for(rng, grammar):
             ops[name] = random_expansion_operation(
                 rng, name, dock_count=sum(arg_types),
                 port_count=nt_type[p.lhs],
-                max_context=2 if p.symbol.rank else 0)
+                max_context=max_context if p.symbol.rank else 0)
     return Algebra(ops)
 
 
@@ -518,3 +525,172 @@ class TestSharedSubtrees:
         evaluate_corpus(trees, running_algebra(), EvalConfig(mode="enumerate"))
         assert len(steps) == 5
 
+
+def exact(graphs):
+    return [(g.nodes, g.edges, g.labels, g.ports) for g in graphs]
+
+
+def assert_same_as_naive_sample(trees, algebra, cfg):
+    """Outcome by outcome, sample mode equals running the sample step
+    on every node: the same graphs, node names included, and the same
+    diagnostics."""
+    got = evaluate_corpus(trees, algebra, cfg)
+    want = naive_sample_corpus(trees, algebra, cfg)
+    for outcome, (graphs, diagnostics) in zip(got, want, strict=True):
+        assert exact(outcome.graphs) == exact(graphs)
+        assert outcome.diagnostics == diagnostics
+
+
+def random_corpus(s, n):
+    """A random grammar's N-best trees and a random algebra over it
+    with up to three context nodes per operation, or None when the
+    search runs out of budget."""
+    rng = random.Random(s)
+    grammar = random_grammar(rng)
+    algebra = random_algebra_for(rng, grammar, max_context=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            trees = [t for t, _w in n_best_trees(grammar, n, budget=5000)]
+        except BudgetExceededError:
+            return None
+    return rng, grammar, algebra, trees
+
+
+def sample_shape(t, algebra, cfg):
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[4]
+
+
+@pytest.fixture()
+def sample_steps(monkeypatch):
+    """Records the node of every sample-mode step."""
+    calls = []
+    real = evaluator._sample_node
+
+    def counted(a, cfg, tree_index, t, path, args):
+        calls.append(t)
+        return real(a, cfg, tree_index, t, path, args)
+
+    monkeypatch.setattr(evaluator, "_sample_node", counted)
+    return calls
+
+
+class TestSampleShape:
+    """Sample mode only draws on trees whose sample shape is not empty;
+    its outcomes equal sampling every node of every tree."""
+
+    @given(seeds, st.sampled_from([5, 20, 60]), st.booleans(),
+           st.integers(0, 1000),
+           st.none() | st.integers(0, 12), st.none() | st.integers(0, 12),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_corpus_equals_sampling_every_node(
+            self, s, n, injective, seed, low, high, on_trees, want_op):
+        corpus = random_corpus(s, n)
+        assume(corpus is not None)
+        rng, grammar, algebra, trees = corpus
+        if low is not None and high is not None and low > high:
+            low, high = high, low
+        required_op = rng.choice(sorted(grammar.terminals)) if want_op else None
+        assert_same_as_naive_sample(trees, algebra, EvalConfig(
+            mode="sample", seed=seed, injective_contexts=injective,
+            min_nodes=low, max_nodes=high, required_op=required_op,
+            tree_size_bounds=on_trees))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("injective", [False, True])
+    @pytest.mark.parametrize("name, n", [("amr", 740), ("symmetric", 43)])
+    def test_bench_corpora_equal_sampling_every_node(
+            self, name, n, injective, seed):
+        algebra, trees = bench_corpus(name, n)
+        assert_same_as_naive_sample(trees, algebra, EvalConfig(
+            mode="sample", seed=seed, injective_contexts=injective))
+
+    @given(seeds, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_shape_is_empty_exactly_when_sampling_yields_nothing(
+            self, s, injective):
+        corpus = random_corpus(s, 20)
+        assume(corpus is not None)
+        _rng, _grammar, algebra, trees = corpus
+        # Also a tree of type 0 to 2 with one context node per operation.
+        other_algebra, other_tree = random_algebra_and_tree(random.Random(s))
+        cfg = EvalConfig(mode="sample", seed=s % 97,
+                         injective_contexts=injective)
+        pairs = [(t, algebra) for t in trees] + [(other_tree, other_algebra)]
+        for t, a in pairs:
+            ports, rest = sample_shape(t, a, cfg)
+            g, lines = naive_sample(t, a, cfg)
+            assert (ports is None) == (g is None)
+            if g is None:
+                assert rest == tuple(lines)
+            else:
+                # The shape is the drawn graph's port labels and
+                # non-port label counts.
+                assert ports == tuple(g.labels[p] for p in g.ports)
+                counts = {}
+                for v in g.nodes - set(g.ports):
+                    counts[g.labels[v]] = counts.get(g.labels[v], 0) + 1
+                assert rest == counts
+
+    def test_injective_contexts_count_earlier_draws(self):
+        # drop_ports(two_leaves) has two non-port c-nodes: enough for
+        # three context c-nodes unless they must map to distinct nodes.
+        ops = parse_operation_file(BRANCHING_OPS + """\
+operation three_c {
+  0 [label="a"];
+  1;
+  2 [label="c"];
+  3 [label="c"];
+  4 [label="c"];
+  0 -> 2 [label="x"];
+  0 -> 3 [label="y"];
+  0 -> 4 [label="z"];
+  port 0;
+  dock 1;
+}
+""")
+        t = parse_tree("three_c(drop_ports(two_leaves))")
+        for injective, graphs, diagnostics in [
+            (False, 1, ()),
+            (True, 0, ("zero-result: operation 'three_c' found no context "
+                       "candidate with label 'c'",)),
+        ]:
+            cfg = EvalConfig(mode="sample", injective_contexts=injective)
+            out = evaluate(t, ops, cfg)
+            assert len(out.graphs) == graphs
+            assert out.diagnostics == diagnostics
+            assert (sample_shape(t, ops, cfg)[0] is None) == (not graphs)
+
+    def test_enumerate_mode_still_evaluates_an_empty_tree(self):
+        # The root needs an argument of type 2 and gets type 1, so
+        # sample mode yields nothing at once; enumerate mode evaluates
+        # the subtree below and hits the result cap there.
+        ops = parse_operation_file(BRANCHING_OPS + """\
+operation needs_two {
+  0 [label="r"];
+  1;
+  2;
+  port 0;
+  dock 1 2;
+}
+""")
+        trees = [parse_tree("needs_two(pick_context(drop_ports(two_leaves)))")]
+        sample = evaluate_corpus(trees, ops, EvalConfig(mode="sample"))
+        assert sample[0].diagnostics == (
+            "zero-result: operation 'needs_two' needs an argument of "
+            "type 2, got 1",)
+        enum = evaluate_corpus(trees, ops, EvalConfig(mode="enumerate",
+                                                      result_cap=1))
+        assert enum[0].diagnostics == (
+            "error: intermediate set at symbol 'pick_context' has 2 "
+            "graphs, exceeding the cap of 1",)
+
+    def test_sample_steps_run_on_yielding_trees_only(
+            self, sample_steps, checks):
+        algebra, trees = bench_corpus("amr", 740)
+        outcomes = evaluate_corpus(trees, algebra, EvalConfig(mode="sample"))
+        yielding = [t for t, o in zip(trees, outcomes) if o.graphs]
+        assert len(yielding) == 171
+        assert len(sample_steps) == sum(t.size() for t in yielding) == 1_595
+        assert len(checks) == 1_022

@@ -383,6 +383,27 @@ class TestParseTrees:
         with pytest.raises(RankConflictError, match=(
                 r"line 2: symbol 'g' has rank 2 here but rank 1 at line 1")):
             parse_tree_file("f(g(a))\nh(g(a) g(a a))\n")
+        # The rank check skips the shared f(a) on line 2, not the a(b)
+        # after it.
+        with pytest.raises(RankConflictError, match=(
+                r"line 2: symbol 'a' has rank 1 here but rank 0 at line 1")):
+            parse_tree_file("f(a)\ng(f(a) a(b))\n")
+
+    def test_rank_check_visits_each_node_object_once(self, monkeypatch):
+        grammar = parse_rtg((BENCH_INPUTS / "amr.rtg").read_text())
+        text = "".join(f"{t}\n" for t, _w in n_best_trees(grammar, 3000))
+        visits = []
+        real = DerivationTree.walk
+
+        def counted(self, *args):
+            for node in real(self, *args):
+                visits.append(node)
+                yield node
+
+        monkeypatch.setattr(DerivationTree, "walk", counted)
+        trees = parse_tree_file(text)
+        assert len(visits) == len({id(node) for node in visits}) == 4_204
+        assert sum(1 for t in trees for _node in real(t)) == 30_348
 
 
 def _term(node, _path, values):
@@ -391,6 +412,13 @@ def _term(node, _path, values):
 
 
 class TestFold:
+    def test_walk_with_seen_skips_nodes_met_before(self):
+        (first, second) = parse_tree_file("f(g(a) g(a))\nh(g(a) b)\n")
+        seen = set()
+        assert [n.label for n in first.walk(seen)] == ["f", "g", "a"]
+        assert [n.label for n in second.walk(seen)] == ["h", "b"]
+        assert [n.label for n in second.walk()] == ["h", "g", "a", "b"]
+
     def test_paths_without_memo(self):
         seen = []
         parse_tree("f(g(a) b)").fold(

@@ -14,6 +14,7 @@ from gexpand import (
     is_isomorphic,
     parse_gv,
 )
+from gexpand import gvio
 from fixtures import RUNNING_RESULT_GV, running_result_graph
 from generators import random_graph
 
@@ -175,3 +176,20 @@ class TestLabelText:
             emit_gv(Graph(["a"], [], {"a": label}))
         with pytest.raises(ValueError):
             emit_gv(Graph(["a"], [("a", label, "a")], {"a": "x"}))
+
+    def test_each_distinct_label_is_quoted_once(self, monkeypatch):
+        quoted = []
+        real = gvio._quote
+
+        def counted(text):
+            quoted.append(text)
+            return real(text)
+
+        monkeypatch.setattr(gvio, "_quote", counted)
+        nodes = [f"v{i}" for i in range(6)]
+        g = Graph(nodes, [(v, "e", w) for v, w in zip(nodes, nodes[1:])]
+                  + [(nodes[0], 'say "x"', nodes[0])],
+                  {v: "ab"[i % 2] for i, v in enumerate(nodes)}, nodes[:1])
+        text = emit_gv(g)
+        assert sorted(quoted) == ["a", "b", "e", 'say "x"']
+        assert '[label="say \\"x\\""]' in text
