@@ -15,7 +15,6 @@ from .algebra import (
     ExpansionOperation,
     ExpansionTypeError,
     ExtensionReport,
-    LabelConflictError,
     OperationFileError,
     UnionOperation,
     apply_expansion,
@@ -88,7 +87,6 @@ __all__ = [
     "GraphError",
     "GvSyntaxError",
     "InstantiationCapError",
-    "LabelConflictError",
     "OperationFileError",
     "Production",
     "RankConflictError",

@@ -29,10 +29,6 @@ class ExpansionTypeError(TypeError):
     """Argument type (port count) does not match the dock count."""
 
 
-class LabelConflictError(ValueError):
-    """A wildcard dock fused argument ports carrying different labels."""
-
-
 @dataclass(frozen=True)
 class ExpansionOperation:
     name: str
@@ -145,7 +141,6 @@ def apply_expansion(
     op: ExpansionOperation,
     arg: Graph,
     assignment: Mapping[str, str],
-    on_label_conflict: str = "first",
 ) -> Graph:
     """Apply an expansion operation to an argument graph under a fixed
     context assignment.
@@ -153,16 +148,13 @@ def apply_expansion(
     A labelled dock keeps its template label after fusion; an
     unlabelled (wildcard) dock inherits the argument port's label.  When
     a repeated wildcard dock merges argument ports whose labels differ,
-    the earliest merged port's label wins under ``"first"``; under
-    ``"error"`` a LabelConflictError is raised instead.
+    the earliest merged port's label wins.
     """
     if arg.type != len(op.docks):
         raise ExpansionTypeError(
             f"operation {op.name!r} needs an argument with {len(op.docks)} "
             f"ports, got {arg.type}"
         )
-    if on_label_conflict not in ("first", "error"):
-        raise ValueError(f"bad on_label_conflict: {on_label_conflict!r}")
 
     used = set(arg.nodes)
     rename: Dict[str, str] = {}
@@ -200,14 +192,7 @@ def apply_expansion(
         stars.setdefault(rename[dock], []).append(port)
     for hub, fused in stars.items():
         if labels[hub] is None:
-            found = [arg.labels[p] for p in fused]
-            if len(set(found)) > 1 and on_label_conflict == "error":
-                names = ", ".join(repr(p) for p in fused)
-                raise LabelConflictError(
-                    f"operation {op.name!r}: wildcard dock merges argument "
-                    f"ports with different labels ({names})"
-                )
-            labels[hub] = found[0]
+            labels[hub] = arg.labels[fused[0]]
     for u, v in assignment.items():
         stars.setdefault(v, []).append(rename[u])
 
@@ -230,7 +215,6 @@ def apply_expansion_all(
     op: ExpansionOperation,
     arg: Graph,
     injective: bool = False,
-    on_label_conflict: str = "first",
 ) -> List[Graph]:
     """All results of applying ``op`` to ``arg`` over every admissible
     context assignment, deduplicated up to isomorphism.
@@ -242,7 +226,7 @@ def apply_expansion_all(
         return []
     results: Dict[str, Graph] = {}
     for assignment in enumerate_context_assignments(op, arg, injective):
-        g = apply_expansion(op, arg, assignment, on_label_conflict)
+        g = apply_expansion(op, arg, assignment)
         results.setdefault(canonical_key(g), g)
     return list(results.values())
 

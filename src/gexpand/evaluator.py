@@ -5,11 +5,14 @@ Enumerate mode materializes the full set-valued semantics (deduplicated
 up to isomorphism at every level) and evaluates each distinct subtree
 object once per corpus; sample mode draws one admissible context choice
 per context node from a seeded, replayable stream.  In both modes one
-pre-pass checks each distinct subtree once per corpus, sums what the
-size and required-operation filters read, and abstracts the subtree to
-its sample shape: port labels and non-port label counts, which decide
-whether sample mode yields a graph.  Sample mode only draws on trees
-that do.
+pre-pass checks each distinct subtree once per corpus and decides its
+diagnostics: it computes the node count every graph of the subtree has
+and whether the required operation occurs, which the filters read, and
+abstracts the subtree to its sample shape: port labels and non-port
+label counts, which decide whether the subtree yields any graph and,
+if not, the ``zero-result:`` lines.  Evaluation only builds graphs;
+sample mode draws only on trees that yield a graph inside the size
+bounds.
 """
 
 from __future__ import annotations
@@ -86,127 +89,93 @@ def _dedup(graphs: Sequence[Graph]) -> List[Graph]:
 
 
 def _enumerate_node(
-    a: Algebra,
-    cfg: EvalConfig,
-    diags: List[str],
-    t: DerivationTree,
-    args: List[List[Graph]],
-) -> List[Graph]:
-    """Step of enumerate mode: every graph of node ``t``, given the
-    graph sets of its children."""
+    a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: None, kids: list,
+) -> Union[List[Graph], str]:
+    """Memoized fold step of enumerate mode: every graph of node ``t``,
+    given the graph sets of its children, or the message of the first
+    result cap blown in its subtree, in post-order."""
+    for kid in kids:
+        if kid.__class__ is str:
+            return kid
     op = a[t.label]
     if isinstance(op, EmptyConstant):
         return [empty_graph()]
     if isinstance(op, UnionOperation):
-        left, right = args
-        combined = [
+        left, right = kids
+        graphs = _dedup([
             disjoint_union(g, h)
             for g in left
             if g.type == op.left_arity
             for h in right
             if h.type == op.right_arity
-        ]
-        return _capped(_dedup(combined), cfg, t.label)
-    arg_sets = args[0] if args else [empty_graph()]
-    results: List[Graph] = []
-    any_type_ok = False
-    for g in arg_sets:
-        if g.type != len(op.docks):
-            continue
-        any_type_ok = True
-        results.extend(
-            apply_expansion_all(op, g, injective=cfg.injective_contexts)
-        )
-    results = _capped(_dedup(results), cfg, t.label)
-    if not results:
-        if any_type_ok and op.context:
-            missing = ", ".join(
-                sorted({op.template.labels[u] or "?" for u in op.context})
-            )
-            diags.append(
-                f"zero-result: operation {op.name!r} found no context "
-                f"candidate (labels needed: {missing})"
-            )
-        elif not any_type_ok and arg_sets:
-            diags.append(
-                f"zero-result: operation {op.name!r} received no argument "
-                f"of type {len(op.docks)}"
-            )
-    return results
-
-
-def _enumerate_step(
-    a: Algebra,
-    cfg: EvalConfig,
-    t: DerivationTree,
-    _path: None,
-    kids: list,
-) -> Union[Tuple[List[Graph], Tuple[str, ...]], str]:
-    """Memoized fold step of enumerate mode: node ``t``'s graphs and the
-    diagnostics of its whole subtree in post-order, or the message of
-    the first result cap blown in its subtree, in post-order."""
-    for kid in kids:
-        if kid.__class__ is str:
-            return kid
-    own: List[str] = []
-    try:
-        graphs = _enumerate_node(a, cfg, own, t, [g for g, _d in kids])
-    except ResultCapExceededError as exc:
-        return str(exc)
-    return graphs, tuple(d for _g, ds in kids for d in ds) + tuple(own)
+        ])
+    else:
+        graphs = _dedup([
+            r
+            for g in (kids[0] if kids else [empty_graph()])
+            if g.type == len(op.docks)
+            for r in apply_expansion_all(op, g, injective=cfg.injective_contexts)
+        ])
+    if len(graphs) > cfg.result_cap:
+        return (f"intermediate set at symbol {t.label!r} has {len(graphs)} "
+                f"graphs, exceeding the cap of {cfg.result_cap}")
+    return graphs
 
 
 def _check_node(
     a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: None, kids: list,
 ) -> Union[Tuple[int, int, int, bool, tuple], str]:
     """Memoized fold step of the pre-pass: for node ``t``'s subtree,
-    (tree size, lower and upper bound on output node count from
-    template sizes, uses ``cfg.required_op``, sample shape), or the
-    check message of its first faulty node in preorder.
+    (tree size, node count of every graph it yields, upper bound on
+    that count from template sizes, uses ``cfg.required_op``, sample
+    shape), or the check message of its first faulty node in preorder.
 
-    The sample shape is what the graph sample mode draws for the
-    subtree has in common whatever the draws: (the labels of its ports
-    in order, the label counts of its non-port nodes); or, when sample
-    mode yields no graph, (None, the ``zero-result:`` lines it reports,
-    in post-order)."""
+    The count is exact in both modes: an expansion's docks take exactly
+    the argument's ports, and its context nodes fuse into non-ports the
+    argument already has, so it adds its ports and docks as a set and
+    loses one node per dock."""
     if t.label not in a:
         return f"unknown symbol {t.label!r} in tree"
     ranks = a.term_ranks(t.label)
     if t.rank not in ranks:
         return (f"symbol {t.label!r} used with {t.rank} children, "
                 f"algebra allows {ranks}")
-    size, lower, upper, uses = 1, 0, 0, t.label == cfg.required_op
+    size, count, upper, uses = 1, 0, 0, t.label == cfg.required_op
     op = a[t.label]
     if isinstance(op, ExpansionOperation):
         upper = len(op.template.nodes)
-        dups = len(op.docks) - len(set(op.docks))
-        lower = max(0, len(op.new_nodes) - dups)
+        count = len(set(op.ports) | set(op.docks)) - len(op.docks)
     for kid in kids:
         if kid.__class__ is str:
             return kid
         size += kid[0]
-        lower += kid[1]
+        count += kid[1]
         upper += kid[2]
         uses = uses or kid[3]
-    return size, lower, upper, uses, _shape(
-        op, cfg.injective_contexts, [kid[4] for kid in kids])
+    return size, count, upper, uses, _shape(op, cfg, [kid[4] for kid in kids])
 
 
 _NO_NODES: tuple = ((), {})
 
 
-def _shape(op: Operation, injective: bool, args: List[tuple]) -> tuple:
+def _shape(op: Operation, cfg: EvalConfig, args: List[tuple]) -> tuple:
     """The sample shape of a node applying ``op`` to subtrees of the
-    given shapes; the non-port label counts are never mutated, since
-    memoized shapes are shared."""
+    given shapes: (the labels of its ports in order, the label counts
+    of its non-port nodes), which every graph the subtree yields has in
+    either mode; or, when it yields none, (None, the ``zero-result:``
+    lines ``cfg.mode`` reports, in post-order).  The label counts are
+    never mutated, since memoized shapes are shared."""
     empty = [lines for ports, lines in args if ports is None]
     if empty:
         return None, tuple(line for lines in empty for line in lines)
     if isinstance(op, EmptyConstant):
         return _NO_NODES
+    sample = cfg.mode == "sample"
     if isinstance(op, UnionOperation):
         (left, left_counts), (right, right_counts) = args
         if len(left) != op.left_arity or len(right) != op.right_arity:
+            if not sample:
+                return None, ()  # enumerate mode reports nothing here
             return None, (
                 f"zero-result: union {op.name!r} got argument types "
                 f"({len(left)}, {len(right)}), expected "
@@ -217,6 +186,10 @@ def _shape(op: Operation, injective: bool, args: List[tuple]) -> tuple:
         return left + right, counts
     port_labels, arg_counts = args[0] if args else _NO_NODES
     if len(port_labels) != len(op.docks):
+        if not sample:
+            return None, (
+                f"zero-result: operation {op.name!r} received no argument "
+                f"of type {len(op.docks)}",)
         return None, (
             f"zero-result: operation {op.name!r} needs an argument of "
             f"type {len(op.docks)}, got {len(port_labels)}",)
@@ -225,8 +198,14 @@ def _shape(op: Operation, injective: bool, args: List[tuple]) -> tuple:
     drawn: Dict[str, int] = {}
     for u in op.context:
         label = op.template.labels[u]
-        taken = drawn.get(label, 0) if injective else 0
+        taken = drawn.get(label, 0) if cfg.injective_contexts else 0
         if arg_counts.get(label, 0) <= taken:
+            if not sample:
+                needed = ", ".join(
+                    sorted({op.template.labels[v] or "?" for v in op.context}))
+                return None, (
+                    f"zero-result: operation {op.name!r} found no context "
+                    f"candidate (labels needed: {needed})",)
             return None, (
                 f"zero-result: operation {op.name!r} found no context "
                 f"candidate with label {label!r}",)
@@ -242,15 +221,6 @@ def _shape(op: Operation, injective: bool, args: List[tuple]) -> tuple:
         label = label_of(v)
         counts[label] = counts.get(label, 0) + 1
     return tuple(label_of(v) for v in op.ports), counts
-
-
-def _capped(graphs: List[Graph], cfg: EvalConfig, symbol: str) -> List[Graph]:
-    if cfg.mode == "enumerate" and len(graphs) > cfg.result_cap:
-        raise ResultCapExceededError(
-            f"intermediate set at symbol {symbol!r} has {len(graphs)} "
-            f"graphs, exceeding the cap of {cfg.result_cap}"
-        )
-    return graphs
 
 
 def _sample_node(
@@ -305,68 +275,44 @@ def _evaluate(
     info = t.fold(partial(_check_node, a, cfg), checks)
     if info.__class__ is str:
         raise EvaluationError(info)
-    size, lower, upper, uses_required_op, (ports, lines) = info
-    diags: List[str] = []
+    size, count, upper, uses_required_op, (ports, lines) = info
+    low, high = cfg.min_nodes, cfg.max_nodes
 
     if cfg.required_op is not None and not uses_required_op:
-        diags.append(
-            f"required-op: tree does not use operation {cfg.required_op!r}"
-        )
-        return EvalOutcome(t, (), tuple(diags))
-
+        return EvalOutcome(t, (), (
+            f"required-op: tree does not use operation {cfg.required_op!r}",))
     if cfg.tree_size_bounds:
-        if cfg.min_nodes is not None and size < cfg.min_nodes:
-            diags.append(f"size-filtered: tree has {size} nodes, minimum is {cfg.min_nodes}")
-            return EvalOutcome(t, (), tuple(diags))
-        if cfg.max_nodes is not None and size > cfg.max_nodes:
-            diags.append(f"size-filtered: tree has {size} nodes, maximum is {cfg.max_nodes}")
-            return EvalOutcome(t, (), tuple(diags))
-    else:
-        if cfg.max_nodes is not None and lower > cfg.max_nodes:
-            diags.append(
-                f"size-filtered: every result has at least {lower} nodes, "
-                f"maximum is {cfg.max_nodes}"
-            )
-            return EvalOutcome(t, (), tuple(diags))
-        if cfg.min_nodes is not None and upper < cfg.min_nodes:
-            diags.append(
-                f"size-filtered: every result has at most {upper} nodes, "
-                f"minimum is {cfg.min_nodes}"
-            )
-            return EvalOutcome(t, (), tuple(diags))
+        if low is not None and size < low:
+            return EvalOutcome(t, (), (
+                f"size-filtered: tree has {size} nodes, minimum is {low}",))
+        if high is not None and size > high:
+            return EvalOutcome(t, (), (
+                f"size-filtered: tree has {size} nodes, maximum is {high}",))
+    elif high is not None and count > high:
+        return EvalOutcome(t, (), (
+            f"size-filtered: every result has at least {count} nodes, "
+            f"maximum is {high}",))
+    elif low is not None and upper < low:
+        return EvalOutcome(t, (), (
+            f"size-filtered: every result has at most {upper} nodes, "
+            f"minimum is {low}",))
 
     if cfg.mode == "enumerate":
-        # An empty sample shape means no graph here either, but enumerate
-        # mode still evaluates the tree: a subtree below the node that
-        # yields nothing may exceed the result cap, and that makes the
-        # outcome an error.
-        value = t.fold(partial(_enumerate_step, a, cfg), memo)
-        if value.__class__ is str:
-            raise ResultCapExceededError(value)
-        graphs, subtree_diags = value
-        diags.extend(subtree_diags)
-    elif ports is None:
-        diags.extend(lines)
-        graphs = []
-    else:
+        # Enumerate mode evaluates a tree that yields nothing, or only
+        # graphs below ``low``, all the same: a subtree may exceed the
+        # result cap, and that makes the outcome an error.
+        graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
+        if graphs.__class__ is str:
+            raise ResultCapExceededError(graphs)
+    if ports is None:
+        return EvalOutcome(t, (), lines)
+    if not cfg.tree_size_bounds and low is not None and count < low:
+        return EvalOutcome(t, (), (
+            f"size-filtered: all evaluated graphs fall outside "
+            f"[{low}, {high}]",))
+    if cfg.mode == "sample":
         graphs = [t.fold(partial(_sample_node, a, cfg, tree_index))]
-
-    if not cfg.tree_size_bounds:
-        kept = []
-        for g in graphs:
-            n = len(g.nodes)
-            if cfg.min_nodes is not None and n < cfg.min_nodes:
-                continue
-            if cfg.max_nodes is not None and n > cfg.max_nodes:
-                continue
-            kept.append(g)
-        if graphs and not kept:
-            diags.append(
-                "size-filtered: all evaluated graphs fall outside "
-                f"[{cfg.min_nodes}, {cfg.max_nodes}]"
-            )
-        graphs = kept
-    return EvalOutcome(t, tuple(graphs), tuple(diags))
+    return EvalOutcome(t, tuple(graphs))
 
 
 def evaluate_corpus(

@@ -1,5 +1,6 @@
 """Shared fixture data for the test suite: the persuade/believe running
-example and the repeated-dock expansion example."""
+example, the repeated-dock expansion example and the port-merging
+algebra."""
 
 from gexpand import ExpansionOperation, Graph
 
@@ -13,6 +14,21 @@ S2 -> op5
 """
 
 RUNNING_TREE_TEXT = "op1(op2(op3(op4 op5)))\n"
+
+# ``merge`` fuses both ports of its argument into one node: its repeated
+# dock takes two argument ports, so ``merge(pair)`` has one node.
+MERGE_OPS = """\
+operation pair {
+  0 [label="x"];
+  1 [label="x"];
+  port 0 1;
+}
+operation merge {
+  m;
+  port m;
+  dock m m;
+}
+"""
 
 RUNNING_OPS = """\
 operation op1 {

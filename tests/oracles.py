@@ -3,8 +3,8 @@
 These deliberately use the most naive correct strategy (exhaustive
 bijection search, the unpruned canonical search, full derivation
 enumeration, the nested-tuple n-best search, undeduplicated recursive
-set evaluation, sample evaluation of every node of every tree,
-union-find fusion) and stay independent of the code paths they check.
+set evaluation, sample and enumerate evaluation of every node of every
+tree, union-find fusion) and stay independent of the code paths they check.
 """
 
 import hashlib
@@ -21,11 +21,13 @@ from gexpand import (
     ExpansionOperation,
     ExpansionTypeError,
     Graph,
-    LabelConflictError,
     UnionOperation,
     WeightedRtg,
     EvalConfig,
+    ResultCapExceededError,
     apply_expansion,
+    apply_expansion_all,
+    canonical_key,
     context_candidates,
     disjoint_union,
     empty_graph,
@@ -443,64 +445,155 @@ def _naive_check(t: DerivationTree, a: Algebra) -> Optional[str]:
     return None
 
 
+def _naive_prefiltered(t: DerivationTree, a: Algebra, cfg: EvalConfig):
+    """The (graphs, diagnostics) of a tree that the tree check, the
+    required-operation filter or the size bounds drop before it is
+    evaluated, or None.  The node count of every graph a tree yields is
+    the sum over its expansions of |ports and docks as a set| - |docks|:
+    docks take exactly the argument's ports, and context nodes fuse into
+    non-ports the argument already has."""
+    problem = _naive_check(t, a)
+    if problem is not None:
+        return (), (f"error: {problem}",)
+    nodes = list(t.walk())
+    count = upper = 0
+    for node in nodes:
+        op = a[node.label]
+        if isinstance(op, ExpansionOperation):
+            upper += len(op.template.nodes)
+            count += len(set(op.ports) | set(op.docks)) - len(op.docks)
+    low, high = cfg.min_nodes, cfg.max_nodes
+    if cfg.required_op is not None and all(
+            node.label != cfg.required_op for node in nodes):
+        return (), (
+            f"required-op: tree does not use operation {cfg.required_op!r}",)
+    if cfg.tree_size_bounds:
+        if low is not None and len(nodes) < low:
+            return (), (
+                f"size-filtered: tree has {len(nodes)} nodes, minimum is "
+                f"{low}",)
+        if high is not None and len(nodes) > high:
+            return (), (
+                f"size-filtered: tree has {len(nodes)} nodes, maximum is "
+                f"{high}",)
+        return None
+    if high is not None and count > high:
+        return (), (
+            f"size-filtered: every result has at least {count} nodes, "
+            f"maximum is {high}",)
+    if low is not None and upper < low:
+        return (), (
+            f"size-filtered: every result has at most {upper} nodes, "
+            f"minimum is {low}",)
+    return None
+
+
+def _naive_size_filtered(graphs, diags, cfg: EvalConfig):
+    """(graphs, diagnostics) after dropping each evaluated graph whose
+    node count falls outside ``-L``/``-H``."""
+    low, high = cfg.min_nodes, cfg.max_nodes
+    if cfg.tree_size_bounds:
+        return tuple(graphs), tuple(diags)
+    kept = tuple(g for g in graphs
+                 if (low is None or len(g.nodes) >= low)
+                 and (high is None or len(g.nodes) <= high))
+    if graphs and not kept:
+        diags.append(f"size-filtered: all evaluated graphs fall outside "
+                     f"[{low}, {high}]")
+    return kept, tuple(diags)
+
+
 def naive_sample_corpus(trees, a: Algebra, cfg: EvalConfig):
     """Sample-mode ``evaluate_corpus`` as (graphs, diagnostics) per
     tree: the tree check, the required-operation and size filters, and
     ``naive_sample`` on every tree that passes them."""
     outcomes = []
     for index, t in enumerate(trees):
-        problem = _naive_check(t, a)
-        if problem is not None:
-            outcomes.append(((), (f"error: {problem}",)))
+        dropped = _naive_prefiltered(t, a, cfg)
+        if dropped is not None:
+            outcomes.append(dropped)
             continue
-        nodes = list(t.walk())
-        lower = upper = 0
-        for node in nodes:
-            op = a[node.label]
-            if isinstance(op, ExpansionOperation):
-                upper += len(op.template.nodes)
-                dups = len(op.docks) - len(set(op.docks))
-                lower += max(0, len(op.new_nodes) - dups)
-        low, high = cfg.min_nodes, cfg.max_nodes
-        if cfg.required_op is not None and all(
-                node.label != cfg.required_op for node in nodes):
-            outcomes.append(((), (
-                f"required-op: tree does not use operation "
-                f"{cfg.required_op!r}",)))
-            continue
-        if cfg.tree_size_bounds:
-            if low is not None and len(nodes) < low:
-                outcomes.append(((), (
-                    f"size-filtered: tree has {len(nodes)} nodes, minimum "
-                    f"is {low}",)))
-                continue
-            if high is not None and len(nodes) > high:
-                outcomes.append(((), (
-                    f"size-filtered: tree has {len(nodes)} nodes, maximum "
-                    f"is {high}",)))
-                continue
-        else:
-            if high is not None and lower > high:
-                outcomes.append(((), (
-                    f"size-filtered: every result has at least {lower} "
-                    f"nodes, maximum is {high}",)))
-                continue
-            if low is not None and upper < low:
-                outcomes.append(((), (
-                    f"size-filtered: every result has at most {upper} "
-                    f"nodes, minimum is {low}",)))
-                continue
         g, diags = naive_sample(t, a, cfg, index)
-        graphs = () if g is None else (g,)
-        if graphs and not cfg.tree_size_bounds:
-            n = len(g.nodes)
-            if (low is not None and n < low) or (high is not None and n > high):
-                graphs = ()
-                diags.append(
-                    "size-filtered: all evaluated graphs fall outside "
-                    f"[{low}, {high}]"
-                )
-        outcomes.append((graphs, tuple(diags)))
+        outcomes.append(
+            _naive_size_filtered([] if g is None else [g], diags, cfg))
+    return outcomes
+
+
+def naive_enumerate(t: DerivationTree, a: Algebra, cfg: EvalConfig,
+                    diags: List[str]) -> List[Graph]:
+    """The graphs enumerate mode yields for ``t``, deduplicated by
+    canonical key at every node, appending the ``zero-result:`` lines of
+    its nodes to ``diags`` in post-order: every node of the tree is
+    evaluated, as enumerate mode did before a pre-pass decided its
+    diagnostics.  Raises ResultCapExceededError at the first set, in
+    post-order, larger than ``cfg.result_cap``."""
+    args = [naive_enumerate(c, a, cfg, diags) for c in t.children]
+    op = a[t.label]
+    if isinstance(op, EmptyConstant):
+        return [empty_graph()]
+    if isinstance(op, UnionOperation):
+        left, right = args
+        combined = [
+            disjoint_union(g, h)
+            for g in left
+            if g.type == op.left_arity
+            for h in right
+            if h.type == op.right_arity
+        ]
+        return _naive_capped(combined, cfg, t.label)
+    arg_sets = args[0] if args else [empty_graph()]
+    results: List[Graph] = []
+    any_type_ok = False
+    for g in arg_sets:
+        if g.type != len(op.docks):
+            continue
+        any_type_ok = True
+        results.extend(
+            apply_expansion_all(op, g, injective=cfg.injective_contexts))
+    results = _naive_capped(results, cfg, t.label)
+    if not results:
+        if any_type_ok and op.context:
+            missing = ", ".join(
+                sorted({op.template.labels[u] or "?" for u in op.context}))
+            diags.append(
+                f"zero-result: operation {op.name!r} found no context "
+                f"candidate (labels needed: {missing})")
+        elif not any_type_ok and arg_sets:
+            diags.append(
+                f"zero-result: operation {op.name!r} received no argument "
+                f"of type {len(op.docks)}")
+    return results
+
+
+def _naive_capped(graphs, cfg: EvalConfig, symbol: str) -> List[Graph]:
+    out: Dict[str, Graph] = {}
+    for g in graphs:
+        out.setdefault(canonical_key(g), g)
+    if len(out) > cfg.result_cap:
+        raise ResultCapExceededError(
+            f"intermediate set at symbol {symbol!r} has {len(out)} graphs, "
+            f"exceeding the cap of {cfg.result_cap}")
+    return list(out.values())
+
+
+def naive_enumerate_corpus(trees, a: Algebra, cfg: EvalConfig):
+    """Enumerate-mode ``evaluate_corpus`` as (graphs, diagnostics) per
+    tree: the tree check, the required-operation and size filters, and
+    ``naive_enumerate`` on every tree that passes them, each tree
+    evaluated alone."""
+    outcomes = []
+    for t in trees:
+        dropped = _naive_prefiltered(t, a, cfg)
+        if dropped is not None:
+            outcomes.append(dropped)
+            continue
+        diags: List[str] = []
+        try:
+            graphs = naive_enumerate(t, a, cfg, diags)
+        except ResultCapExceededError as exc:
+            outcomes.append(((), (f"error: {exc}",)))
+            continue
+        outcomes.append(_naive_size_filtered(graphs, diags, cfg))
     return outcomes
 
 
@@ -527,11 +620,12 @@ def union_find_apply_expansion(
     op: ExpansionOperation,
     arg: Graph,
     assignment: Mapping[str, str],
-    on_label_conflict: str = "first",
 ) -> Graph:
     """``apply_expansion`` as it was before fusion classes were built
     as stars: a union-find over all nodes, whose representative (the
-    smaller name wins each union) names each class.  Kept verbatim.
+    smaller name wins each union) names each class.  Kept verbatim but
+    for the label-conflict error mode, which ``apply_expansion`` no
+    longer has.
 
     Apply an expansion operation to an argument graph under a fixed
     context assignment.
@@ -539,17 +633,13 @@ def union_find_apply_expansion(
     A labelled dock keeps its template label after fusion; an
     unlabelled (wildcard) dock inherits the argument port's label.  When
     a repeated wildcard dock merges argument ports whose labels differ,
-    the earliest merged port's label wins under ``"first"``; under
-    ``"error"`` a LabelConflictError is raised instead.
+    the earliest merged port's label wins.
     """
     if arg.type != len(op.docks):
         raise ExpansionTypeError(
             f"operation {op.name!r} needs an argument with {len(op.docks)} "
             f"ports, got {arg.type}"
         )
-    if on_label_conflict not in ("first", "error"):
-        raise ValueError(f"bad on_label_conflict: {on_label_conflict!r}")
-
     used = set(arg.nodes)
     rename: Dict[str, str] = {}
     for i, v in enumerate(op.node_order):
@@ -595,14 +685,7 @@ def union_find_apply_expansion(
             key=lambda m: arg_port_pos[m],
         )
         ordered = port_members + sorted(set(arg_members) - set(port_members))
-        found = [arg.labels[m] for m in ordered]
-        if len(set(found)) > 1 and on_label_conflict == "error":
-            names = ", ".join(repr(m) for m in ordered)
-            raise LabelConflictError(
-                f"operation {op.name!r}: wildcard dock merges argument "
-                f"ports with different labels ({names})"
-            )
-        labels[rep] = found[0]
+        labels[rep] = arg.labels[ordered[0]]
 
     nodes = set(classes)
     edges = set()

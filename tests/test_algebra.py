@@ -13,7 +13,6 @@ from gexpand import (
     ExpansionOperation,
     ExpansionTypeError,
     Graph,
-    LabelConflictError,
     OperationFileError,
     UnionOperation,
     apply_expansion,
@@ -224,13 +223,6 @@ class TestApplyExpansion:
         merged = some.ports[2]
         assert some.labels[merged] == "b"
 
-    def test_wildcard_merge_conflict_error_mode(self):
-        op = repeated_dock_operation()
-        arg = repeated_dock_argument()
-        assignment = enumerate_context_assignments(op, arg)[0]
-        with pytest.raises(LabelConflictError):
-            apply_expansion(op, arg, assignment, on_label_conflict="error")
-
     def test_result_type_equals_port_count(self):
         op = repeated_dock_operation()
         arg = repeated_dock_argument()
@@ -254,19 +246,12 @@ class TestApplyExpansion:
                     arg = rename_nodes(base, {
                         v: prefix + v[1:] for v in base.nodes})
                     for a in enumerate_context_assignments(op, arg):
-                        for mode in ("first", "error"):
-                            try:
-                                want = union_find_apply_expansion(
-                                    op, arg, a, mode)
-                            except LabelConflictError:
-                                with pytest.raises(LabelConflictError):
-                                    apply_expansion(op, arg, a, mode)
-                                continue
-                            got = apply_expansion(op, arg, a, mode)
-                            assert (got.nodes, got.edges, got.labels,
-                                    got.ports) == (want.nodes, want.edges,
-                                                   want.labels, want.ports)
-                            checked += 1
+                        want = union_find_apply_expansion(op, arg, a)
+                        got = apply_expansion(op, arg, a)
+                        assert (got.nodes, got.edges, got.labels,
+                                got.ports) == (want.nodes, want.edges,
+                                               want.labels, want.ports)
+                        checked += 1
         assert checked > 1000
 
     def test_assignment_key_must_be_a_context_node(self):

@@ -17,7 +17,7 @@ from gexpand import (
     parse_rtg,
     parse_tree_file,
 )
-from fixtures import RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
+from fixtures import MERGE_OPS, RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
 from fixtures import running_result_graph
 
 
@@ -72,6 +72,19 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
         err = capsys.readouterr().err
         assert "size-filtered" in err
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_max_nodes_keeps_a_graph_whose_ports_merge(self, tmp_path, mode):
+        ops = tmp_path / "ops.txt"
+        ops.write_text(MERGE_OPS)
+        trees = tmp_path / "trees.txt"
+        trees.write_text("merge(pair)\npair\n")
+        out = tmp_path / "corpus"
+        assert main(["-g", str(ops), "-t", str(trees), "-H", "1",
+                     "--mode", mode, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "g0_0.gv", "manifest.json"]
+        assert len(parse_gv((out / "g0_0.gv").read_text()).nodes) == 1
 
     def test_required_op_present(self, inputs):
         tmp, ops, trees, _rtg = inputs

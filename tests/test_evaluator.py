@@ -29,7 +29,12 @@ from gexpand import (
     parse_tree_file,
 )
 from gexpand import evaluator
-from fixtures import RUNNING_OPS, RUNNING_TREE_TEXT, running_result_graph
+from fixtures import (
+    MERGE_OPS,
+    RUNNING_OPS,
+    RUNNING_TREE_TEXT,
+    running_result_graph,
+)
 from generators import (
     random_algebra_and_tree,
     random_expansion_operation,
@@ -37,6 +42,7 @@ from generators import (
     total_context_nodes,
 )
 from oracles import (
+    naive_enumerate_corpus,
     naive_evaluate,
     naive_sample,
     naive_sample_corpus,
@@ -233,7 +239,8 @@ class TestFilters:
             EvalConfig(mode="enumerate", max_nodes=3),
         )
         assert out.graphs == ()
-        # The template bound sums the new nodes of every operation.
+        # The pre-pass count is the node count of every graph the tree
+        # yields.
         assert out.diagnostics == (
             "size-filtered: every result has at least 4 nodes, maximum is 3",)
 
@@ -415,9 +422,9 @@ def checks(monkeypatch):
     calls = []
     real = evaluator._check_node
 
-    def counted(a, required_op, t, path, kids):
+    def counted(a, cfg, t, path, kids):
         calls.append(t)
-        return real(a, required_op, t, path, kids)
+        return real(a, cfg, t, path, kids)
 
     monkeypatch.setattr(evaluator, "_check_node", counted)
     return calls
@@ -429,9 +436,9 @@ def steps(monkeypatch):
     calls = []
     real = evaluator._enumerate_node
 
-    def counted(a, cfg, diags, t, args):
+    def counted(a, cfg, t, path, kids):
         calls.append(t)
-        return real(a, cfg, diags, t, args)
+        return real(a, cfg, t, path, kids)
 
     monkeypatch.setattr(evaluator, "_enumerate_node", counted)
     return calls
@@ -694,3 +701,113 @@ operation needs_two {
         assert len(yielding) == 171
         assert len(sample_steps) == sum(t.size() for t in yielding) == 1_595
         assert len(checks) == 1_022
+
+
+def node_count(t, algebra, cfg):
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[1]
+
+
+def assert_same_as_naive_enumerate(trees, algebra, cfg):
+    """Outcome by outcome, enumerate mode equals evaluating every node
+    of every tree alone: the same graphs, node names included, and the
+    same diagnostics."""
+    got = evaluate_corpus(trees, algebra, cfg)
+    want = naive_enumerate_corpus(trees, algebra, cfg)
+    for outcome, (graphs, diagnostics) in zip(got, want, strict=True):
+        assert exact(outcome.graphs) == exact(graphs)
+        assert outcome.diagnostics == diagnostics
+
+
+class TestNodeCount:
+    """Every graph a subtree yields has the node count the pre-pass
+    computes, in both modes, so ``-L``/``-H`` are decided before
+    evaluation; the pre-pass also decides enumerate mode's
+    ``zero-result:`` lines."""
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_merged_ports_keep_the_one_node_graph(self, mode):
+        ops = parse_operation_file(MERGE_OPS)
+        cfg = EvalConfig(mode=mode, max_nodes=1)
+        out = evaluate(parse_tree("merge(pair)"), ops, cfg)
+        (g,) = out.graphs
+        assert len(g.nodes) == 1 and g.labels[g.ports[0]] == "x"
+        assert out.diagnostics == ()
+        out = evaluate(parse_tree("pair"), ops, cfg)
+        assert out.graphs == ()
+        assert out.diagnostics == (
+            "size-filtered: every result has at least 2 nodes, maximum is 1",)
+
+    @given(seeds, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_every_graph_has_the_pre_pass_count(self, s, injective):
+        # Enumerate mode runs on the small tree only: on deeper N-best
+        # trees its canonical search can take exponential time.
+        corpus = random_corpus(s, 20)
+        assume(corpus is not None)
+        _rng, _grammar, algebra, trees = corpus
+        other_algebra, other_tree = random_algebra_and_tree(random.Random(s))
+        small = [(other_tree, other_algebra)]
+        for mode, pairs in [
+            ("enumerate", small),
+            ("sample", [(t, algebra) for t in trees] + small),
+        ]:
+            cfg = EvalConfig(mode=mode, seed=s % 97, result_cap=100_000,
+                             injective_contexts=injective)
+            for t, a in pairs:
+                count = node_count(t, a, cfg)
+                assert all(len(g.nodes) == count
+                           for g in evaluate(t, a, cfg).graphs)
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    @pytest.mark.parametrize("name, n", [("amr", 740), ("symmetric", 43)])
+    def test_bench_graphs_have_the_pre_pass_count(self, name, n, mode):
+        algebra, trees = bench_corpus(name, n)
+        cfg = EvalConfig(mode=mode)
+        outcomes = evaluate_corpus(trees, algebra, cfg)
+        assert any(o.graphs for o in outcomes)
+        for t, outcome in zip(trees, outcomes):
+            count = node_count(t, algebra, cfg)
+            assert all(len(g.nodes) == count for g in outcome.graphs)
+
+    @given(seeds, st.sampled_from([5, 20, 60]), st.booleans(),
+           st.sampled_from([1, 2, 10_000]),
+           st.none() | st.integers(0, 12), st.none() | st.integers(0, 12),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_enumerate_corpus_equals_evaluating_every_node(
+            self, s, n, injective, cap, low, high, on_trees, want_op):
+        corpus = random_corpus(s, n)
+        assume(corpus is not None)
+        rng, grammar, algebra, trees = corpus
+        if low is not None and high is not None and low > high:
+            low, high = high, low
+        required_op = rng.choice(sorted(grammar.terminals)) if want_op else None
+        assert_same_as_naive_enumerate(trees, algebra, EvalConfig(
+            mode="enumerate", result_cap=cap, injective_contexts=injective,
+            min_nodes=low, max_nodes=high, required_op=required_op,
+            tree_size_bounds=on_trees))
+
+    @pytest.mark.parametrize("cap", [1, 2, 10_000])
+    @pytest.mark.parametrize("injective", [False, True])
+    @pytest.mark.parametrize("filters", [
+        {},
+        {"min_nodes": 6, "max_nodes": 9},
+        {"required_op": "and", "tree_size_bounds": True, "max_nodes": 9},
+    ], ids=["unfiltered", "node-bounds", "op-and-tree-size"])
+    @pytest.mark.parametrize("name, n", [("amr", 740), ("symmetric", 43)])
+    def test_bench_corpora_equal_evaluating_every_node(
+            self, name, n, filters, injective, cap):
+        algebra, trees = bench_corpus(name, n)
+        assert_same_as_naive_enumerate(trees, algebra, EvalConfig(
+            mode="enumerate", result_cap=cap, injective_contexts=injective,
+            **filters))
+
+    def test_sample_mode_skips_trees_outside_the_bounds(self, sample_steps):
+        # Of the 171 amr trees that yield a graph, 95 yield one below 9
+        # nodes; the pre-pass count drops them without a draw.
+        algebra, trees = bench_corpus("amr", 740)
+        outcomes = evaluate_corpus(trees, algebra,
+                                   EvalConfig(mode="sample", min_nodes=9))
+        kept = [t for t, o in zip(trees, outcomes) if o.graphs]
+        assert len(kept) == 76
+        assert len(sample_steps) == sum(t.size() for t in kept) == 809
