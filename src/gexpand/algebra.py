@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .graphs import Graph, canonical_key
+from .graphs import Graph, _fresh, canonical_key
 from .gvio import GvSyntaxError, parse_statements
 
 
@@ -159,11 +159,8 @@ def apply_expansion(
     used = set(arg.nodes)
     rename: Dict[str, str] = {}
     for i, v in enumerate(op.node_order):
-        fresh = f"+{i}"
-        while fresh in used:
-            fresh = fresh + "'"
-        rename[v] = fresh
-        used.add(fresh)
+        rename[v] = _fresh(f"+{i}", used)
+        used.add(rename[v])
 
     context = set(op.context)
     arg_ports = set(arg.ports)

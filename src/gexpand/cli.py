@@ -66,19 +66,6 @@ class RunConfig(EvalConfig):
     dedup_across_trees: bool = False
 
     def __post_init__(self) -> None:
-        # The inherited checks name fields; a run's messages name flags.
-        if self.result_cap < 1:
-            raise ValueError(
-                f"result_cap must be at least 1 (--result-cap "
-                f"{self.result_cap})")
-        if (
-            self.min_nodes is not None
-            and self.max_nodes is not None
-            and self.min_nodes > self.max_nodes
-        ):
-            raise ValueError(
-                f"min_nodes exceeds max_nodes (-L/--min-nodes "
-                f"{self.min_nodes} > -H/--max-nodes {self.max_nodes})")
         super().__post_init__()
         if (self.trees is None) == (self.rtg is None):
             raise ValueError("exactly one of -t and --rtg must be given")
@@ -137,8 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR",
                    help="output directory (default %(default)s)")
     p.add_argument("--result-cap", type=int,
-                   help="abort enumerate mode when an intermediate set "
-                        "exceeds this many graphs (default %(default)s)")
+                   help="in enumerate mode, report an error for a tree "
+                        "that yields a graph inside the bounds and has an "
+                        "intermediate set of more graphs than this "
+                        "(default %(default)s)")
     p.add_argument("--instantiation-cap", type=int,
                    help="per-graph cap on definition-file combinations "
                         "(default %(default)s)")

@@ -10,9 +10,10 @@ diagnostics: it computes the node count every graph of the subtree has
 and whether the required operation occurs, which the filters read, and
 abstracts the subtree to its sample shape: port labels and non-port
 label counts, which decide whether the subtree yields any graph and,
-if not, the ``zero-result:`` lines.  Evaluation only builds graphs;
-sample mode draws only on trees that yield a graph inside the size
-bounds.
+if not, the ``zero-result:`` lines.  Evaluation only builds graphs,
+and either mode folds only the trees that yield a graph inside the
+size bounds; any other tree gets the pre-pass's lines, even if a
+subtree of it would exceed the result cap.
 """
 
 from __future__ import annotations
@@ -56,14 +57,19 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("enumerate", "sample"):
             raise ValueError(f"bad mode: {self.mode!r}")
+        # The messages name the command line's flags as well.
         if self.result_cap < 1:
-            raise ValueError("result_cap must be at least 1")
+            raise ValueError(
+                f"result_cap must be at least 1 (--result-cap "
+                f"{self.result_cap})")
         if (
             self.min_nodes is not None
             and self.max_nodes is not None
             and self.min_nodes > self.max_nodes
         ):
-            raise ValueError("min_nodes exceeds max_nodes")
+            raise ValueError(
+                f"min_nodes exceeds max_nodes (-L/--min-nodes "
+                f"{self.min_nodes} > -H/--max-nodes {self.max_nodes})")
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ def _enumerate_node(
 ) -> Union[List[Graph], str]:
     """Memoized fold step of enumerate mode: every graph of node ``t``,
     given the graph sets of its children, or the message of the first
-    result cap blown in its subtree, in post-order."""
+    result cap blown in its subtree, in post-order.  Only trees whose
+    sample shape is not empty are folded, so every argument graph has
+    the type the operation needs."""
     for kid in kids:
         if kid.__class__ is str:
             return kid
@@ -102,18 +110,11 @@ def _enumerate_node(
         return [empty_graph()]
     if isinstance(op, UnionOperation):
         left, right = kids
-        graphs = _dedup([
-            disjoint_union(g, h)
-            for g in left
-            if g.type == op.left_arity
-            for h in right
-            if h.type == op.right_arity
-        ])
+        graphs = _dedup([disjoint_union(g, h) for g in left for h in right])
     else:
         graphs = _dedup([
             r
             for g in (kids[0] if kids else [empty_graph()])
-            if g.type == len(op.docks)
             for r in apply_expansion_all(op, g, injective=cfg.injective_contexts)
         ])
     if len(graphs) > cfg.result_cap:
@@ -260,8 +261,8 @@ def evaluate(
     """Evaluate one derivation tree into graphs.
 
     Zero graphs is a valid outcome (reported through diagnostics, never
-    a hard error); unknown symbols, arity mismatches, and a blown
-    result cap do raise.
+    a hard error); unknown symbols, arity mismatches, and a result cap
+    blown in a tree that yields a graph inside the size bounds do raise.
     """
     return _evaluate(t, a, cfg, tree_index, {}, {})
 
@@ -297,13 +298,6 @@ def _evaluate(
             f"size-filtered: every result has at most {upper} nodes, "
             f"minimum is {low}",))
 
-    if cfg.mode == "enumerate":
-        # Enumerate mode evaluates a tree that yields nothing, or only
-        # graphs below ``low``, all the same: a subtree may exceed the
-        # result cap, and that makes the outcome an error.
-        graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
-        if graphs.__class__ is str:
-            raise ResultCapExceededError(graphs)
     if ports is None:
         return EvalOutcome(t, (), lines)
     if not cfg.tree_size_bounds and low is not None and count < low:
@@ -312,6 +306,10 @@ def _evaluate(
             f"[{low}, {high}]",))
     if cfg.mode == "sample":
         graphs = [t.fold(partial(_sample_node, a, cfg, tree_index))]
+    else:
+        graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
+        if graphs.__class__ is str:
+            raise ResultCapExceededError(graphs)
     return EvalOutcome(t, tuple(graphs))
 
 
@@ -324,12 +322,12 @@ def evaluate_corpus(
 ) -> List[EvalOutcome]:
     """Evaluate trees independently, preserving input order.
 
-    Each distinct subtree object is checked, and in enumerate mode
-    evaluated, once for the whole corpus; the outcomes equal those of
-    ``evaluate`` on each tree alone.  Per-tree evaluation errors become
-    diagnostics instead of aborting the corpus.  ``parallel`` is
-    accepted for compatibility and has no effect: trees are evaluated
-    one after another.
+    Each distinct subtree object is checked once for the whole corpus,
+    and in enumerate mode each one that a yielding tree holds is
+    evaluated once; the outcomes equal those of ``evaluate`` on each
+    tree alone.  Per-tree evaluation errors become diagnostics instead
+    of aborting the corpus.  ``parallel`` is accepted for compatibility
+    and has no effect: trees are evaluated one after another.
     """
     # ``trees`` keeps every node alive, so the ids in the memos stay valid.
     checks: dict = {}

@@ -262,11 +262,6 @@ def parse_rtg(text: str) -> WeightedRtg:
         )
     if start is None:
         raise RtgSyntaxError("start line missing", max(1, text.count("\n") + 1))
-    overlap = nonterminals & terminal_ranks.keys()
-    if overlap:
-        raise RankConflictError(
-            f"symbols used as both nonterminal and terminal: {sorted(overlap)}"
-        )
     return WeightedRtg(
         frozenset(nonterminals), terminal_ranks, tuple(productions), start
     )

@@ -87,18 +87,28 @@ def parse_definitions(text: str) -> DefinitionTable:
     return DefinitionTable(entries)
 
 
+def _shared(
+    g: Graph, d: DefinitionTable, per_label: bool, ordered: bool = False,
+) -> List[Tuple[Tuple[str, ...], List[str]]]:
+    """(replacements, nodes) for each group of nodes of ``g`` that take
+    one replacement together: with ``per_label`` the nodes of one
+    abstract label, in sorted label order; otherwise one node with an
+    abstract label, in canonical node order if ``ordered`` and in no
+    fixed order if not, which spares the count a canonical order."""
+    nodes = canonical_order(g) if ordered and not per_label else g.nodes
+    groups: Dict[str, List[str]] = {}
+    for v in nodes:
+        if g.labels[v] in d:
+            groups.setdefault(g.labels[v] if per_label else v, []).append(v)
+    keys = sorted(groups) if per_label else groups
+    return [(d.entries[g.labels[groups[k][0]]], groups[k]) for k in keys]
+
+
 def instantiation_count(g: Graph, d: DefinitionTable, per_label: bool = False) -> int:
     """How many graphs instantiate_all would produce."""
     count = 1
-    if per_label:
-        present = {g.labels[v] for v in g.nodes}
-        for label in present:
-            if label in d:
-                count *= len(d.entries[label])
-    else:
-        for v in g.nodes:
-            if g.labels[v] in d:
-                count *= len(d.entries[g.labels[v]])
+    for choices, _nodes in _shared(g, d, per_label):
+        count *= len(choices)
     return count
 
 
@@ -120,26 +130,12 @@ def instantiate_all(
     count = instantiation_count(g, d, per_label)
     if count > cap:
         raise InstantiationCapError(count, cap)
-
-    if per_label:
-        abstract = sorted(
-            {g.labels[v] for v in g.nodes if g.labels[v] in d}
-        )
-        choice_lists = [d.entries[lab] for lab in abstract]
-        out = []
-        for combo in product(*choice_lists):
-            chosen = dict(zip(abstract, combo))
-            labels = {
-                v: chosen.get(g.labels[v], g.labels[v]) for v in g.nodes
-            }
-            out.append(Graph(g.nodes, g.edges, labels, g.ports))
-        return out
-
-    occurrences = [v for v in canonical_order(g) if g.labels[v] in d]
-    choice_lists = [d.entries[g.labels[v]] for v in occurrences]
+    groups = _shared(g, d, per_label, ordered=True)
     out = []
-    for combo in product(*choice_lists):
+    for combo in product(*(choices for choices, _nodes in groups)):
         labels = dict(g.labels)
-        labels.update(dict(zip(occurrences, combo)))
+        for (_choices, nodes), value in zip(groups, combo):
+            for v in nodes:
+                labels[v] = value
         out.append(Graph(g.nodes, g.edges, labels, g.ports))
     return out

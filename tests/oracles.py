@@ -9,6 +9,8 @@ tree, union-find fusion) and stay independent of the code paths they check.
 
 import hashlib
 import heapq
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Dict, Iterable, List, Mapping, Optional
@@ -580,7 +582,10 @@ def naive_enumerate_corpus(trees, a: Algebra, cfg: EvalConfig):
     """Enumerate-mode ``evaluate_corpus`` as (graphs, diagnostics) per
     tree: the tree check, the required-operation and size filters, and
     ``naive_enumerate`` on every tree that passes them, each tree
-    evaluated alone."""
+    evaluated alone.  A blown result cap is an error only for a tree
+    that, evaluated again without the cap, yields a graph inside the
+    size bounds; any other tree gets that evaluation's diagnostics."""
+    uncapped = replace(cfg, result_cap=sys.maxsize)
     outcomes = []
     for t in trees:
         dropped = _naive_prefiltered(t, a, cfg)
@@ -591,7 +596,10 @@ def naive_enumerate_corpus(trees, a: Algebra, cfg: EvalConfig):
         try:
             graphs = naive_enumerate(t, a, cfg, diags)
         except ResultCapExceededError as exc:
-            outcomes.append(((), (f"error: {exc}",)))
+            diags = []
+            kept, lines = _naive_size_filtered(
+                naive_enumerate(t, a, uncapped, diags), diags, cfg)
+            outcomes.append(((), (f"error: {exc}",)) if kept else (kept, lines))
             continue
         outcomes.append(_naive_size_filtered(graphs, diags, cfg))
     return outcomes

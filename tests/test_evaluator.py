@@ -445,9 +445,9 @@ def steps(monkeypatch):
 
 
 class TestSharedSubtrees:
-    """Each distinct subtree object is checked, and in enumerate mode
-    evaluated, once per corpus; the outcomes equal evaluating every
-    tree alone."""
+    """Each distinct subtree object is checked once per corpus, and in
+    enumerate mode evaluated at most once; the outcomes equal
+    evaluating every tree alone."""
 
     @given(seeds, st.sampled_from([5, 20, 60]), st.booleans(),
            st.sampled_from([1, 2, 10_000]),
@@ -513,19 +513,23 @@ class TestSharedSubtrees:
         assert len(out.graphs) == 1
         assert len(steps) == 3
 
-    @pytest.mark.parametrize("name, n, distinct, nodes", [
-        ("amr", 740, 1_022, 6_322),
-        ("symmetric", 43, 51, 722),
+    @pytest.mark.parametrize("name, n, distinct, yielding, nodes", [
+        # 171 of the 740 amr trees yield a graph; they hold 251 of the
+        # distinct subtrees.  Every symmetric tree yields one.
+        ("amr", 740, 1_022, 251, 6_322),
+        ("symmetric", 43, 51, 51, 722),
     ])
     def test_steps_run_once_per_distinct_subtree(
-            self, steps, checks, name, n, distinct, nodes):
+            self, steps, checks, name, n, distinct, yielding, nodes):
         algebra, trees = bench_corpus(name, n)
         assert sum(t.size() for t in trees) == nodes
         evaluate_corpus(trees, algebra, EvalConfig(mode="enumerate"))
-        assert len(steps) == len(checks) == distinct
+        assert len(checks) == distinct
+        assert len(steps) == yielding
         checks.clear()
         evaluate_corpus(trees, algebra, EvalConfig(mode="sample"))
-        assert len(steps) == len(checks) == distinct
+        assert len(checks) == distinct
+        assert len(steps) == yielding
 
     def test_tree_file_subtrees_are_shared(self, steps):
         trees = parse_tree_file("op3(op4 op5)\nop1(op2(op3(op4 op5)))\n")
@@ -669,10 +673,10 @@ operation three_c {
             assert out.diagnostics == diagnostics
             assert (sample_shape(t, ops, cfg)[0] is None) == (not graphs)
 
-    def test_enumerate_mode_still_evaluates_an_empty_tree(self):
+    def test_enumerate_mode_skips_an_empty_tree(self, steps):
         # The root needs an argument of type 2 and gets type 1, so
-        # sample mode yields nothing at once; enumerate mode evaluates
-        # the subtree below and hits the result cap there.
+        # neither mode evaluates the tree, and a result cap its subtree
+        # would exceed goes unnoticed.
         ops = parse_operation_file(BRANCHING_OPS + """\
 operation needs_two {
   0 [label="r"];
@@ -690,8 +694,22 @@ operation needs_two {
         enum = evaluate_corpus(trees, ops, EvalConfig(mode="enumerate",
                                                       result_cap=1))
         assert enum[0].diagnostics == (
-            "error: intermediate set at symbol 'pick_context' has 2 "
-            "graphs, exceeding the cap of 1",)
+            "zero-result: operation 'needs_two' received no argument of "
+            "type 2",)
+        assert steps == []
+
+    def test_enumerate_mode_skips_a_tree_below_min_nodes(self, steps):
+        # Every graph of the tree has 4 nodes and the template bound is
+        # 8, so only the pre-pass count drops it under -L 5; folding it
+        # would exceed the cap of 1 at the root.
+        algebra = branching_algebra()
+        assert node_count(BRANCHING_TREE, algebra, EvalConfig()) == 4
+        out = evaluate_corpus([BRANCHING_TREE], algebra, EvalConfig(
+            mode="enumerate", min_nodes=5, result_cap=1))
+        assert out[0].graphs == ()
+        assert out[0].diagnostics == (
+            "size-filtered: all evaluated graphs fall outside [5, None]",)
+        assert steps == []
 
     def test_sample_steps_run_on_yielding_trees_only(
             self, sample_steps, checks):

@@ -19,6 +19,7 @@ from gexpand import (
     is_isomorphic,
     parse_definitions,
 )
+from gexpand import substitution
 from generators import NODE_LABELS, random_graph
 
 seeds = st.integers(0, 10**9)
@@ -145,6 +146,20 @@ class TestInstantiateAll:
         with pytest.raises(InstantiationCapError) as exc:
             instantiate_all(g, d, cap=100)
         assert exc.value.count == 3**5
+
+    @pytest.mark.parametrize("per_label", [False, True])
+    def test_count_and_cap_need_no_canonical_order(self, monkeypatch,
+                                                  per_label):
+        def unused(g):
+            raise AssertionError("canonical order computed")
+
+        monkeypatch.setattr(substitution, "canonical_order", unused)
+        g = Graph(["v0", "v1", "v2"], [("v0", "e", "v1")],
+                  {"v0": "x", "v1": "x", "v2": "y"})
+        d = table(x=["p", "q", "r"], y=["s", "t"])
+        assert instantiation_count(g, d, per_label) == (6 if per_label else 18)
+        with pytest.raises(InstantiationCapError):
+            instantiate_all(g, d, per_label, cap=5)
 
     @given(seeds)
     @settings(max_examples=80, deadline=None)
