@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from ._record import Record, _set
 from .graphs import Graph, _fresh, canonical_key
 from .gvio import GvSyntaxError, parse_statements
 
@@ -29,13 +28,12 @@ class ExpansionTypeError(TypeError):
     """Argument type (port count) does not match the dock count."""
 
 
-@dataclass(frozen=True)
-class ExpansionOperation:
-    name: str
-    template: Graph
-    ports: Tuple[str, ...]
-    docks: Tuple[str, ...]
-    node_order: Tuple[str, ...]
+class ExpansionOperation(Record):
+    """An expansion: a name, a template graph, its port and dock
+    sequences, and its node names in declaration order."""
+
+    __slots__ = ("name", "template", "ports", "docks", "node_order",
+                 "_context")
 
     def __post_init__(self) -> None:
         for v in self.ports + self.docks:
@@ -52,23 +50,25 @@ class ExpansionOperation:
                 f"operation {self.name!r}: template ports disagree with "
                 f"port sequence"
             )
+        outside = set(self.ports) | set(self.docks)
+        _set(self, "_context",
+             tuple(v for v in self.node_order if v not in outside))
 
-    @cached_property
+    @property
     def context(self) -> Tuple[str, ...]:
         """Context nodes, in template declaration order."""
-        outside = set(self.ports) | set(self.docks)
-        return tuple(v for v in self.node_order if v not in outside)
+        return self._context
 
     @property
     def new_nodes(self) -> frozenset:
         return frozenset(self.ports) - frozenset(self.docks)
 
 
-@dataclass(frozen=True)
-class UnionOperation:
-    name: str
-    left_arity: int
-    right_arity: int
+class UnionOperation(Record):
+    """A union of a graph of type ``left_arity`` and one of type
+    ``right_arity``."""
+
+    __slots__ = ("name", "left_arity", "right_arity")
 
     def __post_init__(self) -> None:
         if self.left_arity < 0 or self.right_arity < 0:
@@ -77,17 +77,19 @@ class UnionOperation:
             )
 
 
-@dataclass(frozen=True)
-class EmptyConstant:
-    name: str
+class EmptyConstant(Record):
+    """The constant for the empty graph."""
+
+    __slots__ = ("name",)
 
 
 Operation = Union[ExpansionOperation, UnionOperation, EmptyConstant]
 
 
-@dataclass(frozen=True)
-class Algebra:
-    operations: Dict[str, Operation]
+class Algebra(Record):
+    """The operations, by name."""
+
+    __slots__ = ("operations",)
 
     def __getitem__(self, name: str) -> Operation:
         return self.operations[name]
@@ -228,12 +230,12 @@ def apply_expansion_all(
     return list(results.values())
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    r1: bool
-    r2: bool
-    r1_violations: Tuple[Tuple[str, str, str], ...] = ()
-    r2_violations: Tuple[str, ...] = ()
+class ExtensionReport(Record):
+    """Whether conditions (R1) and (R2) hold, and the edges and docks
+    that violate them."""
+
+    __slots__ = ("r1", "r2", "r1_violations", "r2_violations")
+    _defaults = {"r1_violations": (), "r2_violations": ()}
 
     @property
     def is_extension(self) -> bool:

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,22 +47,20 @@ from .substitution import (
 )
 
 
-@dataclass(frozen=True, kw_only=True)
-class RunConfig(EvalConfig):
+class RunConfig(EvalConfig, kw_only=True):
     """One pipeline run: the evaluation settings it inherits plus the
-    inputs and corpus options.  Field names are the argparse
+    inputs and corpus options, which are keyword-only and, but for
+    ``operations``, have defaults.  Field names are the argparse
     destinations and the keys of the manifest's ``config`` block; the
     defaults here are the command line's."""
 
-    operations: str
-    trees: Optional[str] = None
-    rtg: Optional[str] = None
-    best_count: int = 1
-    definitions: Optional[str] = None
-    out: str = "./corpus"
-    instantiation_cap: int = 10_000
-    per_label: bool = False
-    dedup_across_trees: bool = False
+    __slots__ = ("operations", "trees", "rtg", "best_count", "definitions",
+                 "out", "instantiation_cap", "per_label",
+                 "dedup_across_trees")
+    _defaults = {"trees": None, "rtg": None, "best_count": 1,
+                 "definitions": None, "out": "./corpus",
+                 "instantiation_cap": 10_000, "per_label": False,
+                 "dedup_across_trees": False}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -151,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "generating anything")
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
-    p.set_defaults(**{f.name: f.default for f in fields(RunConfig)
-                      if f.default is not MISSING})
+    p.set_defaults(**RunConfig._defaults)
     return p
 
 
@@ -305,6 +301,8 @@ def run(cfg: RunConfig) -> int:
     for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
         for diag in outcome.diagnostics:
             all_warnings.append(f"tree {tree_index}: {diag}")
+        if not outcome.graphs:
+            continue
         source = outcome.source_tree.serialize()
         variant = 0
         for g in outcome.graphs:
@@ -330,7 +328,7 @@ def run(cfg: RunConfig) -> int:
                 )
                 variant += 1
 
-    config = asdict(cfg)
+    config = cfg.asdict()
     del config["out"]
     if cfg.rtg is None:
         config["best_count"] = None  # -N only applies to --rtg

@@ -18,11 +18,10 @@ subtree of it would exceed the result cap.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
+from ._record import Record
 from .algebra import (
     Algebra,
     EmptyConstant,
@@ -43,16 +42,14 @@ class ResultCapExceededError(RuntimeError):
     """An intermediate result set outgrew the configured cap."""
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    mode: str = "sample"
-    seed: int = 0
-    result_cap: int = 10_000
-    min_nodes: Optional[int] = None
-    max_nodes: Optional[int] = None
-    required_op: Optional[str] = None
-    tree_size_bounds: bool = False
-    injective_contexts: bool = False
+class EvalConfig(Record):
+    """The evaluation settings; every field has a default."""
+
+    __slots__ = ("mode", "seed", "result_cap", "min_nodes", "max_nodes",
+                 "required_op", "tree_size_bounds", "injective_contexts")
+    _defaults = {"mode": "sample", "seed": 0, "result_cap": 10_000,
+                 "min_nodes": None, "max_nodes": None, "required_op": None,
+                 "tree_size_bounds": False, "injective_contexts": False}
 
     def __post_init__(self) -> None:
         if self.mode not in ("enumerate", "sample"):
@@ -72,18 +69,22 @@ class EvalConfig:
                 f"{self.min_nodes} > -H/--max-nodes {self.max_nodes})")
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    source_tree: DerivationTree
-    graphs: Tuple[Graph, ...]
-    diagnostics: Tuple[str, ...] = ()
+class EvalOutcome(Record):
+    """The graphs one tree yields, as a tuple, and the tuple of its
+    diagnostic lines."""
+
+    __slots__ = ("source_tree", "graphs", "diagnostics")
+    _defaults = {"diagnostics": ()}
 
 
 def _draw(seed: int, tree_index: int, path: str, ctx_index: int, n: int) -> int:
     """Counter-based uniform draw in range(n), keyed so that unrelated
     trees do not perturb each other's streams."""
+    # Imported here, so that only sample mode loads hashlib.
+    from hashlib import sha256
+
     key = f"{seed}|{tree_index}|{path}|{ctx_index}".encode()
-    digest = hashlib.sha256(key).digest()
+    digest = sha256(key).digest()
     return int.from_bytes(digest[:8], "big") % n
 
 
@@ -350,6 +351,6 @@ def evaluate_corpus(
                     continue
                 seen.add(key)
                 kept.append(g)
-            deduped.append(replace(outcome, graphs=tuple(kept)))
+            deduped.append(outcome.replace(graphs=tuple(kept)))
         outcomes = deduped
     return outcomes

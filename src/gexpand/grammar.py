@@ -13,9 +13,10 @@ import heapq
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
+
+from ._record import Record, _set
 
 
 T = TypeVar("T")
@@ -39,18 +40,16 @@ class BudgetExceededError(RuntimeError):
     """N-best search popped more candidates than the expansion budget."""
 
 
-@dataclass(frozen=True)
-class RankedSymbol:
-    name: str
-    rank: int
+class RankedSymbol(Record):
+    __slots__ = ("name", "rank")
 
 
-@dataclass(frozen=True)
-class Production:
-    lhs: str
-    symbol: RankedSymbol
-    rhs: Tuple[str, ...]
-    weight: Fraction = Fraction(0)
+class Production(Record):
+    """A rule ``lhs -> symbol(rhs) # weight``; ``rhs`` is a tuple of
+    nonterminals and ``weight`` a non-negative ``Fraction``."""
+
+    __slots__ = ("lhs", "symbol", "rhs", "weight")
+    _defaults = {"weight": Fraction(0)}
 
     def __post_init__(self) -> None:
         if len(self.rhs) != self.symbol.rank:
@@ -62,12 +61,11 @@ class Production:
             raise ValueError("weights must be non-negative")
 
 
-@dataclass(frozen=True)
-class WeightedRtg:
-    nonterminals: frozenset
-    terminals: Dict[str, int]
-    productions: Tuple[Production, ...]
-    start: str
+class WeightedRtg(Record):
+    """A grammar: a frozenset of nonterminals, terminal ranks by name,
+    a tuple of productions and the start nonterminal."""
+
+    __slots__ = ("nonterminals", "terminals", "productions", "start")
 
     def __post_init__(self) -> None:
         if self.start not in self.nonterminals:
@@ -79,10 +77,14 @@ class WeightedRtg:
             )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DerivationTree:
-    label: str
-    children: Tuple["DerivationTree", ...] = ()
+class DerivationTree(Record):
+    __slots__ = ("label", "children")
+
+    def __init__(
+        self, label: str, children: Tuple["DerivationTree", ...] = ()
+    ) -> None:
+        _set(self, "label", label)
+        _set(self, "children", children)
 
     # Equality, hashing and repr run on an explicit stack like every
     # other traversal.  The preorder (label, rank) sequence determines

@@ -161,8 +161,8 @@ def _twin_key(g: Graph, v: str, out_adj: dict, in_adj: dict) -> tuple:
     )
 
 
-def _canonical_search(g: Graph) -> Tuple[Tuple[str, ...], tuple]:
-    """The canonical order of ``g`` and its certificate.
+def _canonical_search(g: Graph) -> Tuple[str, ...]:
+    """The canonical order of ``g``.
 
     Ports come first in port order (isomorphisms must preserve port
     positions); the remaining nodes are placed by a depth-first search
@@ -174,22 +174,22 @@ def _canonical_search(g: Graph) -> Tuple[Tuple[str, ...], tuple]:
     order = list(g.ports)
     remaining = g.nodes - set(order)
     if not remaining:
-        return tuple(order), _certificate(g, order)
+        return tuple(order)
 
     out_adj, in_adj = _adjacency(g)
     color = _wl_colors(g, out_adj, in_adj)
     if len({color[v] for v in remaining}) == len(remaining):
         order.extend(sorted(remaining, key=color.__getitem__))
-        return tuple(order), _certificate(g, order)
+        return tuple(order)
     return _least_leaf(g, order, set(remaining), color, out_adj, in_adj)
 
 
 def _least_leaf(
     g: Graph, order: List[str], remaining: Set[str], color: dict,
     out_adj: dict, in_adj: dict,
-) -> Tuple[Tuple[str, ...], tuple]:
+) -> Tuple[str, ...]:
     """The search of ``_canonical_search`` below the nodes already in
-    ``order``: the order and certificate of its least leaf.
+    ``order``: the order of its least leaf.
 
     Each level branches, in name order, on the nodes of the least
     remaining colour whose edges to the placed nodes have the least
@@ -253,7 +253,7 @@ def _least_leaf(
             cert = _certificate(g, order)
             if best_cert is None or cert < best_cert:
                 best_cert, best_order = cert, tuple(order)
-    return best_order, best_cert
+    return best_order
 
 
 def _certificate(g: Graph, order: Sequence[str]) -> tuple:
@@ -266,20 +266,20 @@ def _certificate(g: Graph, order: Sequence[str]) -> tuple:
 def canonical_order(g: Graph) -> Tuple[str, ...]:
     """A node ordering equal, up to renaming, for isomorphic graphs.
 
-    Ports come first in port order.  Computed once per graph, together
-    with the canonical key.
+    Ports come first in port order.  Computed once per graph.
     """
     if g._order is None:
-        order, cert = _canonical_search(g)
-        object.__setattr__(g, "_order", order)
-        object.__setattr__(g, "_key", repr(cert))
+        object.__setattr__(g, "_order", _canonical_search(g))
     return g._order
 
 
 def canonical_key(g: Graph) -> str:
-    """A string equal for two graphs iff they are isomorphic."""
+    """A string equal for two graphs iff they are isomorphic: the
+    certificate of the canonical order.  Computed once per graph, and
+    only for a graph whose key is asked for."""
     if g._key is None:
-        canonical_order(g)
+        object.__setattr__(
+            g, "_key", repr(_certificate(g, canonical_order(g))))
     return g._key
 
 

@@ -7,10 +7,10 @@ combinations of the replacements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Tuple
 
+from ._record import Record
 from .graphs import Graph, canonical_order
 
 
@@ -30,9 +30,10 @@ class InstantiationCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class DefinitionTable:
-    entries: Dict[str, Tuple[str, ...]]
+class DefinitionTable(Record):
+    """The replacements of each abstract label, as a dict of tuples."""
+
+    __slots__ = ("entries",)
 
     def __post_init__(self) -> None:
         for key, values in self.entries.items():

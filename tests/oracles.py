@@ -2,15 +2,16 @@
 
 These deliberately use the most naive correct strategy (exhaustive
 bijection search, the unpruned canonical search, full derivation
-enumeration, the nested-tuple n-best search, undeduplicated recursive
-set evaluation, sample and enumerate evaluation of every node of every
-tree, union-find fusion) and stay independent of the code paths they check.
+enumeration, bottom-up enumeration of trees by height, the nested-tuple
+n-best search, undeduplicated recursive set evaluation, sample and
+enumerate evaluation of every node of every tree, union-find fusion)
+and stay independent of the code paths they check.
 """
 
 import hashlib
 import heapq
+import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Dict, Iterable, List, Mapping, Optional
@@ -212,17 +213,46 @@ def derivation_count(g: WeightedRtg, max_height: int) -> int:
 
 
 def best_trees_by_enumeration(g: WeightedRtg, n: int, max_height: int):
-    """Group depth-bounded derivations by tree (keeping the minimum
-    weight) and sort by (weight, node count, serialization)."""
-    by_tree = {}
-    for t, w in enumerate_derivations(g, max_height):
-        ser = t.serialize()
-        if ser not in by_tree or w < by_tree[ser][1]:
-            by_tree[ser] = (t, w)
-    ranked = sorted(
-        by_tree.values(), key=lambda tw: (tw[1], tw[0].size(), tw[0].serialize())
-    )
-    return ranked[:n]
+    """The ``n`` least trees of height at most ``max_height`` derivable
+    from the start nonterminal, each at the least weight of its
+    derivations, sorted by (weight, node count, serialization).
+
+    Trees are enumerated bottom-up per (nonterminal, height bound), one
+    entry per distinct serialization with its least weight: a tree's
+    least derivation weight from ``A`` is a rule's weight plus the least
+    weights of the children from its right-hand side.  Weights are
+    integers over the common denominator of the rule weights."""
+    scale = math.lcm(*(p.weight.denominator for p in g.productions))
+    by_lhs: Dict[str, list] = {}
+    for p in g.productions:
+        by_lhs.setdefault(p.lhs, []).append(p)
+    memo: Dict[tuple, dict] = {}
+
+    def trees(nt: str, height: int) -> dict:
+        """Serialization -> (least weight, node count, tree)."""
+        key = (nt, height)
+        if key in memo:
+            return memo[key]
+        best = {}
+        if height >= 1:
+            for p in by_lhs.get(nt, ()):
+                weight = int(p.weight * scale)
+                kids = [list(trees(b, height - 1).items()) for b in p.rhs]
+                for combo in product(*kids):
+                    ser = (f"{p.symbol.name}({' '.join(s for s, _e in combo)})"
+                           if combo else p.symbol.name)
+                    w = weight + sum(e[0] for _s, e in combo)
+                    if ser not in best or w < best[ser][0]:
+                        best[ser] = (
+                            w, 1 + sum(e[1] for _s, e in combo),
+                            DerivationTree(p.symbol.name,
+                                           tuple(e[2] for _s, e in combo)))
+        memo[key] = best
+        return best
+
+    ranked = sorted((w, size, ser, t)
+                    for ser, (w, size, t) in trees(g.start, max_height).items())
+    return [(t, Fraction(w, scale)) for w, _size, _ser, t in ranked[:n]]
 
 
 def _naive_best_completions(g: WeightedRtg):
@@ -585,7 +615,7 @@ def naive_enumerate_corpus(trees, a: Algebra, cfg: EvalConfig):
     evaluated alone.  A blown result cap is an error only for a tree
     that, evaluated again without the cap, yields a graph inside the
     size bounds; any other tree gets that evaluation's diagnostics."""
-    uncapped = replace(cfg, result_cap=sys.maxsize)
+    uncapped = cfg.replace(result_cap=sys.maxsize)
     outcomes = []
     for t in trees:
         dropped = _naive_prefiltered(t, a, cfg)

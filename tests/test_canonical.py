@@ -181,7 +181,8 @@ class TestExactness:
 
 @pytest.fixture()
 def certificates(monkeypatch):
-    """Counts the leaves the canonical search reaches."""
+    """Records the size of every certificate built: one per leaf the
+    canonical search reaches, and one for the canonical key."""
     calls = []
     real = graphs._certificate
 
@@ -197,7 +198,7 @@ class TestWork:
     @pytest.mark.parametrize("k", [8, 12, 50])
     @pytest.mark.parametrize("hub_port", [False, True])
     def test_star_reaches_one_leaf(self, certificates, k, hub_port):
-        canonical_key(star(k, hub_port))
+        canonical_order(star(k, hub_port))
         assert len(certificates) == 1
 
     def test_ported_path_reaches_one_leaf(self, certificates):
@@ -210,7 +211,15 @@ class TestWork:
         order = canonical_order(g)
         emit_gv(g)
         assert canonical_key(g) == key and canonical_order(g) is order
-        assert len(certificates) == 1
+        # One leaf of one search, then the key's certificate.
+        assert certificates == [len(g.nodes)] * 2
+
+    def test_order_alone_builds_no_key(self, certificates):
+        g = path(30, ported=False)
+        canonical_order(g)
+        assert g._key is None and certificates == []
+        assert canonical_key(g) == naive_canonical_key(g)
+        assert certificates == [30]
 
     @pytest.mark.parametrize("g", [
         path(200), path(30, ported=False),
@@ -226,7 +235,7 @@ class TestWork:
 
         monkeypatch.setattr(graphs, "_least_leaf", no_search)
         assert canonical_order(g) == naive_canonical_order(g)
-        assert certificates == [len(g.nodes)]
+        assert certificates == []
 
     def test_search_deeper_than_the_recursion_limit(self):
         nodes = [f"v{i:04d}" for i in range(1500)]

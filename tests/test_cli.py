@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line pipeline and corpus writer."""
 
 import json
+import re
 from functools import partial
 from pathlib import Path
 
 import pytest
 
 import gexpand.cli
-from gexpand.cli import RunConfig, config_from_args, main
+from gexpand.cli import RunConfig, _build_parser, config_from_args, main
 from gexpand import (
     DerivationTree,
     is_isomorphic,
@@ -322,6 +323,29 @@ class TestOneErrorLine:
         cfg, validate_only = config_from_args(["-g", "o", "--rtg", "r"])
         assert cfg == RunConfig(operations="o", rtg="r")
         assert not validate_only
+
+
+class TestParser:
+    def test_defaults(self):
+        args = vars(_build_parser().parse_args(["-g", "o", "--rtg", "r"]))
+        assert args == {
+            "operations": "o", "trees": None, "rtg": "r", "best_count": 1,
+            "definitions": None, "min_nodes": None, "max_nodes": None,
+            "required_op": None, "mode": "sample", "seed": 0,
+            "out": "./corpus", "result_cap": 10000,
+            "instantiation_cap": 10000, "tree_size_bounds": False,
+            "per_label": False, "injective_contexts": False,
+            "dedup_across_trees": False, "parallel": False,
+            "validate": False,
+        }
+
+    def test_help_names_the_defaults(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert re.findall(r"\bdefault:? ([^)]*)\)", text) == [
+            "1", "sample", "0", "./corpus", "10000", "10000"]
 
 
 class TestValidate:

@@ -1,0 +1,208 @@
+"""The package's immutable records and what the command line loads.
+
+Every record class keeps the constructor, checks, immutability,
+equality and hashing it had as a frozen dataclass, and importing or
+running the package loads neither ``dataclasses`` nor ``inspect``, and
+enumerate mode does not load ``hashlib``.
+"""
+
+import inspect
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import gexpand
+from gexpand import (
+    Algebra,
+    DefinitionTable,
+    DerivationTree,
+    EmptyConstant,
+    EvalConfig,
+    EvalOutcome,
+    ExtensionReport,
+    Production,
+    RankConflictError,
+    RankedSymbol,
+    UnionOperation,
+    WeightedRtg,
+    parse_operation_file,
+    tree,
+)
+from gexpand.cli import RunConfig
+from fixtures import RUNNING_GRAMMAR, RUNNING_OPS
+
+CHILD = """\
+import sys
+
+WATCHED = ("dataclasses", "inspect", "hashlib")
+
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+
+seen = [loaded()]
+import gexpand
+seen.append(loaded())
+import gexpand.cli
+seen.append(loaded())
+status = gexpand.cli.main(sys.argv[1:])
+seen.append(loaded())
+print(repr((status, seen)))
+"""
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
+    ops = tmp_path / "ops.txt"
+    ops.write_text(RUNNING_OPS)
+    rtg = tmp_path / "grammar.rtg"
+    rtg.write_text(RUNNING_GRAMMAR)
+    defs = tmp_path / "defs.txt"
+    defs.write_text("she: she, he\n")
+    src = Path(gexpand.__file__).resolve().parents[1]
+    # -S keeps modules that site hooks load out of the picture, and the
+    # child leaves no bytecode in the source tree.
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", CHILD, "-g", str(ops), "--rtg", str(rtg),
+         "-N", "3", "--mode", "enumerate", "-d", str(defs),
+         "--out", str(tmp_path / "corpus")],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr((0, [[], [], [], []]))
+
+
+def small_records():
+    """One record of each class but the configs, and a different one."""
+    sym = RankedSymbol("f", 1)
+    leaf = RankedSymbol("a", 0)
+    return [
+        (sym, RankedSymbol("f", 2)),
+        (Production("S", sym, ("S",), Fraction(1)),
+         Production("S", sym, ("S",))),
+        (WeightedRtg(frozenset({"S"}), {"a": 0},
+                     (Production("S", leaf, ()),), "S"),
+         WeightedRtg(frozenset({"S"}), {"a": 0}, (), "S")),
+        (tree("f", tree("a")), tree("f", tree("b"))),
+        (UnionOperation("u", 1, 2), UnionOperation("u", 2, 1)),
+        (EmptyConstant("e"), EmptyConstant("z")),
+        (ExtensionReport(True, False, (), ("d",)),
+         ExtensionReport(True, False)),
+        (DefinitionTable({"she": ("she", "he")}),
+         DefinitionTable({"she": ("he",)})),
+        (EvalOutcome(tree("a"), (), ("x",)), EvalOutcome(tree("a"), ())),
+        (EvalConfig(), EvalConfig(seed=1)),
+        (RunConfig(operations="o", rtg="r"),
+         RunConfig(operations="o", trees="t")),
+    ]
+
+
+@pytest.mark.parametrize("record,other", small_records(),
+                         ids=lambda r: type(r).__name__)
+class TestRecord:
+    def test_equality_is_by_field_values(self, record, other):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and copy is not record
+        assert record != other
+        assert record != object()
+
+    def test_hash_follows_equality(self, record, other):
+        try:
+            h = hash(record)
+        except TypeError:
+            # A record with a dict field is unhashable, as it was.
+            assert any(isinstance(v, dict) for v in record.asdict().values())
+            return
+        assert hash(pickle.loads(pickle.dumps(record))) == h
+
+    def test_assignment_raises(self, record, other):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_operation_checks_and_context_survive():
+    algebra = parse_operation_file(RUNNING_OPS)
+    assert isinstance(algebra, Algebra)
+    op = algebra["op2"]
+    assert op.replace() == op and op.replace().context == op.context
+    with pytest.raises(gexpand.OperationFileError, match="is not a template"):
+        op.replace(ports=("nowhere",))
+
+
+def test_production_checks_its_rank():
+    with pytest.raises(RankConflictError, match="1 arguments for rank 0"):
+        Production("S", RankedSymbol("a", 0), ("S",))
+    with pytest.raises(ValueError, match="non-negative"):
+        Production("S", RankedSymbol("a", 0), (), Fraction(-1))
+
+
+def test_config_signatures():
+    defaults = {"mode": "sample", "seed": 0, "result_cap": 10_000,
+                "min_nodes": None, "max_nodes": None, "required_op": None,
+                "tree_size_bounds": False, "injective_contexts": False}
+    params = inspect.signature(EvalConfig).parameters
+    assert {n: p.default for n, p in params.items()} == defaults
+    assert {p.kind for p in params.values()} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    params = inspect.signature(RunConfig).parameters
+    kw_only = {n: p.default for n, p in params.items()
+               if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert kw_only == {
+        "operations": inspect.Parameter.empty, "trees": None, "rtg": None,
+        "best_count": 1, "definitions": None, "out": "./corpus",
+        "instantiation_cap": 10_000, "per_label": False,
+        "dedup_across_trees": False}
+    assert list(params)[:len(defaults)] == list(defaults)
+    assert RunConfig.__match_args__ == EvalConfig.__match_args__ == tuple(
+        defaults)
+
+
+def test_run_config_arguments():
+    cfg = RunConfig("enumerate", 3, operations="o", rtg="r")
+    assert (cfg.mode, cfg.seed, cfg.best_count) == ("enumerate", 3, 1)
+    with pytest.raises(TypeError):
+        RunConfig(rtg="r")
+    with pytest.raises(TypeError):
+        RunConfig(*EvalConfig().asdict().values(), "o", rtg="r")
+    with pytest.raises(TypeError):
+        EvalConfig(colour="red")
+    with pytest.raises(ValueError, match="exactly one of -t and --rtg"):
+        RunConfig(operations="o")
+
+
+def test_replace_and_asdict():
+    cfg = RunConfig(operations="o", rtg="r")
+    assert list(cfg.asdict()) == [*EvalConfig().asdict(), "operations",
+                                  "trees", "rtg", "best_count", "definitions",
+                                  "out", "instantiation_cap", "per_label",
+                                  "dedup_across_trees"]
+    changed = cfg.replace(seed=5)
+    assert type(changed) is RunConfig and changed.seed == 5
+    assert changed.replace(seed=0) == cfg
+    with pytest.raises(ValueError, match="--result-cap 0"):
+        cfg.replace(result_cap=0)
+    with pytest.raises(TypeError):
+        cfg.replace(colour="red")
+
+
+def test_repr():
+    assert repr(EvalConfig()) == (
+        "EvalConfig(mode='sample', seed=0, result_cap=10000, "
+        "min_nodes=None, max_nodes=None, required_op=None, "
+        "tree_size_bounds=False, injective_contexts=False)")
+    assert repr(RankedSymbol("f", 1)) == "RankedSymbol(name='f', rank=1)"
+    assert repr(tree("f", tree("a"))) == "DerivationTree(f(a))"
+
+
+def test_derivation_tree_keeps_its_positional_children():
+    assert DerivationTree("f", (tree("a"),)) == tree("f", tree("a"))
+    assert DerivationTree("a").children == ()
