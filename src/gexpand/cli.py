@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -269,6 +270,25 @@ def template_labels_producible(algebra: Algebra) -> set:
     return labels
 
 
+def _write_files(out_dir: Path, files: List[Tuple[str, str]]) -> None:
+    """Write each (name, text) pair into ``out_dir`` as UTF-8, whatever
+    the locale: one open, write and close per file, each name resolved
+    against one descriptor of the directory."""
+    dir_fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for name, text in files:
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666,
+                         dir_fd=dir_fd)
+            try:
+                data = memoryview(text.encode("utf-8"))
+                while data:  # a regular file takes it in one write
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+    finally:
+        os.close(dir_fd)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the pipeline; returns the process exit status.  Faults
     in the inputs raise one of ``_INPUT_ERRORS``."""
@@ -339,13 +359,11 @@ def run(cfg: RunConfig) -> int:
         "warnings": all_warnings,
         "graphs": records,
     }
+    files.append(
+        ("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, text in files:
-        (out_dir / filename).write_text(text)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _write_files(out_dir, files)
     for line in all_warnings:
         print(f"warning: {line}", file=sys.stderr)
     print(f"wrote {len(records)} graph(s) to {out_dir}")

@@ -4,13 +4,16 @@ algebra.
 Enumerate mode materializes the full set-valued semantics (deduplicated
 up to isomorphism at every level) and evaluates each distinct subtree
 object once per corpus; sample mode draws one admissible context choice
-per context node from a seeded, replayable stream.  In both modes one
-pre-pass checks each distinct subtree once per corpus and decides its
-diagnostics: it computes the node count every graph of the subtree has
-and whether the required operation occurs, which the filters read, and
-abstracts the subtree to its sample shape: port labels and non-port
-label counts, which decide whether the subtree yields any graph and,
-if not, the ``zero-result:`` lines.  Evaluation only builds graphs,
+per context node from a seeded, replayable stream, keyed by the node's
+position, and evaluates each distinct forced subtree (one in which no
+context node has more than one candidate, so nothing is drawn) once per
+corpus.  In both modes one pre-pass checks each distinct subtree once
+per corpus and decides its diagnostics: it computes the node count
+every graph of the subtree has and whether the required operation
+occurs, which the filters read, and abstracts the subtree to its sample
+shape: port labels and non-port label counts, which decide whether the
+subtree yields any graph and, if not, the ``zero-result:`` lines, and
+whether it is forced.  Evaluation only builds graphs,
 and either mode folds only the trees that yield a graph inside the
 size bounds; any other tree gets the pre-pass's lines, even if a
 subtree of it would exceed the result cap.
@@ -96,7 +99,7 @@ def _dedup(graphs: Sequence[Graph]) -> List[Graph]:
 
 
 def _enumerate_node(
-    a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: None, kids: list,
+    a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: str, kids: list,
 ) -> Union[List[Graph], str]:
     """Memoized fold step of enumerate mode: every graph of node ``t``,
     given the graph sets of its children, or the message of the first
@@ -125,12 +128,16 @@ def _enumerate_node(
 
 
 def _check_node(
-    a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: None, kids: list,
-) -> Union[Tuple[int, int, int, bool, tuple], str]:
+    a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: str, kids: list,
+) -> Union[Tuple[int, int, int, bool, tuple, bool], str]:
     """Memoized fold step of the pre-pass: for node ``t``'s subtree,
     (tree size, node count of every graph it yields, upper bound on
     that count from template sizes, uses ``cfg.required_op``, sample
-    shape), or the check message of its first faulty node in preorder.
+    shape, forced), or the check message of its first faulty node in
+    preorder.  A subtree is forced when every context node of every
+    expansion in it has exactly one candidate: sample mode then draws
+    nothing in it, and it yields the same graph, node names included,
+    at every position of every tree.
 
     The count is exact in both modes: an expansion's docks take exactly
     the argument's ports, and its context nodes fuse into non-ports the
@@ -143,6 +150,7 @@ def _check_node(
         return (f"symbol {t.label!r} used with {t.rank} children, "
                 f"algebra allows {ranks}")
     size, count, upper, uses = 1, 0, 0, t.label == cfg.required_op
+    forced = True
     op = a[t.label]
     if isinstance(op, ExpansionOperation):
         upper = len(op.template.nodes)
@@ -154,63 +162,71 @@ def _check_node(
         count += kid[1]
         upper += kid[2]
         uses = uses or kid[3]
-    return size, count, upper, uses, _shape(op, cfg, [kid[4] for kid in kids])
+        forced = forced and kid[5]
+    shape, single = _shape(op, cfg, [kid[4] for kid in kids])
+    return size, count, upper, uses, shape, forced and single
 
 
 _NO_NODES: tuple = ((), {})
 
 
-def _shape(op: Operation, cfg: EvalConfig, args: List[tuple]) -> tuple:
+def _shape(
+    op: Operation, cfg: EvalConfig, args: List[tuple]
+) -> Tuple[tuple, bool]:
     """The sample shape of a node applying ``op`` to subtrees of the
     given shapes: (the labels of its ports in order, the label counts
     of its non-port nodes), which every graph the subtree yields has in
     either mode; or, when it yields none, (None, the ``zero-result:``
-    lines ``cfg.mode`` reports, in post-order).  The label counts are
-    never mutated, since memoized shapes are shared."""
+    lines ``cfg.mode`` reports, in post-order).  Paired with it, whether
+    each of the node's context nodes has exactly one candidate.  The
+    label counts are never mutated, since memoized shapes are shared."""
     empty = [lines for ports, lines in args if ports is None]
     if empty:
-        return None, tuple(line for lines in empty for line in lines)
+        return (None, tuple(line for lines in empty for line in lines)), False
     if isinstance(op, EmptyConstant):
-        return _NO_NODES
+        return _NO_NODES, True
     sample = cfg.mode == "sample"
     if isinstance(op, UnionOperation):
         (left, left_counts), (right, right_counts) = args
         if len(left) != op.left_arity or len(right) != op.right_arity:
             if not sample:
-                return None, ()  # enumerate mode reports nothing here
-            return None, (
+                return (None, ()), False  # enumerate mode reports nothing here
+            return (None, (
                 f"zero-result: union {op.name!r} got argument types "
                 f"({len(left)}, {len(right)}), expected "
-                f"({op.left_arity}, {op.right_arity})",)
+                f"({op.left_arity}, {op.right_arity})",)), False
         counts = dict(left_counts)
         for label, n in right_counts.items():
             counts[label] = counts.get(label, 0) + n
-        return left + right, counts
+        return (left + right, counts), True
     port_labels, arg_counts = args[0] if args else _NO_NODES
     if len(port_labels) != len(op.docks):
         if not sample:
-            return None, (
+            return (None, (
                 f"zero-result: operation {op.name!r} received no argument "
-                f"of type {len(op.docks)}",)
-        return None, (
+                f"of type {len(op.docks)}",)), False
+        return (None, (
             f"zero-result: operation {op.name!r} needs an argument of "
-            f"type {len(op.docks)}, got {len(port_labels)}",)
+            f"type {len(op.docks)}, got {len(port_labels)}",)), False
     # Under injectivity the j-th context node with label l has the
     # count(l) - j candidates the earlier ones with label l left.
     drawn: Dict[str, int] = {}
+    single = True
     for u in op.context:
         label = op.template.labels[u]
         taken = drawn.get(label, 0) if cfg.injective_contexts else 0
-        if arg_counts.get(label, 0) <= taken:
+        candidates = arg_counts.get(label, 0) - taken
+        if candidates < 1:
             if not sample:
                 needed = ", ".join(
                     sorted({op.template.labels[v] or "?" for v in op.context}))
-                return None, (
+                return (None, (
                     f"zero-result: operation {op.name!r} found no context "
-                    f"candidate (labels needed: {needed})",)
-            return None, (
+                    f"candidate (labels needed: {needed})",)), False
+            return (None, (
                 f"zero-result: operation {op.name!r} found no context "
-                f"candidate with label {label!r}",)
+                f"candidate with label {label!r}",)), False
+        single = single and candidates == 1
         drawn[label] = drawn.get(label, 0) + 1
 
     def label_of(v: str) -> str:
@@ -222,7 +238,7 @@ def _shape(op: Operation, cfg: EvalConfig, args: List[tuple]) -> tuple:
     for v in set(op.docks) - set(op.ports):
         label = label_of(v)
         counts[label] = counts.get(label, 0) + 1
-    return tuple(label_of(v) for v in op.ports), counts
+    return (tuple(label_of(v) for v in op.ports), counts), single
 
 
 def _sample_node(
@@ -234,9 +250,10 @@ def _sample_node(
     args: List[Graph],
 ) -> Graph:
     """Fold step of sample mode: one graph of node ``t``, given one
-    graph per child; draws are keyed by the node's path.  Only trees
-    whose sample shape is not empty are folded, so every argument has
-    the right type and every context node a candidate."""
+    graph per child; draws are keyed by the node's path, and a context
+    node with one candidate takes it without a draw.  Only trees whose
+    sample shape is not empty are folded, so every argument has the
+    right type and every context node a candidate."""
     op = a[t.label]
     if isinstance(op, EmptyConstant):
         return empty_graph()
@@ -251,7 +268,9 @@ def _sample_node(
         # enumerate mode drops whole non-injective combinations instead.
         if cfg.injective_contexts:
             candidates = [v for v in candidates if v not in assignment.values()]
-        pick = _draw(cfg.seed, tree_index, path, i, len(candidates))
+        # A draw among one candidate is 0, so it is skipped.
+        pick = (0 if len(candidates) == 1 else
+                _draw(cfg.seed, tree_index, path, i, len(candidates)))
         assignment[u] = candidates[pick]
     return apply_expansion(op, arg, assignment)
 
@@ -273,11 +292,12 @@ def _evaluate(
     checks: dict, memo: dict,
 ) -> EvalOutcome:
     """``evaluate``, sharing the pre-pass values of subtrees through
-    ``checks`` and their enumerate-mode values through ``memo``."""
+    ``checks``, and through ``memo`` their enumerate-mode values or the
+    sample-mode values of forced subtrees."""
     info = t.fold(partial(_check_node, a, cfg), checks)
     if info.__class__ is str:
         raise EvaluationError(info)
-    size, count, upper, uses_required_op, (ports, lines) = info
+    size, count, upper, uses_required_op, (ports, lines), _forced = info
     low, high = cfg.min_nodes, cfg.max_nodes
 
     if cfg.required_op is not None and not uses_required_op:
@@ -306,7 +326,10 @@ def _evaluate(
             f"size-filtered: all evaluated graphs fall outside "
             f"[{low}, {high}]",))
     if cfg.mode == "sample":
-        graphs = [t.fold(partial(_sample_node, a, cfg, tree_index))]
+        # A forced subtree draws nothing, so its graph is shared; any
+        # other node's draws are keyed by its path in this tree.
+        graphs = [t.fold(partial(_sample_node, a, cfg, tree_index), memo,
+                         lambda node: checks[id(node)][5])]
     else:
         graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
         if graphs.__class__ is str:
@@ -324,9 +347,9 @@ def evaluate_corpus(
     """Evaluate trees independently, preserving input order.
 
     Each distinct subtree object is checked once for the whole corpus,
-    and in enumerate mode each one that a yielding tree holds is
-    evaluated once; the outcomes equal those of ``evaluate`` on each
-    tree alone.  Per-tree evaluation errors become diagnostics instead
+    and each one that a yielding tree holds is evaluated once, in
+    enumerate mode, or in sample mode when it is forced; the outcomes
+    equal those of ``evaluate`` on each tree alone.  Per-tree evaluation errors become diagnostics instead
     of aborting the corpus.  ``parallel`` is accepted for compatibility
     and has no effect: trees are evaluated one after another.
     """

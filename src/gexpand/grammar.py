@@ -132,28 +132,33 @@ class DerivationTree(Record):
 
     def fold(
         self,
-        step: Callable[["DerivationTree", Optional[str], List[T]], T],
+        step: Callable[["DerivationTree", str, List[T]], T],
         memo: Optional[Dict[int, T]] = None,
+        shared: Optional[Callable[["DerivationTree"], bool]] = None,
     ) -> T:
         """Evaluate the tree bottom-up and return the root's value.
 
-        ``step(node, path, values)`` runs once per node, in post-order
-        with children left to right; ``values`` holds what the steps of
-        the node's children returned.  The root's path is ``r`` and the
-        i-th child of the node at path ``p`` has path ``p.i``.
+        ``step(node, path, values)`` runs in post-order with children
+        left to right; ``values`` holds what the steps of the node's
+        children returned, and ``path`` is the position the step runs
+        at: the root's path is ``r`` and the i-th child of the node at
+        path ``p`` has path ``p.i``.  Without ``memo`` every node runs
+        one step at each of its positions.
 
-        With ``memo``, a dict keyed by ``id(node)``, every value a step
+        With ``memo``, a dict keyed by ``id(node)``, the value a step
         returns is stored, and a node already in ``memo`` is not
-        descended into: its stored value is used, so each distinct node
-        object runs one step however often it occurs, in this tree or in
-        any other folded with the same memo.  A stored value may stand
-        for several positions, so every path is ``None``.  The caller
-        keeps the folded nodes alive while ``memo`` is in use.
+        descended into: its stored value is used, so a stored node
+        object runs one step, at its first position, however often it
+        occurs in this tree or in any other folded with the same memo.
+        ``shared(node)``, if given, decides which values are stored;
+        any other node runs its step at each of its positions, with
+        that position's path.  The caller keeps the folded nodes alive
+        while ``memo`` is in use.
         """
         values: List[T] = []
         # (node, path, None) on the way down; (node, path, rank) once the
         # node's children are on the stack above it.
-        stack = [(self, "r" if memo is None else None, None)]
+        stack = [(self, "r", None)]
         while stack:
             node, path, rank = stack.pop()
             if memo is not None and rank is None and id(node) in memo:
@@ -165,15 +170,13 @@ class DerivationTree(Record):
             elif rank is None:
                 stack.append((node, path, len(children)))
                 for i in range(len(children) - 1, -1, -1):
-                    stack.append((children[i],
-                                  None if path is None else f"{path}.{i}",
-                                  None))
+                    stack.append((children[i], f"{path}.{i}", None))
                 continue
             else:
                 args = values[-rank:]
                 del values[-rank:]
                 value = step(node, path, args)
-            if memo is not None:
+            if memo is not None and (shared is None or shared(node)):
                 memo[id(node)] = value
             values.append(value)
         return values[0]
@@ -355,6 +358,10 @@ def n_best_trees(
     (fewer nodes), remaining ties to the lexicographically least
     preorder serialization.  Equal trees reachable by several
     derivations are reported once, at their minimum weight.
+
+    ``budget`` caps the partial derivations popped.  They are counted
+    over the grammar with identical ``(lhs, symbol, rhs)`` productions
+    merged, so a production written twice costs no extra pops.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -362,24 +369,32 @@ def n_best_trees(
     if best[g.start] is None:
         warnings.warn("grammar generates the empty language", EmptyLanguageWarning)
         return []
+    # Identical productions give the same trees, so each one is kept
+    # once, at its least weight; otherwise every copy would multiply
+    # the derivations the search pops.
+    merged: Dict[tuple, Fraction] = {}
+    for p in g.productions:
+        key = (p.lhs, p.symbol.name, p.rhs)
+        if key not in merged or p.weight < merged[key]:
+            merged[key] = p.weight
     # Bounds are exact integers: every weight times the least common
     # multiple of the rule weights' denominators.
-    scale = math.lcm(*(p.weight.denominator for p in g.productions))
+    scale = math.lcm(*(w.denominator for w in merged.values()))
     least = {a: (int(b[0] * scale), b[1])
              for a, b in best.items() if b is not None}
     # Expanding a nonterminal by a productive production moves the
     # completion bound by the production's own pair plus its children's
     # least pairs minus its left-hand side's least pair.
     steps: Dict[str, List[tuple]] = {}
-    for p in g.productions:
-        if all(b in least for b in p.rhs):
-            w = int(p.weight * scale) - least[p.lhs][0]
-            s = 1 - least[p.lhs][1]
-            for b in p.rhs:
+    for (lhs, name, rhs), weight in merged.items():
+        if all(b in least for b in rhs):
+            w = int(weight * scale) - least[lhs][0]
+            s = 1 - least[lhs][1]
+            for b in rhs:
                 w += least[b][0]
                 s += least[b][1]
-            steps.setdefault(p.lhs, []).append(
-                (w, s, (p.symbol.name, p.symbol.rank), p.rhs[::-1]))
+            steps.setdefault(lhs, []).append(
+                (w, s, (name, len(rhs)), rhs[::-1]))
 
     # A leftmost partial derivation is (weight, size, 0, counter, chain,
     # stack): the chain links the symbols applied so far, latest first,

@@ -15,6 +15,20 @@ S2 -> op5
 
 RUNNING_TREE_TEXT = "op1(op2(op3(op4 op5)))\n"
 
+# A grammar with one production written twice.  Unmerged, every tree
+# has 2^k derivations at one bound: N=40 ran a budget of 10**5 pops out.
+DUPLICATE_RULE_GRAMMAR = """\
+N0
+N0 -> t7r0 # 5
+N0 -> t5r2(N4 N2) # 4
+N4 -> t0r1(N4) # 0
+N4 -> t0r1(N4) # 0
+N4 -> t5r1(N3) # 2
+N3 -> t5r1(N2) # 2
+N2 -> t6r0 # 4
+N2 -> t3r1(N0) # 5
+"""
+
 # ``merge`` fuses both ports of its argument into one node: its repeated
 # dock takes two argument ports, so ``merge(pair)`` has one node.
 MERGE_OPS = """\

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from gexpand import (
     Algebra,
@@ -80,6 +81,7 @@ def random_expansion_operation(
     port_count: int,
     max_context: int = 1,
     extension_only: bool = False,
+    node_labels: Sequence[str] = NODE_LABELS,
 ) -> ExpansionOperation:
     """A random expansion operation with exactly the given dock-sequence
     length and port count.
@@ -127,9 +129,9 @@ def random_expansion_operation(
     labels = {}
     for v in node_order:
         if v in dock_nodes and v not in new_set:
-            labels[v] = None if rng.random() < 0.5 else rng.choice(NODE_LABELS)
+            labels[v] = None if rng.random() < 0.5 else rng.choice(node_labels)
         else:
-            labels[v] = rng.choice(NODE_LABELS)
+            labels[v] = rng.choice(node_labels)
 
     edges = set()
     if extension_only:
@@ -149,6 +151,40 @@ def random_expansion_operation(
 
     template = Graph(node_order, edges, labels, ports)
     return ExpansionOperation(name, template, ports, docks, node_order)
+
+
+def random_algebra_for(rng: random.Random, grammar: WeightedRtg,
+                       max_context: int = 2, crowded: bool = False) -> Algebra:
+    """An algebra over a grammar's terminals: unions at rank 2, random
+    expansion operations with up to ``max_context`` context nodes
+    otherwise.
+
+    Each nonterminal gets a random type in {1, 2}, and an operation's
+    dock and port counts are the types of the first production that
+    uses it, so that most trees are well typed.  Leaves get no context
+    nodes: their argument is the empty graph, which no context node
+    matches.
+
+    With ``crowded``, every labelled template node has label ``a``.
+    Then every non-port node of an argument, a dock forgotten below, is
+    a candidate of every context node, so deeper context nodes have
+    several candidates and enumerate-mode sets grow toward the caps."""
+    nt_type = {a: rng.randint(1, 2) for a in sorted(grammar.nonterminals)}
+    ops = {}
+    for p in grammar.productions:
+        name = p.symbol.name
+        if name in ops:
+            continue
+        arg_types = [nt_type[b] for b in p.rhs]
+        if p.symbol.rank == 2:
+            ops[name] = UnionOperation(name, *arg_types)
+        else:
+            ops[name] = random_expansion_operation(
+                rng, name, dock_count=sum(arg_types),
+                port_count=nt_type[p.lhs],
+                max_context=max_context if p.symbol.rank else 0,
+                node_labels=["a"] if crowded else NODE_LABELS)
+    return Algebra(ops)
 
 
 def random_algebra_and_tree(rng: random.Random, max_depth: int = 3):

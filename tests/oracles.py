@@ -24,6 +24,7 @@ from gexpand import (
     ExpansionOperation,
     ExpansionTypeError,
     Graph,
+    Production,
     UnionOperation,
     WeightedRtg,
     EvalConfig,
@@ -212,17 +213,34 @@ def derivation_count(g: WeightedRtg, max_height: int) -> int:
     return count(g.start, max_height)
 
 
-def best_trees_by_enumeration(g: WeightedRtg, n: int, max_height: int):
+def merge_identical_productions(g: WeightedRtg) -> WeightedRtg:
+    """``g`` with each ``(lhs, symbol, rhs)`` production kept once, at
+    its least weight: the grammar ``n_best_trees`` counts pops over."""
+    least: Dict[tuple, Fraction] = {}
+    for p in g.productions:
+        key = (p.lhs, p.symbol, p.rhs)
+        least[key] = min(least.get(key, p.weight), p.weight)
+    return WeightedRtg(g.nonterminals, g.terminals, tuple(
+        Production(lhs, symbol, rhs, w)
+        for (lhs, symbol, rhs), w in least.items()), g.start)
+
+
+def best_trees_by_enumeration(g: WeightedRtg, n: int, max_height: int,
+                              max_weight: Optional[Fraction] = None):
     """The ``n`` least trees of height at most ``max_height`` derivable
     from the start nonterminal, each at the least weight of its
-    derivations, sorted by (weight, node count, serialization).
+    derivations, sorted by (weight, node count, serialization); with
+    ``max_weight``, only trees of at most that weight.
 
     Trees are enumerated bottom-up per (nonterminal, height bound), one
     entry per distinct serialization with its least weight: a tree's
     least derivation weight from ``A`` is a rule's weight plus the least
     weights of the children from its right-hand side.  Weights are
-    integers over the common denominator of the rule weights."""
+    non-negative, so a subtree above ``max_weight`` is dropped before it
+    is combined.  Weights are integers over the common denominator of
+    the rule weights."""
     scale = math.lcm(*(p.weight.denominator for p in g.productions))
+    limit = None if max_weight is None else max_weight * scale
     by_lhs: Dict[str, list] = {}
     for p in g.productions:
         by_lhs.setdefault(p.lhs, []).append(p)
@@ -242,6 +260,8 @@ def best_trees_by_enumeration(g: WeightedRtg, n: int, max_height: int):
                     ser = (f"{p.symbol.name}({' '.join(s for s, _e in combo)})"
                            if combo else p.symbol.name)
                     w = weight + sum(e[0] for _s, e in combo)
+                    if limit is not None and w > limit:
+                        continue
                     if ser not in best or w < best[ser][0]:
                         best[ser] = (
                             w, 1 + sum(e[1] for _s, e in combo),

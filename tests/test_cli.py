@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline and corpus writer."""
 
 import json
+import os
 import re
 from functools import partial
 from pathlib import Path
@@ -18,7 +19,13 @@ from gexpand import (
     parse_rtg,
     parse_tree_file,
 )
-from fixtures import MERGE_OPS, RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
+from fixtures import (
+    DUPLICATE_RULE_GRAMMAR,
+    MERGE_OPS,
+    RUNNING_GRAMMAR,
+    RUNNING_OPS,
+    RUNNING_TREE_TEXT,
+)
 from fixtures import running_result_graph
 
 
@@ -118,6 +125,15 @@ class TestRun:
         assert record["tree"] == "op1(op2(op3(op4 op5)))"
         assert record["nodes"] == 4
         assert record["edges"] == 5
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="lists open descriptors through /dev/fd")
+    def test_run_leaves_no_descriptor_open(self, inputs):
+        tmp, ops, _trees, rtg = inputs
+        before = len(os.listdir("/dev/fd"))
+        assert main(["-g", str(ops), "--rtg", str(rtg), "-N", "3",
+                     "--out", str(tmp / "corpus")]) == 0
+        assert len(os.listdir("/dev/fd")) == before
 
     def test_repeated_runs_are_byte_identical(self, inputs):
         tmp, ops, trees, _rtg = inputs
@@ -223,20 +239,6 @@ class TestErrors:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
-
-# A grammar with one production written twice: every tree has 2^k
-# derivations at one bound, so the N-best search exhausts its budget.
-DUPLICATE_RULE_GRAMMAR = """\
-N0
-N0 -> t7r0 # 5
-N0 -> t5r2(N4 N2) # 4
-N4 -> t0r1(N4) # 0
-N4 -> t0r1(N4) # 0
-N4 -> t5r1(N3) # 2
-N3 -> t5r1(N2) # 2
-N2 -> t6r0 # 4
-N2 -> t3r1(N0) # 5
-"""
 
 DUPLICATE_RULE_OPS = "".join(
     f"operation {name} {{\n  0 [label=\"{name}\"];\n  port 0;\n}}\n"

@@ -10,14 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gexpand import (
-    Algebra,
     BudgetExceededError,
     DerivationTree,
     EvalConfig,
     EvaluationError,
     ExpansionOperation,
     ResultCapExceededError,
-    UnionOperation,
     canonical_key,
     evaluate,
     evaluate_corpus,
@@ -37,7 +35,7 @@ from fixtures import (
 )
 from generators import (
     random_algebra_and_tree,
-    random_expansion_operation,
+    random_algebra_for,
     random_grammar,
     total_context_nodes,
 )
@@ -349,33 +347,6 @@ class TestEvaluateCorpus:
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
-def random_algebra_for(rng, grammar, max_context=2):
-    """An algebra over a grammar's terminals: unions at rank 2, random
-    expansion operations with up to ``max_context`` context nodes
-    otherwise.
-
-    Each nonterminal gets a random type in {1, 2}, and an operation's
-    dock and port counts are the types of the first production that
-    uses it, so that most trees are well typed.  Leaves get no context
-    nodes: their argument is the empty graph, which no context node
-    matches."""
-    nt_type = {a: rng.randint(1, 2) for a in sorted(grammar.nonterminals)}
-    ops = {}
-    for p in grammar.productions:
-        name = p.symbol.name
-        if name in ops:
-            continue
-        arg_types = [nt_type[b] for b in p.rhs]
-        if p.symbol.rank == 2:
-            ops[name] = UnionOperation(name, *arg_types)
-        else:
-            ops[name] = random_expansion_operation(
-                rng, name, dock_count=sum(arg_types),
-                port_count=nt_type[p.lhs],
-                max_context=max_context if p.symbol.rank else 0)
-    return Algebra(ops)
-
-
 def unshared(t):
     """``t`` rebuilt with a fresh object at every position."""
     return t.fold(
@@ -552,13 +523,14 @@ def assert_same_as_naive_sample(trees, algebra, cfg):
         assert outcome.diagnostics == diagnostics
 
 
-def random_corpus(s, n):
+def random_corpus(s, n, crowded=False):
     """A random grammar's N-best trees and a random algebra over it
     with up to three context nodes per operation, or None when the
     search runs out of budget."""
     rng = random.Random(s)
     grammar = random_grammar(rng)
-    algebra = random_algebra_for(rng, grammar, max_context=3)
+    algebra = random_algebra_for(rng, grammar, max_context=3,
+                                 crowded=crowded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -570,6 +542,10 @@ def random_corpus(s, n):
 
 def sample_shape(t, algebra, cfg):
     return t.fold(partial(evaluator._check_node, algebra, cfg))[4]
+
+
+def sample_shape_forced(t, algebra, cfg):
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[5]
 
 
 @pytest.fixture()
@@ -607,6 +583,23 @@ class TestSampleShape:
             mode="sample", seed=seed, injective_contexts=injective,
             min_nodes=low, max_nodes=high, required_op=required_op,
             tree_size_bounds=on_trees))
+
+    @given(seeds, st.sampled_from([5, 20, 60]), st.booleans(),
+           st.integers(0, 1000),
+           st.none() | st.integers(0, 12), st.none() | st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_crowded_corpus_equals_sampling_every_node(
+            self, s, n, injective, seed, low, high):
+        # Crowded algebras give context nodes several candidates, so
+        # the per-position draws of subtrees that are not forced run.
+        corpus = random_corpus(s, n, crowded=True)
+        assume(corpus is not None)
+        _rng, _grammar, algebra, trees = corpus
+        if low is not None and high is not None and low > high:
+            low, high = high, low
+        assert_same_as_naive_sample(trees, algebra, EvalConfig(
+            mode="sample", seed=seed, injective_contexts=injective,
+            min_nodes=low, max_nodes=high))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("injective", [False, True])
@@ -711,18 +704,60 @@ operation needs_two {
             "size-filtered: all evaluated graphs fall outside [5, None]",)
         assert steps == []
 
+    def test_shared_subtree_that_draws_runs_once_per_tree(
+            self, sample_steps):
+        # The root of BRANCHING_TREE draws between two c-nodes; its
+        # argument drop_ports(two_leaves) draws nothing.
+        algebra = branching_algebra()
+        cfg = EvalConfig(mode="sample")
+        assert sample_shape_forced(BRANCHING_TREE, algebra, cfg) is False
+        assert sample_shape_forced(BRANCHING_TREE.children[0], algebra, cfg)
+        trees = [BRANCHING_TREE, BRANCHING_TREE]
+        picks = set()
+        for seed in range(8):
+            sample_steps.clear()
+            out = evaluate_corpus(trees, algebra, cfg.replace(seed=seed))
+            assert [t.label for t in sample_steps] == [
+                "two_leaves", "drop_ports", "pick_context", "pick_context"]
+            first, second = (exact(o.graphs) for o in out)
+            picks.add(first == second)
+            assert_same_as_naive_sample(trees, algebra, cfg.replace(seed=seed))
+        assert picks == {False, True}
+
     def test_sample_steps_run_on_yielding_trees_only(
             self, sample_steps, checks):
         algebra, trees = bench_corpus("amr", 740)
         outcomes = evaluate_corpus(trees, algebra, EvalConfig(mode="sample"))
         yielding = [t for t, o in zip(trees, outcomes) if o.graphs]
         assert len(yielding) == 171
-        assert len(sample_steps) == sum(t.size() for t in yielding) == 1_595
+        assert sum(t.size() for t in yielding) == 1_595
+        # 1,540 of those nodes lie in forced subtrees, which are 215
+        # distinct objects, one step each; the other 55 nodes run one
+        # step per position.
+        assert len(sample_steps) == 215 + 55
         assert len(checks) == 1_022
 
 
 def node_count(t, algebra, cfg):
     return t.fold(partial(evaluator._check_node, algebra, cfg))[1]
+
+
+def set_size_bound(t, algebra, cfg):
+    """An upper bound on the size of every graph set enumerate mode
+    builds for ``t``: the product of the candidate counts of all the
+    context nodes in it, read from the sample shapes of their
+    arguments."""
+    checks = {}
+    t.fold(partial(evaluator._check_node, algebra, cfg), checks)
+    bound = 1
+    for node in t.walk():
+        op = algebra[node.label]
+        if isinstance(op, ExpansionOperation) and node.children:
+            ports, counts = checks[id(node.children[0])][4]
+            if ports is not None:
+                for u in op.context:
+                    bound *= max(1, counts.get(op.template.labels[u], 0))
+    return bound
 
 
 def assert_same_as_naive_enumerate(trees, algebra, cfg):
@@ -805,6 +840,24 @@ class TestNodeCount:
             min_nodes=low, max_nodes=high, required_op=required_op,
             tree_size_bounds=on_trees))
 
+    @given(seeds, st.sampled_from([5, 20]), st.booleans(),
+           st.sampled_from([1, 2, 10_000]))
+    @settings(max_examples=300, deadline=None)
+    def test_crowded_enumerate_corpus_equals_evaluating_every_node(
+            self, s, n, injective, cap):
+        # Several candidates per context node make the sets grow, so
+        # the small caps fire.  The oracle evaluates a tree that blows
+        # the cap again without one, so trees whose sets could grow
+        # past 100 graphs are left out.
+        corpus = random_corpus(s, n, crowded=True)
+        assume(corpus is not None)
+        _rng, _grammar, algebra, trees = corpus
+        cfg = EvalConfig(mode="enumerate", result_cap=cap,
+                         injective_contexts=injective)
+        assert_same_as_naive_enumerate(
+            [t for t in trees if set_size_bound(t, algebra, cfg) <= 100],
+            algebra, cfg)
+
     @pytest.mark.parametrize("cap", [1, 2, 10_000])
     @pytest.mark.parametrize("injective", [False, True])
     @pytest.mark.parametrize("filters", [
@@ -828,4 +881,5 @@ class TestNodeCount:
                                    EvalConfig(mode="sample", min_nodes=9))
         kept = [t for t, o in zip(trees, outcomes) if o.graphs]
         assert len(kept) == 76
-        assert len(sample_steps) == sum(t.size() for t in kept) == 809
+        assert sum(t.size() for t in kept) == 809
+        assert len(sample_steps) == 221

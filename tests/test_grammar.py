@@ -25,12 +25,13 @@ from gexpand import (
     tree,
 )
 from gexpand.grammar import reachable_nonterminals
-from fixtures import RUNNING_GRAMMAR, RUNNING_TREE_TEXT
+from fixtures import DUPLICATE_RULE_GRAMMAR, RUNNING_GRAMMAR, RUNNING_TREE_TEXT
 from generators import random_grammar
 from oracles import (
     best_trees_by_enumeration,
     derivation_count,
     enumerate_derivations,
+    merge_identical_productions,
     naive_n_best_trees,
 )
 
@@ -197,6 +198,20 @@ class TestNBestTrees:
         best = n_best_trees(g, 5)
         assert [(t.serialize(), w) for t, w in best] == [("a", 1), ("b", 2)]
 
+    def test_duplicated_production_costs_no_extra_pops(self):
+        g = parse_rtg(DUPLICATE_RULE_GRAMMAR)
+        got = n_best_trees(g, 40, budget=1_000)
+        # t7r0, then t5r2(t0r1^k(t5r1(t5r1(t6r0))) t6r0) for k = 0..38,
+        # all of weight 16 and at most 43 nodes.  A tree the oracle
+        # leaves out weighs more or is over 43 high, so it has more
+        # nodes: either way it ranks after all 40.
+        assert len(got) == 40 and got[-1][1] == 16
+        assert max(t.size() for t, _w in got) == 43
+        expected = best_trees_by_enumeration(
+            merge_identical_productions(g), 40, 43, max_weight=Fraction(16))
+        assert [(t.serialize(), w) for t, w in got] == [
+            (t.serialize(), w) for t, w in expected]
+
     def test_ties_prefer_smaller_then_lexicographic(self):
         g = parse_rtg("S\nS -> f(S) # 0\nS -> b # 1\nS -> a # 1")
         best = n_best_trees(g, 4)
@@ -296,7 +311,8 @@ class TestNBestAgainstNestedSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyLanguageWarning)
             try:
-                expected, pops = naive_n_best_trees(g, n, ORACLE_BUDGET)
+                expected, pops = naive_n_best_trees(
+                    merge_identical_productions(g), n, ORACLE_BUDGET)
             except BudgetExceededError:
                 with pytest.raises(BudgetExceededError):
                     n_best_trees(g, n, ORACLE_BUDGET)
@@ -437,10 +453,36 @@ class TestFold:
         assert t.fold(step, memo) == t.fold(_term) == t.serialize()
         assert [node.serialize() for node, _path in steps] == [
             "a", "g(a)", "b", "h(g(a) b)", "p(g(a) g(a) h(g(a) b))"]
-        assert {path for _node, path in steps} == {None}
+        # Each step gets the path of the position it runs at.
+        assert [path for _node, path in steps] == [
+            "r.0.0", "r.0", "r.2.1", "r.2", "r"]
         assert t.size() == 9 and len(memo) == 5
         # A second fold with the same memo runs no step at all.
         assert t.fold(step, memo) == t.serialize() and len(steps) == 5
+
+    def test_shared_decides_which_nodes_are_stored(self):
+        (t,) = parse_tree_file("p(g(a) g(a) h(g(a) b))\n")
+        steps = []
+
+        def step(node, path, values):
+            steps.append((node.serialize(), path))
+            return _term(node, path, values)
+
+        memo = {}
+        # Only the a and h(g(a) b) nodes are stored, so every other node
+        # runs its step at each of its positions.
+        shared = lambda node: node.label in ("a", "h")
+        assert t.fold(step, memo, shared) == t.serialize()
+        assert steps == [
+            ("a", "r.0.0"), ("g(a)", "r.0"), ("g(a)", "r.1"),
+            ("g(a)", "r.2.0"), ("b", "r.2.1"), ("h(g(a) b)", "r.2"),
+            ("p(g(a) g(a) h(g(a) b))", "r")]
+        assert sorted(memo) == sorted({id(t.children[0].children[0]),
+                                       id(t.children[2])})
+        steps.clear()
+        assert t.fold(step, memo, shared) == t.serialize()
+        assert steps == [("g(a)", "r.0"), ("g(a)", "r.1"),
+                         ("p(g(a) g(a) h(g(a) b))", "r")]
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -458,5 +500,5 @@ class TestFold:
         memo = {}
         for t in trees:
             assert t.fold(step, memo) == t.fold(_term)
-        assert steps == [None] * len(
+        assert len(steps) == len(
             {id(node) for t in trees for node in t.walk()})

@@ -3,7 +3,8 @@
 Every record class keeps the constructor, checks, immutability,
 equality and hashing it had as a frozen dataclass, and importing or
 running the package loads neither ``dataclasses`` nor ``inspect``, and
-enumerate mode does not load ``hashlib``.
+a run that draws nothing (enumerate mode, or sample mode where every
+context node has one candidate) does not load ``hashlib``.
 """
 
 import inspect
@@ -33,7 +34,7 @@ from gexpand import (
     tree,
 )
 from gexpand.cli import RunConfig
-from fixtures import RUNNING_GRAMMAR, RUNNING_OPS
+from fixtures import RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
 
 CHILD = """\
 import sys
@@ -56,24 +57,33 @@ print(repr((status, seen)))
 """
 
 
-def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib(tmp_path):
-    ops = tmp_path / "ops.txt"
-    ops.write_text(RUNNING_OPS)
-    rtg = tmp_path / "grammar.rtg"
-    rtg.write_text(RUNNING_GRAMMAR)
-    defs = tmp_path / "defs.txt"
-    defs.write_text("she: she, he\n")
+@pytest.mark.parametrize("mode_args", [
+    ["--rtg", "{rtg}", "-N", "3", "--mode", "enumerate"],
+    # Every context node of the running tree has one candidate, so
+    # sample mode draws nothing.
+    ["-t", "{trees}", "--mode", "sample"],
+], ids=["enumerate", "sample-without-draws"])
+def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib(
+        tmp_path, mode_args):
+    paths = {"ops": tmp_path / "ops.txt", "rtg": tmp_path / "grammar.rtg",
+             "trees": tmp_path / "trees.txt", "defs": tmp_path / "defs.txt"}
+    paths["ops"].write_text(RUNNING_OPS)
+    paths["rtg"].write_text(RUNNING_GRAMMAR)
+    paths["trees"].write_text(RUNNING_TREE_TEXT)
+    paths["defs"].write_text("she: she, he\n")
     src = Path(gexpand.__file__).resolve().parents[1]
+    out = tmp_path / "corpus"
     # -S keeps modules that site hooks load out of the picture, and the
     # child leaves no bytecode in the source tree.
     result = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD, "-g", str(ops), "--rtg", str(rtg),
-         "-N", "3", "--mode", "enumerate", "-d", str(defs),
-         "--out", str(tmp_path / "corpus")],
+        [sys.executable, "-S", "-c", CHILD, "-g", str(paths["ops"]),
+         *[a.format(**paths) for a in mode_args], "-d", str(paths["defs"]),
+         "--out", str(out)],
         env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == repr((0, [[], [], [], []]))
+    assert (out / "g0_1.gv").is_file()
 
 
 def small_records():
