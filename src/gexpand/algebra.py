@@ -237,10 +237,6 @@ class ExtensionReport(Record):
     __slots__ = ("r1", "r2", "r1_violations", "r2_violations")
     _defaults = {"r1_violations": (), "r2_violations": ()}
 
-    @property
-    def is_extension(self) -> bool:
-        return self.r1 and self.r2
-
 
 def check_extension(op: ExpansionOperation) -> ExtensionReport:
     """Report whether an expansion operation is an extension operation.

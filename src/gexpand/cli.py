@@ -141,9 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup-across-trees", action="store_true",
                    help="drop graphs isomorphic to one emitted for an "
                         "earlier tree")
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted for compatibility; has no effect (trees "
-                        "are evaluated serially)")
     p.add_argument("--validate", action="store_true",
                    help="check the inputs and report findings without "
                         "generating anything")
@@ -155,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv: Sequence[str]) -> Tuple[RunConfig, bool]:
     args = vars(_build_parser().parse_args(argv))
-    del args["parallel"]
     validate_only = args.pop("validate")
     return RunConfig(**args), validate_only
 

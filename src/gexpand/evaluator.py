@@ -129,15 +129,14 @@ def _enumerate_node(
 
 def _check_node(
     a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: str, kids: list,
-) -> Union[Tuple[int, int, int, bool, tuple, bool], str]:
+) -> Union[Tuple[int, int, bool, tuple, bool], str]:
     """Memoized fold step of the pre-pass: for node ``t``'s subtree,
-    (tree size, node count of every graph it yields, upper bound on
-    that count from template sizes, uses ``cfg.required_op``, sample
-    shape, forced), or the check message of its first faulty node in
-    preorder.  A subtree is forced when every context node of every
-    expansion in it has exactly one candidate: sample mode then draws
-    nothing in it, and it yields the same graph, node names included,
-    at every position of every tree.
+    (tree size, node count of every graph it yields, uses
+    ``cfg.required_op``, sample shape, forced), or the check message of
+    its first faulty node in preorder.  A subtree is forced when every
+    context node of every expansion in it has exactly one candidate:
+    sample mode then draws nothing in it, and it yields the same graph,
+    node names included, at every position of every tree.
 
     The count is exact in both modes: an expansion's docks take exactly
     the argument's ports, and its context nodes fuse into non-ports the
@@ -149,22 +148,20 @@ def _check_node(
     if t.rank not in ranks:
         return (f"symbol {t.label!r} used with {t.rank} children, "
                 f"algebra allows {ranks}")
-    size, count, upper, uses = 1, 0, 0, t.label == cfg.required_op
+    size, count, uses = 1, 0, t.label == cfg.required_op
     forced = True
     op = a[t.label]
     if isinstance(op, ExpansionOperation):
-        upper = len(op.template.nodes)
         count = len(set(op.ports) | set(op.docks)) - len(op.docks)
     for kid in kids:
         if kid.__class__ is str:
             return kid
         size += kid[0]
         count += kid[1]
-        upper += kid[2]
-        uses = uses or kid[3]
-        forced = forced and kid[5]
-    shape, single = _shape(op, cfg, [kid[4] for kid in kids])
-    return size, count, upper, uses, shape, forced and single
+        uses = uses or kid[2]
+        forced = forced and kid[4]
+    shape, single = _shape(op, cfg, [kid[3] for kid in kids])
+    return size, count, uses, shape, forced and single
 
 
 _NO_NODES: tuple = ((), {})
@@ -297,7 +294,7 @@ def _evaluate(
     info = t.fold(partial(_check_node, a, cfg), checks)
     if info.__class__ is str:
         raise EvaluationError(info)
-    size, count, upper, uses_required_op, (ports, lines), _forced = info
+    size, count, uses_required_op, (ports, lines), _forced = info
     low, high = cfg.min_nodes, cfg.max_nodes
 
     if cfg.required_op is not None and not uses_required_op:
@@ -314,10 +311,6 @@ def _evaluate(
         return EvalOutcome(t, (), (
             f"size-filtered: every result has at least {count} nodes, "
             f"maximum is {high}",))
-    elif low is not None and upper < low:
-        return EvalOutcome(t, (), (
-            f"size-filtered: every result has at most {upper} nodes, "
-            f"minimum is {low}",))
 
     if ports is None:
         return EvalOutcome(t, (), lines)
@@ -329,7 +322,7 @@ def _evaluate(
         # A forced subtree draws nothing, so its graph is shared; any
         # other node's draws are keyed by its path in this tree.
         graphs = [t.fold(partial(_sample_node, a, cfg, tree_index), memo,
-                         lambda node: checks[id(node)][5])]
+                         lambda node: checks[id(node)][4])]
     else:
         graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
         if graphs.__class__ is str:
@@ -349,9 +342,10 @@ def evaluate_corpus(
     Each distinct subtree object is checked once for the whole corpus,
     and each one that a yielding tree holds is evaluated once, in
     enumerate mode, or in sample mode when it is forced; the outcomes
-    equal those of ``evaluate`` on each tree alone.  Per-tree evaluation errors become diagnostics instead
-    of aborting the corpus.  ``parallel`` is accepted for compatibility
-    and has no effect: trees are evaluated one after another.
+    equal those of ``evaluate`` on each tree alone.  Per-tree
+    evaluation errors become diagnostics instead of aborting the
+    corpus.  Trees are evaluated one after another: ``parallel`` is
+    ignored, and kept only because the benchmark passes it.
     """
     # ``trees`` keeps every node alive, so the ids in the memos stay valid.
     checks: dict = {}

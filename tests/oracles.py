@@ -508,11 +508,10 @@ def _naive_prefiltered(t: DerivationTree, a: Algebra, cfg: EvalConfig):
     if problem is not None:
         return (), (f"error: {problem}",)
     nodes = list(t.walk())
-    count = upper = 0
+    count = 0
     for node in nodes:
         op = a[node.label]
         if isinstance(op, ExpansionOperation):
-            upper += len(op.template.nodes)
             count += len(set(op.ports) | set(op.docks)) - len(op.docks)
     low, high = cfg.min_nodes, cfg.max_nodes
     if cfg.required_op is not None and all(
@@ -533,10 +532,6 @@ def _naive_prefiltered(t: DerivationTree, a: Algebra, cfg: EvalConfig):
         return (), (
             f"size-filtered: every result has at least {count} nodes, "
             f"maximum is {high}",)
-    if low is not None and upper < low:
-        return (), (
-            f"size-filtered: every result has at most {upper} nodes, "
-            f"minimum is {low}",)
     return None
 
 

@@ -255,19 +255,15 @@ def test_criterion_7_determinism_and_round_trips(tmp_path):
         ops, trees, _rtg = write_running_inputs(tmp_path)
         trees.write_text(RUNNING_TREE_TEXT * 3)
         corpora = {}
-        for out_name, extra in [
-            ("run1", []),
-            ("run2", []),
-            ("run3", ["--parallel"]),
-        ]:
+        for out_name in ["run1", "run2"]:
             out = tmp_path / out_name
             assert main(
-                ["-g", str(ops), "-t", str(trees), "--out", str(out)] + extra
+                ["-g", str(ops), "-t", str(trees), "--out", str(out)]
             ) == 0
             corpora[out_name] = {
                 p.name: p.read_bytes() for p in sorted(out.iterdir())
             }
-        assert corpora["run1"] == corpora["run2"] == corpora["run3"]
+        assert corpora["run1"] == corpora["run2"]
         manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
         assert len(manifest["graphs"]) == 3
 

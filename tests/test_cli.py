@@ -143,15 +143,6 @@ class TestRun:
         main(argv + ["--out", str(out2)])
         assert corpus_bytes(out1) == corpus_bytes(out2)
 
-    def test_parallel_run_is_byte_identical_to_serial(self, inputs):
-        tmp, ops, trees, _rtg = inputs
-        trees.write_text(RUNNING_TREE_TEXT * 4)
-        out1, out2 = tmp / "serial", tmp / "parallel"
-        argv = ["-g", str(ops), "-t", str(trees)]
-        main(argv + ["--out", str(out1)])
-        main(argv + ["--out", str(out2), "--parallel"])
-        assert corpus_bytes(out1) == corpus_bytes(out2)
-
     def test_definitions_expand_the_corpus(self, inputs):
         tmp, ops, trees, _rtg = inputs
         defs = tmp / "defs.txt"
@@ -337,9 +328,14 @@ class TestParser:
             "out": "./corpus", "result_cap": 10000,
             "instantiation_cap": 10000, "tree_size_bounds": False,
             "per_label": False, "injective_contexts": False,
-            "dedup_across_trees": False, "parallel": False,
-            "validate": False,
+            "dedup_across_trees": False, "validate": False,
         }
+
+    def test_parallel_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-g", "o", "--rtg", "r", "--parallel"])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_help_names_the_defaults(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")

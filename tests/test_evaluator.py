@@ -452,8 +452,8 @@ class TestSharedSubtrees:
     @pytest.mark.parametrize("injective", [False, True])
     @pytest.mark.parametrize("filters", [
         {},
-        # Both template-bound prefilters fire, and so does the filter on
-        # evaluated graphs.
+        # The exact node count drops trees on both sides of the bounds:
+        # above 9 before evaluation, below 6 as evaluated graphs.
         {"min_nodes": 6, "max_nodes": 9},
         {"required_op": "and", "tree_size_bounds": True, "max_nodes": 9},
     ], ids=["unfiltered", "node-bounds", "op-and-tree-size"])
@@ -541,11 +541,11 @@ def random_corpus(s, n, crowded=False):
 
 
 def sample_shape(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[4]
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[3]
 
 
 def sample_shape_forced(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[5]
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[4]
 
 
 @pytest.fixture()
@@ -753,7 +753,7 @@ def set_size_bound(t, algebra, cfg):
     for node in t.walk():
         op = algebra[node.label]
         if isinstance(op, ExpansionOperation) and node.children:
-            ports, counts = checks[id(node.children[0])][4]
+            ports, counts = checks[id(node.children[0])][3]
             if ports is not None:
                 for u in op.context:
                     bound *= max(1, counts.get(op.template.labels[u], 0))
@@ -873,13 +873,20 @@ class TestNodeCount:
             mode="enumerate", result_cap=cap, injective_contexts=injective,
             **filters))
 
-    def test_sample_mode_skips_trees_outside_the_bounds(self, sample_steps):
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_sample_mode_skips_trees_outside_the_bounds(
+            self, sample_steps, mode):
         # Of the 171 amr trees that yield a graph, 95 yield one below 9
-        # nodes; the pre-pass count drops them without a draw.
+        # nodes; the pre-pass count drops them without a draw.  A tree
+        # that yields nothing gets its zero-result lines instead.
         algebra, trees = bench_corpus("amr", 740)
         outcomes = evaluate_corpus(trees, algebra,
-                                   EvalConfig(mode="sample", min_nodes=9))
+                                   EvalConfig(mode=mode, min_nodes=9))
+        lines = [d for o in outcomes for d in o.diagnostics]
+        below = "size-filtered: all evaluated graphs fall outside [9, None]"
+        assert lines.count(below) == 95
+        assert all(d == below or d.startswith("zero-result:") for d in lines)
         kept = [t for t, o in zip(trees, outcomes) if o.graphs]
         assert len(kept) == 76
         assert sum(t.size() for t in kept) == 809
-        assert len(sample_steps) == 221
+        assert len(sample_steps) == (221 if mode == "sample" else 0)
