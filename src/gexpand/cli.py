@@ -4,12 +4,15 @@ label instantiation -> gv corpus on disk.
 Either a tree file (-t) or a weighted grammar (--rtg, with -N) feeds
 the evaluator; the operation file (-g) is always required.  Each final
 graph lands in one gv file named g<tree-index>_<variant-index>.gv next
-to a deterministic manifest.json.
+to a deterministic manifest.json; a forked writer process creates the
+files while the text of later ones is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
+import gc
 import json
 import os
 import sys
@@ -44,6 +47,7 @@ from .substitution import (
     DefinitionTable,
     InstantiationCapError,
     instantiate_all,
+    instantiation_count,
     parse_definitions,
 )
 
@@ -77,12 +81,16 @@ class ConfigError(ValueError):
     pass
 
 
-# What bad inputs or settings make a run raise; ``main`` reports each
-# as one ``error:`` line.
+class CorpusWriteError(RuntimeError):
+    """The corpus cannot be written; the message names the path."""
+
+
+# What bad inputs or settings, or an output directory that cannot be
+# written, make a run raise; ``main`` reports each as one ``error:`` line.
 _INPUT_ERRORS = (
     ConfigError, OperationFileError, RtgSyntaxError, RankConflictError,
     GvSyntaxError, DefinitionError, BudgetExceededError,
-    InstantiationCapError,
+    InstantiationCapError, CorpusWriteError,
 )
 
 
@@ -266,36 +274,117 @@ def template_labels_producible(algebra: Algebra) -> set:
     return labels
 
 
-def _write_files(out_dir: Path, files: List[Tuple[str, str]]) -> None:
-    """Write each (name, text) pair into ``out_dir`` as UTF-8, whatever
-    the locale: one open, write and close per file, each name resolved
-    against one descriptor of the directory."""
-    dir_fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+def _create_files(out: str, records: int) -> None:
+    """Create the files whose records arrive on the pipe ``records``, in
+    the directory ``out``, until the pipe ends.  A record is the line
+    ``<size> <name>`` and then ``size`` bytes of content.  Each file
+    takes one open, write and close, its name resolved against one
+    descriptor of the directory, which is opened for the first record."""
+    dir_fd = None
+    name = ""
     try:
-        for name, text in files:
-            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666,
-                         dir_fd=dir_fd)
+        with open(records, "rb") as reader:
+            for line in reader:
+                size, name = line.decode().split()
+                data = reader.read(int(size))
+                if len(data) < int(size):
+                    return  # the sender stopped inside this record
+                if dir_fd is None:
+                    dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                             0o666, dir_fd=dir_fd)
+                try:
+                    data = memoryview(data)
+                    while data:  # a regular file takes it in one write
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
+    except OSError as exc:
+        raise CorpusWriteError(f"cannot write {os.path.join(out, name)}: "
+                               f"{exc.strerror or exc}") from None
+
+
+class _CorpusWriter:
+    """A forked child process that creates the corpus files in ``out``
+    while the parent builds their text.  Leaving the ``with`` block
+    reaps it and, unless the block raised, raises ``CorpusWriteError``
+    if it could not write.  The child opens ``out`` at the first file
+    and always ends in ``os._exit``: it never returns into the caller
+    or flushes the stdio buffers it inherited.  Fork only from a
+    single-threaded process."""
+
+    def __init__(self, out: str) -> None:
+        records, self._records = os.pipe()
+        # A pipe that holds most of a corpus spares the parent sleeps on
+        # a full pipe, which made building the text slower (Linux only).
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
             try:
-                data = memoryview(text.encode("utf-8"))
-                while data:  # a regular file takes it in one write
-                    data = data[os.write(fd, data):]
-            finally:
+                fcntl.fcntl(self._records, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except OSError:
+                pass  # above the host's limit for pipe buffers
+        errors, report = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError as exc:
+            for fd in (records, self._records, errors, report):
                 os.close(fd)
-    finally:
-        os.close(dir_fd)
+            raise CorpusWriteError(f"cannot start a writer for {out}: "
+                                   f"{exc.strerror or exc}") from None
+        if self._pid == 0:
+            status = 1
+            try:
+                # An inherited object collected here could run a
+                # finalizer that flushes the parent's buffers.
+                gc.disable()
+                os.close(self._records)
+                os.close(errors)
+                try:
+                    _create_files(out, records)
+                    status = 0
+                except CorpusWriteError as exc:
+                    os.write(report, str(exc).encode())
+            finally:
+                os._exit(status)
+        os.close(records)
+        os.close(report)
+        self._errors = errors
+
+    def send(self, name: str, data: bytes) -> None:
+        record = memoryview(b"%d %s\n" % (len(data), name.encode()) + data)
+        try:
+            while record:  # a pipe may take it in parts
+                record = record[os.write(self._records, record):]
+        except BrokenPipeError:
+            self.close(failed=False)  # the child has ended: raise its error
+            raise
+
+    def close(self, failed: bool) -> None:
+        if self._pid is None:
+            return
+        os.close(self._records)
+        try:
+            _pid, status = os.waitpid(self._pid, 0)
+            message = os.read(self._errors, 1 << 16).decode()
+        finally:
+            os.close(self._errors)
+            self._pid = None
+        if status and not failed:
+            raise CorpusWriteError(
+                message or f"the corpus writer ended with exit status "
+                           f"{os.waitstatus_to_exitcode(status)}")
+
+    def __enter__(self) -> "_CorpusWriter":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        self.close(failed=exc_type is not None)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute the pipeline; returns the process exit status.  Faults
-    in the inputs raise one of ``_INPUT_ERRORS``."""
-    algebra, grammar, trees, definitions = _load_inputs(cfg)
-
-    rank_findings = _symbol_rank_findings(algebra, grammar, trees)
-    if rank_findings:
-        for line in rank_findings:
-            print(f"error: {line}", file=sys.stderr)
-        return 1
-
+def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
+              trees, definitions) -> Tuple[int, List[str]]:
+    """Build the corpus and send each file to ``writer`` as soon as its
+    text is built, ``manifest.json`` last; returns the graph count and
+    the warnings."""
     all_warnings: List[str] = []
     if grammar is not None:
         with warnings.catch_warnings(record=True) as caught:
@@ -310,9 +399,20 @@ def run(cfg: RunConfig) -> int:
     outcomes = evaluate_corpus(
         trees, algebra, cfg, dedup_across_trees=cfg.dedup_across_trees)
 
-    # Every instance and its text is built before anything is written,
-    # so a cap hit leaves no partial corpus behind.
-    files = []
+    # Every check that can stop the run comes before ``--out`` exists.
+    if definitions is not None:
+        for outcome in outcomes:
+            for g in outcome.graphs:
+                count = instantiation_count(g, definitions, cfg.per_label)
+                if count > cfg.instantiation_cap:
+                    raise InstantiationCapError(count, cfg.instantiation_cap)
+    try:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CorpusWriteError(
+            f"cannot create output directory {cfg.out}: "
+            f"{exc.strerror or exc}") from None
+
     records = []
     for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
         for diag in outcome.diagnostics:
@@ -330,7 +430,7 @@ def run(cfg: RunConfig) -> int:
                                             cap=cfg.instantiation_cap)
             for inst in instances:
                 filename = f"g{tree_index}_{variant}.gv"
-                files.append((filename, emit_gv(inst)))
+                writer.send(filename, emit_gv(inst).encode("utf-8"))
                 records.append(
                     {
                         "file": filename,
@@ -355,14 +455,32 @@ def run(cfg: RunConfig) -> int:
         "warnings": all_warnings,
         "graphs": records,
     }
-    files.append(
-        ("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_files(out_dir, files)
+    writer.send("manifest.json",
+                (json.dumps(manifest, indent=2, sort_keys=True)
+                 + "\n").encode("utf-8"))
+    return len(records), all_warnings
+
+
+def run(cfg: RunConfig) -> int:
+    """Execute the pipeline; returns the process exit status.  Faults
+    in the inputs and an unwritable corpus raise one of
+    ``_INPUT_ERRORS``."""
+    algebra, grammar, trees, definitions = _load_inputs(cfg)
+
+    rank_findings = _symbol_rank_findings(algebra, grammar, trees)
+    if rank_findings:
+        for line in rank_findings:
+            print(f"error: {line}", file=sys.stderr)
+        return 1
+
+    # Fork while the heap is small: the writer waits for its first file
+    # while N-best and evaluation run.
+    with _CorpusWriter(cfg.out) as writer:
+        count, all_warnings = _generate(cfg, writer, algebra, grammar,
+                                        trees, definitions)
     for line in all_warnings:
         print(f"warning: {line}", file=sys.stderr)
-    print(f"wrote {len(records)} graph(s) to {out_dir}")
+    print(f"wrote {count} graph(s) to {Path(cfg.out)}")
     return 0
 
 

@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line pipeline and corpus writer."""
 
+import errno
 import json
 import os
 import re
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -27,6 +30,19 @@ from fixtures import (
     RUNNING_TREE_TEXT,
 )
 from fixtures import running_result_graph
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+# The amr-sample-defs benchmark run: 930 files and a manifest larger
+# than a pipe's buffer.
+AMR_SAMPLE_DEFS = ["-g", str(BENCH_INPUTS / "amr.ops"),
+                   "--rtg", str(BENCH_INPUTS / "amr.rtg"), "-N", "740",
+                   "-d", str(BENCH_INPUTS / "amr.defs")]
+
+
+def assert_no_child_process():
+    """Every process the run forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()
@@ -135,6 +151,32 @@ class TestRun:
                      "--out", str(tmp / "corpus")]) == 0
         assert len(os.listdir("/dev/fd")) == before
 
+    def test_run_leaves_no_child_process(self, inputs):
+        tmp, ops, _trees, rtg = inputs
+        assert main(["-g", str(ops), "--rtg", str(rtg), "-N", "3",
+                     "--out", str(tmp / "corpus")]) == 0
+        assert_no_child_process()
+
+    def test_each_output_line_appears_once_through_pipes(self, tmp_path):
+        # Output to a pipe is buffered, so a forked process that flushed
+        # what it inherited, or returned into the caller, would repeat it.
+        out = tmp_path / "corpus"
+        src = Path(gexpand.cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "gexpand.cli", *AMR_SAMPLE_DEFS,
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = [r["file"] for r in manifest["graphs"]]
+        assert result.stdout == f"wrote {len(names)} graph(s) to {out}\n"
+        assert result.stderr.splitlines() == [
+            f"warning: {w}" for w in manifest["warnings"]]
+        assert manifest["warnings"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            names + ["manifest.json"])
+
     def test_repeated_runs_are_byte_identical(self, inputs):
         tmp, ops, trees, _rtg = inputs
         out1, out2 = tmp / "one", tmp / "two"
@@ -231,6 +273,59 @@ class TestErrors:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestUnwritableCorpus:
+    """A corpus that cannot be written ends in one ``error:`` line that
+    names the path, with exit status 1, and leaves no process behind."""
+
+    def run_failing(self, argv, out, capsys):
+        assert main(argv + ["--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert_no_child_process()
+        return line
+
+    def test_out_is_a_regular_file(self, inputs, capsys):
+        tmp, ops, trees, _rtg = inputs
+        out = tmp / "corpus"
+        out.write_text("taken\n")
+        line = self.run_failing(["-g", str(ops), "-t", str(trees)], out,
+                                capsys)
+        assert line == (f"error: cannot create output directory {out}: "
+                        + os.strerror(errno.EEXIST))
+        assert out.read_text() == "taken\n"
+
+    # The first case fails once every file is sent, the second while
+    # the run still sends.
+    @pytest.mark.parametrize("amr", [False, True],
+                             ids=["running-example", "amr-sample-defs"])
+    def test_out_holds_a_directory_named_like_a_graph(self, inputs, capsys,
+                                                      amr):
+        tmp, ops, trees, _rtg = inputs
+        out = tmp / "corpus"
+        (out / "g0_0.gv").mkdir(parents=True)
+        argv = AMR_SAMPLE_DEFS if amr else ["-g", str(ops), "-t", str(trees)]
+        line = self.run_failing(argv, out, capsys)
+        assert line == (f"error: cannot write {out / 'g0_0.gv'}: "
+                        f"{os.strerror(errno.EISDIR)}")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="lists open descriptors through /dev/fd")
+    def test_failed_fork_closes_its_pipes(self, inputs, capsys, monkeypatch):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        tmp, ops, trees, _rtg = inputs
+        out = tmp / "corpus"
+        before = len(os.listdir("/dev/fd"))
+        line = self.run_failing(["-g", str(ops), "-t", str(trees)], out,
+                                capsys)
+        assert line == (f"error: cannot start a writer for {out}: "
+                        + os.strerror(errno.EAGAIN))
+        assert len(os.listdir("/dev/fd")) == before
+        assert not out.exists()
+
+
 DUPLICATE_RULE_OPS = "".join(
     f"operation {name} {{\n  0 [label=\"{name}\"];\n  port 0;\n}}\n"
     for name in ("t7r0", "t6r0")
@@ -252,6 +347,7 @@ class TestOneErrorLine:
         (line,) = err.splitlines()
         assert line.startswith("error:")
         assert not out.exists()
+        assert_no_child_process()
         return err
 
     def test_min_nodes_above_max_nodes(self, inputs, capsys):
@@ -304,11 +400,11 @@ class TestOneErrorLine:
     def test_instantiation_cap_hit_after_earlier_graphs(
             self, tmp_path, capsys):
         # The first trees instantiate within the cap; a later one does not.
-        bench = Path(__file__).resolve().parents[1] / "bench" / "inputs"
         err = self.run_failing(
             tmp_path, capsys,
-            ["-g", str(bench / "amr.ops"), "--rtg", str(bench / "amr.rtg"),
-             "-N", "20", "-d", str(bench / "amr.defs"),
+            ["-g", str(BENCH_INPUTS / "amr.ops"),
+             "--rtg", str(BENCH_INPUTS / "amr.rtg"),
+             "-N", "20", "-d", str(BENCH_INPUTS / "amr.defs"),
              "--instantiation-cap", "2"])
         assert "exceeding the cap of 2" in err
 
@@ -348,9 +444,9 @@ class TestParser:
 
 class TestValidate:
     def test_symbol_ranks_read_each_node_object_once(self, monkeypatch):
-        bench = Path(__file__).resolve().parents[1] / "bench" / "inputs"
-        algebra = parse_operation_file((bench / "amr.ops").read_text())
-        grammar = parse_rtg((bench / "amr.rtg").read_text())
+        algebra = parse_operation_file(
+            (BENCH_INPUTS / "amr.ops").read_text())
+        grammar = parse_rtg((BENCH_INPUTS / "amr.rtg").read_text())
         trees = parse_tree_file(
             "".join(f"{t}\n" for t, _w in n_best_trees(grammar, 3000)))
         visits = []
