@@ -223,11 +223,16 @@ def apply_expansion_all(
     """
     if arg.type != len(op.docks):
         return []
-    results: Dict[str, Graph] = {}
-    for assignment in enumerate_context_assignments(op, arg, injective):
-        g = apply_expansion(op, arg, assignment)
-        results.setdefault(canonical_key(g), g)
-    return list(results.values())
+    return dedup([apply_expansion(op, arg, a)
+                  for a in enumerate_context_assignments(op, arg, injective)])
+
+
+def dedup(graphs: List[Graph]) -> List[Graph]:
+    """The first graph of each isomorphism class, in order."""
+    out: Dict[str, Graph] = {}
+    for g in graphs:
+        out.setdefault(canonical_key(g), g)
+    return list(out.values())
 
 
 class ExtensionReport(Record):

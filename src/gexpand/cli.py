@@ -18,7 +18,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import (
@@ -165,10 +165,16 @@ def config_from_args(argv: Sequence[str]) -> Tuple[RunConfig, bool]:
 
 
 def _read(path: str, what: str) -> str:
+    """The text of an input file, decoded as UTF-8 whatever the locale:
+    the encoding the corpus is written in."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} file not found: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file is not UTF-8: {path}: {exc.reason} "
+                          f"at byte {exc.start}") from None
 
 
 def _load_inputs(cfg: RunConfig):
@@ -507,5 +513,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if fatal else 0
 
 
+def entry() -> NoReturn:
+    """The ``gexpand`` command: ``main``, then flush stdout and stderr
+    and leave through ``os._exit``, so that no ``atexit`` handler,
+    finalizer, garbage collection or module teardown runs.  A flush
+    that fails ends the process with status 120, as the interpreter's
+    own exit does.  ``SystemExit`` from the parser (``--help``, usage
+    errors) and uncaught exceptions leave through the interpreter."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            status = 120
+            try:
+                print(f"error: cannot write to {stream.name}: {exc}",
+                      file=sys.stderr, flush=True)
+            except OSError:
+                pass  # stderr itself cannot be written
+    os._exit(status)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

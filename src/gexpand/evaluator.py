@@ -31,8 +31,11 @@ from .algebra import (
     ExpansionOperation,
     Operation,
     UnionOperation,
+    apply_expansion,
+    apply_expansion_all,
+    context_candidates,
+    dedup,
 )
-from .algebra import apply_expansion, apply_expansion_all, context_candidates
 from .grammar import DerivationTree
 from .graphs import Graph, canonical_key, disjoint_union, empty_graph
 
@@ -91,13 +94,6 @@ def _draw(seed: int, tree_index: int, path: str, ctx_index: int, n: int) -> int:
     return int.from_bytes(digest[:8], "big") % n
 
 
-def _dedup(graphs: Sequence[Graph]) -> List[Graph]:
-    out: Dict[str, Graph] = {}
-    for g in graphs:
-        out.setdefault(canonical_key(g), g)
-    return list(out.values())
-
-
 def _enumerate_node(
     a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: str, kids: list,
 ) -> Union[List[Graph], str]:
@@ -114,9 +110,9 @@ def _enumerate_node(
         return [empty_graph()]
     if isinstance(op, UnionOperation):
         left, right = kids
-        graphs = _dedup([disjoint_union(g, h) for g in left for h in right])
+        graphs = dedup([disjoint_union(g, h) for g in left for h in right])
     else:
-        graphs = _dedup([
+        graphs = dedup([
             r
             for g in (kids[0] if kids else [empty_graph()])
             for r in apply_expansion_all(op, g, injective=cfg.injective_contexts)

@@ -39,6 +39,22 @@ AMR_SAMPLE_DEFS = ["-g", str(BENCH_INPUTS / "amr.ops"),
                    "-d", str(BENCH_INPUTS / "amr.defs")]
 
 
+def run_cli(args, stdout=subprocess.PIPE, command=("-m", "gexpand.cli"),
+            **env):
+    """``python -m gexpand.cli args`` (or ``python *command args``) in a
+    child process.  ``PYTHONUNBUFFERED`` is dropped from its environment,
+    so that its stdout is buffered as it is for any user when
+    redirected; ``env`` adds variables."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k != "PYTHONUNBUFFERED"}
+    child_env.update(
+        PYTHONPATH=str(Path(gexpand.cli.__file__).resolve().parents[1]),
+        **env)
+    return subprocess.run([sys.executable, *command, *args],
+                          env=child_env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
 def assert_no_child_process():
     """Every process the run forked has been reaped."""
     with pytest.raises(ChildProcessError):
@@ -161,12 +177,7 @@ class TestRun:
         # Output to a pipe is buffered, so a forked process that flushed
         # what it inherited, or returned into the caller, would repeat it.
         out = tmp_path / "corpus"
-        src = Path(gexpand.cli.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-m", "gexpand.cli", *AMR_SAMPLE_DEFS,
-             "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120)
+        result = run_cli([*AMR_SAMPLE_DEFS, "--out", str(out)])
         assert result.returncode == 0, result.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         names = [r["file"] for r in manifest["graphs"]]
@@ -217,6 +228,104 @@ class TestRun:
              "--out", str(out)]
         ) == 0
         assert (out / "g0_0.gv").exists()
+
+
+class TestExit:
+    """How ``python -m gexpand.cli`` leaves: its output flushed, then
+    ``os._exit`` with the status of ``main``; argparse's exits and
+    uncaught exceptions go through the interpreter."""
+
+    def test_input_error_exits_1_with_its_line(self, tmp_path):
+        ops = tmp_path / "missing.ops"
+        result = run_cli(["-g", str(ops), "-t", str(ops)])
+        assert result.returncode == 1
+        assert result.stderr == f"error: operation file not found: {ops}\n"
+        assert result.stdout == ""
+
+    def test_usage_error_exits_2(self, inputs):
+        _tmp, ops, _trees, _rtg = inputs
+        result = run_cli(["-g", str(ops)])
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1] == (
+            "gexpand: error: one of the arguments -t/--trees --rtg is "
+            "required")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    def test_stdout_that_cannot_be_written_exits_120(self, inputs):
+        tmp, ops, trees, _rtg = inputs
+        with open("/dev/full", "w") as full:
+            result = run_cli(["-g", str(ops), "-t", str(trees),
+                              "--out", str(tmp / "corpus")], stdout=full)
+        assert result.returncode == 120
+        assert "Traceback" not in result.stderr
+        assert (tmp / "corpus" / "manifest.json").is_file()
+
+    def test_no_atexit_handler_runs(self, inputs):
+        tmp, ops, trees, _rtg = inputs
+        code = ("import atexit\n"
+                "from gexpand.cli import entry\n"
+                "atexit.register(print, 'atexit ran')\n"
+                "entry()\n")
+        result = run_cli(["-g", str(ops), "-t", str(trees),
+                          "--out", str(tmp / "corpus")], command=("-c", code))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote 1 graph(s) to {tmp / 'corpus'}\n"
+
+
+class TestEncoding:
+    """Input files are read as UTF-8 whatever the locale."""
+
+    def test_c_locale_writes_the_same_corpus(self, tmp_path):
+        ops = tmp_path / "ops.txt"
+        ops.write_text(RUNNING_OPS.replace("persuade", "überzeugen"),
+                       encoding="utf-8")
+        trees = tmp_path / "trees.txt"
+        trees.write_text(RUNNING_TREE_TEXT, encoding="utf-8")
+        defs = tmp_path / "defs.txt"
+        defs.write_text("she: she, sie\nthey: they, illés\n",
+                        encoding="utf-8")
+        args = ["-g", str(ops), "-t", str(trees), "-d", str(defs)]
+        default = run_cli([*args, "--out", str(tmp_path / "default")])
+        c_locale = run_cli([*args, "--out", str(tmp_path / "c")],
+                           LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                           PYTHONUTF8="0")
+        assert default.returncode == 0, default.stderr
+        assert c_locale.returncode == 0, c_locale.stderr
+        corpus = corpus_bytes(tmp_path / "default")
+        assert len(corpus) == 5
+        assert "überzeugen".encode() in corpus["g0_0.gv"]
+        assert corpus_bytes(tmp_path / "c") == corpus
+
+    def test_file_that_is_not_utf8_is_one_error_line(self, inputs):
+        tmp, ops, _trees, _rtg = inputs
+        trees = tmp / "latin1.txt"
+        trees.write_bytes(b"op1(op2(op3(op4 op5)))\n\xff\n")
+        result = run_cli(["-g", str(ops), "-t", str(trees),
+                          "--out", str(tmp / "corpus")])
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: tree file is not UTF-8: {trees}: invalid start byte "
+            f"at byte 23\n")
+        assert not (tmp / "corpus").exists()
+
+    @pytest.mark.parametrize("what",
+                             ["operation", "tree", "grammar", "definition"])
+    def test_every_input_is_decoded_as_utf8(self, inputs, capsys, what):
+        tmp, ops, trees, _rtg = inputs
+        bad = tmp / "bad.txt"
+        bad.write_bytes(b"\xff")
+        argv = {
+            "operation": ["-g", bad, "-t", trees],
+            "tree": ["-g", ops, "-t", bad],
+            "grammar": ["-g", ops, "--rtg", bad],
+            "definition": ["-g", ops, "-t", trees, "-d", bad],
+        }[what]
+        assert main([str(x) for x in argv]
+                    + ["--out", str(tmp / "corpus")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {what} file is not UTF-8: {bad}: invalid start byte "
+            f"at byte 0\n")
 
 
 class TestErrors:

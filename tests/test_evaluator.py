@@ -17,6 +17,7 @@ from gexpand import (
     ExpansionOperation,
     ResultCapExceededError,
     canonical_key,
+    emit_gv,
     evaluate,
     evaluate_corpus,
     is_isomorphic,
@@ -26,7 +27,7 @@ from gexpand import (
     parse_tree,
     parse_tree_file,
 )
-from gexpand import evaluator
+from gexpand import evaluator, graphs
 from fixtures import (
     MERGE_OPS,
     RUNNING_OPS,
@@ -506,6 +507,54 @@ class TestSharedSubtrees:
         trees = parse_tree_file("op3(op4 op5)\nop1(op2(op3(op4 op5)))\n")
         evaluate_corpus(trees, running_algebra(), EvalConfig(mode="enumerate"))
         assert len(steps) == 5
+
+
+@pytest.fixture()
+def canonical_work(monkeypatch):
+    """Counts the certificates built and the canonical searches run."""
+    calls = {"certificates": 0, "searches": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(graphs, "_certificate",
+                        counted("certificates", graphs._certificate))
+    monkeypatch.setattr(graphs, "_canonical_search",
+                        counted("searches", graphs._canonical_search))
+    return calls
+
+
+class TestCanonicalWork:
+    """Enumerate mode keys every graph it deduplicates, once; emission
+    reuses the canonical order that the key was built from."""
+
+    @pytest.mark.parametrize("name, n, certificates, searches", [
+        ("amr", 740, 333, 333),
+        # 51 keys, and 11 certificates of search leaves on graphs
+        # whose colours leave ties.
+        ("symmetric", 43, 62, 51),
+    ])
+    def test_canonical_work_on_bench_corpora(
+            self, canonical_work, name, n, certificates, searches):
+        algebra, trees = bench_corpus(name, n)
+        outcomes = evaluate_corpus(trees, algebra,
+                                   EvalConfig(mode="enumerate"))
+        assert canonical_work == {"certificates": certificates,
+                                  "searches": searches}
+        for outcome in outcomes:
+            for g in outcome.graphs:
+                emit_gv(g)
+        assert canonical_work == {"certificates": certificates,
+                                  "searches": searches}
+
+    def test_two_results_are_compared_by_key(self):
+        out = evaluate(BRANCHING_TREE, branching_algebra(),
+                       EvalConfig(mode="enumerate"))
+        assert len(out.graphs) == 2
+        assert all(g._key is not None for g in out.graphs)
 
 
 def exact(graphs):
