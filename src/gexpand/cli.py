@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import fcntl
 import gc
-import json
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
@@ -386,6 +386,35 @@ class _CorpusWriter:
         self.close(failed=exc_type is not None)
 
 
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the types a
+    manifest holds, with ``indent`` the indent of the line ``value``
+    starts on.  Builds one string per value, where ``json.dumps`` keeps
+    a list of every token until the end."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):  # a key that is no str raises TypeError
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+                 for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"no manifest text for a {type(value).__name__}")
+    if not items:
+        return brackets
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
+
+
 def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
               trees, definitions) -> Tuple[int, List[str]]:
     """Build the corpus and send each file to ``writer`` as soon as its
@@ -462,8 +491,7 @@ def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
         "graphs": records,
     }
     writer.send("manifest.json",
-                (json.dumps(manifest, indent=2, sort_keys=True)
-                 + "\n").encode("utf-8"))
+                (_json_text(manifest, "") + "\n").encode("utf-8"))
     return len(records), all_warnings
 
 
@@ -506,10 +534,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in report:
-        print(line)
-    if not report:
-        print("ok: no findings")
+    # Symbols come from UTF-8 files, so a report line may hold characters
+    # that stdout's encoding cannot write: escape them, as stderr does.
+    encoding = sys.stdout.encoding or "utf-8"
+    for line in report or ["ok: no findings"]:
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
     return 1 if fatal else 0
 
 

@@ -21,6 +21,7 @@ subtree of it would exceed the result cap.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -83,14 +84,27 @@ class EvalOutcome(Record):
     _defaults = {"diagnostics": ()}
 
 
+def _builtin_sha256():
+    """The interpreter's builtin SHA-256 constructor, the one ``hashlib``
+    falls back to without OpenSSL: the digests are the same, but the
+    import maps no libcrypto.  ``hashlib`` serves only a build that
+    lacks the builtin module.  Looked up at each draw, so that a run
+    that draws nothing imports neither."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
 def _draw(seed: int, tree_index: int, path: str, ctx_index: int, n: int) -> int:
     """Counter-based uniform draw in range(n), keyed so that unrelated
     trees do not perturb each other's streams."""
-    # Imported here, so that only sample mode loads hashlib.
-    from hashlib import sha256
-
     key = f"{seed}|{tree_index}|{path}|{ctx_index}".encode()
-    digest = sha256(key).digest()
+    digest = _builtin_sha256()(key).digest()
     return int.from_bytes(digest[:8], "big") % n
 
 

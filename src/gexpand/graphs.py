@@ -12,7 +12,6 @@ produced by evaluation are always fully labelled.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 
@@ -120,35 +119,33 @@ def _adjacency(g: Graph) -> Tuple[dict, dict]:
 def _wl_colors(g: Graph, out_adj: dict, in_adj: dict) -> dict:
     """Stable 1-WL colouring; port positions and labels seed the colours."""
     port_index = {p: i for i, p in enumerate(g.ports)}
-    init = {
-        v: (g.labels[v] or "", port_index.get(v, -1), len(out_adj[v]),
-            len(in_adj[v]))
-        for v in g.nodes
-    }
-    rank = {s: i for i, s in enumerate(sorted(set(init.values())))}
-    color = {v: rank[init[v]] for v in g.nodes}
-    # A round ranks signatures by the node's own colour first.  So a node
-    # alone in its colour needs no neighbour colours to get its rank, and
-    # on a stable partition a round returns the same colour values.  A
-    # discrete partition is stable.
-    count = len(rank)
-    while count < len(color):
-        size = Counter(color.values())
-        sig = {
-            v: (
-                color[v],
-                tuple(sorted([(l, color[t]) for l, t in out_adj[v]])),
-                tuple(sorted([(l, color[s]) for l, s in in_adj[v]])),
-            )
-            if size[color[v]] > 1 else (color[v],)
-            for v in g.nodes
-        }
-        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        color = {v: rank[sig[v]] for v in g.nodes}
-        if len(rank) == count:
-            break
-        count = len(rank)
-    return color
+    parts: dict = {}
+    for v in g.nodes:
+        init = (g.labels[v] or "", port_index.get(v, -1), len(out_adj[v]),
+                len(in_adj[v]))
+        parts.setdefault(init, []).append(v)
+    # The colour classes in colour order; a node's colour is the position
+    # of its class.  A round splits each class of two or more nodes by
+    # its nodes' neighbour signatures and puts the parts in signature
+    # order, so colours refine in place and keep their order.
+    classes = [parts[s] for s in sorted(parts)]
+    while True:
+        color = {v: i for i, part in enumerate(classes) for v in part}
+        refined = []
+        for part in classes:
+            if len(part) > 1:
+                parts = {}
+                for v in part:
+                    outs = sorted([(l, color[t]) for l, t in out_adj[v]])
+                    ins = sorted([(l, color[s]) for l, s in in_adj[v]])
+                    parts.setdefault((tuple(outs), tuple(ins)), []).append(v)
+                if len(parts) > 1:
+                    refined.extend(parts[s] for s in sorted(parts))
+                    continue
+            refined.append(part)
+        if len(refined) == len(classes):
+            return color
+        classes = refined
 
 
 def _twin_key(g: Graph, v: str, out_adj: dict, in_adj: dict) -> tuple:

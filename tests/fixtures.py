@@ -1,6 +1,6 @@
 """Shared fixture data for the test suite: the persuade/believe running
-example, the repeated-dock expansion example and the port-merging
-algebra."""
+example, the repeated-dock expansion example, the branching algebra
+(whose tree sample mode draws in) and the port-merging algebra."""
 
 from gexpand import ExpansionOperation, Graph
 
@@ -14,6 +14,37 @@ S2 -> op5
 """
 
 RUNNING_TREE_TEXT = "op1(op2(op3(op4 op5)))\n"
+
+# A small algebra whose top operation has one context node with two
+# distinguishable candidates, so enumerate mode yields two graphs and
+# sample mode draws.
+BRANCHING_OPS = """\
+operation two_leaves {
+  0 [label="c"];
+  1 [label="c"];
+  port 0 1;
+}
+operation drop_ports {
+  0 [label="b"];
+  1;
+  2;
+  0 -> 1 [label="e"];
+  0 -> 2 [label="f"];
+  port 0;
+  dock 1 2;
+}
+operation pick_context {
+  0 [label="a"];
+  1;
+  2 [label="c"];
+  0 -> 1 [label="x"];
+  0 -> 2 [label="y"];
+  port 0;
+  dock 1;
+}
+"""
+
+BRANCHING_TREE_TEXT = "pick_context(drop_ports(two_leaves))\n"
 
 # A grammar with one production written twice.  Unmerged, every tree
 # has 2^k derivations at one bound: N=40 ran a budget of 10**5 pops out.

@@ -1,4 +1,5 @@
-"""Canonical labelling: the pruned search returns exactly the order of the
+"""Canonical labelling: the WL colours order nodes as the naive
+refinement does, the pruned search returns exactly the order of the
 unpruned one, and symmetric graphs cost one leaf of the search."""
 
 import random
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 from gexpand import Graph, canonical_key, canonical_order, emit_gv, rename_nodes
 from gexpand import graphs
 from generators import EDGE_LABELS, NODE_LABELS, random_graph
-from oracles import naive_canonical_key, naive_canonical_order
+from oracles import (
+    _naive_wl_colors,
+    naive_canonical_key,
+    naive_canonical_order,
+)
 
 seeds = st.integers(0, 10**9)
 
@@ -177,6 +182,34 @@ class TestExactness:
                                wraps=graphs._least_leaf) as search:
             assert_same_as_naive(g)
         assert search.called == (bool(rest) and not discrete)
+
+
+class TestWlColors:
+    """``_wl_colors`` refines classes in place; its colours must be an
+    order-preserving renaming of the naive refinement's, so that every
+    order the search derives from them stays the same."""
+
+    @staticmethod
+    def assert_renames_naive(g: Graph) -> None:
+        color = graphs._wl_colors(g, *graphs._adjacency(g))
+        pairs = sorted({(n, color[v]) for v, n in _naive_wl_colors(g).items()})
+        assert len(pairs) == len({n for n, _c in pairs}) == len(
+            {c for _n, c in pairs})
+        assert [c for _n, c in pairs] == sorted(c for _n, c in pairs)
+
+    @given(seeds, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_with_planted_twins(self, s, twins):
+        rng = random.Random(s)
+        g = random_graph(rng)
+        self.assert_renames_naive(plant_twins(rng, g) if twins else g)
+
+    @given(st.integers(1, 40), st.booleans(), st.integers(0, 12),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_paths_and_stars(self, n, ported, k, hub_port):
+        self.assert_renames_naive(path(n, ported))
+        self.assert_renames_naive(star(k, hub_port))
 
 
 @pytest.fixture()

@@ -10,9 +10,17 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gexpand.cli
-from gexpand.cli import RunConfig, _build_parser, config_from_args, main
+from gexpand.cli import (
+    RunConfig,
+    _build_parser,
+    _json_text,
+    config_from_args,
+    main,
+)
 from gexpand import (
     DerivationTree,
     is_isomorphic,
@@ -297,6 +305,18 @@ class TestEncoding:
         assert "überzeugen".encode() in corpus["g0_0.gv"]
         assert corpus_bytes(tmp_path / "c") == corpus
 
+    def test_c_locale_validate_escapes_a_non_ascii_symbol(self, inputs):
+        _tmp, ops, trees, _rtg = inputs
+        trees.write_text(RUNNING_TREE_TEXT.replace("op4", "öp4"),
+                         encoding="utf-8")
+        result = run_cli(["-g", str(ops), "-t", str(trees), "--validate"],
+                         LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                         PYTHONUTF8="0")
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == [
+            "fatal: no operation defined for symbol '\\xf6p4'"]
+        assert "Traceback" not in result.stderr
+
     def test_file_that_is_not_utf8_is_one_error_line(self, inputs):
         tmp, ops, _trees, _rtg = inputs
         trees = tmp / "latin1.txt"
@@ -326,6 +346,32 @@ class TestEncoding:
         assert capsys.readouterr().err == (
             f"error: {what} file is not UTF-8: {bad}: invalid start byte "
             f"at byte 0\n")
+
+
+# Manifest values: strings with non-ASCII and control characters, ints,
+# bools, None, and nested dicts, lists and tuples, empty ones included.
+MANIFEST_STRINGS = st.text(st.sampled_from("aZ0 \"\\/\x00\x1f\n\t\x7f"
+                                           "\u00e9\u00f6\u2028\U0001f600"))
+MANIFEST_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | MANIFEST_STRINGS
+    | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(MANIFEST_STRINGS, inner, max_size=4)),
+    max_leaves=25)
+
+
+class TestManifestText:
+    @given(MANIFEST_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, value):
+        assert _json_text(value, "") == json.dumps(value, indent=2,
+                                                   sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {b"x"}}, set()])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value, "")
 
 
 class TestErrors:

@@ -29,6 +29,8 @@ from gexpand import (
 )
 from gexpand import evaluator, graphs
 from fixtures import (
+    BRANCHING_OPS,
+    BRANCHING_TREE_TEXT,
     MERGE_OPS,
     RUNNING_OPS,
     RUNNING_TREE_TEXT,
@@ -52,35 +54,7 @@ seeds = st.integers(0, 10**9)
 
 RUNNING_TREE = parse_tree_file(RUNNING_TREE_TEXT)[0]
 
-# A small algebra whose top operation has one context node with two
-# distinguishable candidates, so enumerate mode yields two graphs.
-BRANCHING_OPS = """\
-operation two_leaves {
-  0 [label="c"];
-  1 [label="c"];
-  port 0 1;
-}
-operation drop_ports {
-  0 [label="b"];
-  1;
-  2;
-  0 -> 1 [label="e"];
-  0 -> 2 [label="f"];
-  port 0;
-  dock 1 2;
-}
-operation pick_context {
-  0 [label="a"];
-  1;
-  2 [label="c"];
-  0 -> 1 [label="x"];
-  0 -> 2 [label="y"];
-  port 0;
-  dock 1;
-}
-"""
-
-BRANCHING_TREE = parse_tree("pick_context(drop_ports(two_leaves))")
+BRANCHING_TREE = parse_tree_file(BRANCHING_TREE_TEXT)[0]
 
 
 def running_algebra():

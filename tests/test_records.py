@@ -2,11 +2,15 @@
 
 Every record class keeps the constructor, checks, immutability,
 equality and hashing it had as a frozen dataclass, and importing or
-running the package loads neither ``dataclasses`` nor ``inspect``, and
-a run that draws nothing (enumerate mode, or sample mode where every
-context node has one candidate) does not load ``hashlib``.
+running the package loads neither ``dataclasses`` nor ``inspect``.  No
+run loads ``hashlib`` where the interpreter has its builtin SHA-256
+module (``_sha2`` or ``_sha256``): sample draws hash with that module,
+which maps no OpenSSL library and gives the digests of
+``hashlib.sha256``.
 """
 
+import hashlib
+import importlib.util
 import inspect
 import pickle
 import subprocess
@@ -34,7 +38,14 @@ from gexpand import (
     tree,
 )
 from gexpand.cli import RunConfig
-from fixtures import RUNNING_GRAMMAR, RUNNING_OPS, RUNNING_TREE_TEXT
+from gexpand.evaluator import _builtin_sha256
+from fixtures import (
+    BRANCHING_OPS,
+    BRANCHING_TREE_TEXT,
+    RUNNING_GRAMMAR,
+    RUNNING_OPS,
+    RUNNING_TREE_TEXT,
+)
 
 CHILD = """\
 import sys
@@ -51,26 +62,39 @@ import gexpand
 seen.append(loaded())
 import gexpand.cli
 seen.append(loaded())
+draws = []
+real_draw = gexpand.evaluator._draw
+gexpand.evaluator._draw = lambda *key: draws.append(key) or real_draw(*key)
 status = gexpand.cli.main(sys.argv[1:])
 seen.append(loaded())
-print(repr((status, seen)))
+print(repr((status, seen, len(draws))))
 """
 
+BUILTIN_SHA256 = any(importlib.util.find_spec(name)
+                     for name in ("_sha2", "_sha256"))
 
-@pytest.mark.parametrize("mode_args", [
-    ["--rtg", "{rtg}", "-N", "3", "--mode", "enumerate"],
+
+@pytest.mark.parametrize("ops,mode_args,draws", [
+    (RUNNING_OPS, ["--rtg", "{rtg}", "-N", "3", "--mode", "enumerate"], 0),
     # Every context node of the running tree has one candidate, so
     # sample mode draws nothing.
-    ["-t", "{trees}", "--mode", "sample"],
-], ids=["enumerate", "sample-without-draws"])
+    (RUNNING_OPS, ["-t", "{trees}", "--mode", "sample"], 0),
+    # The root of the branching tree draws between two c-nodes.
+    (BRANCHING_OPS, ["-t", "{branching}", "--mode", "sample"], 1),
+], ids=["enumerate", "sample-without-draws", "sample-with-draws"])
 def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib(
-        tmp_path, mode_args):
+        tmp_path, ops, mode_args, draws):
+    if draws and not BUILTIN_SHA256:
+        pytest.skip("this interpreter has no builtin SHA-256 module")
     paths = {"ops": tmp_path / "ops.txt", "rtg": tmp_path / "grammar.rtg",
-             "trees": tmp_path / "trees.txt", "defs": tmp_path / "defs.txt"}
-    paths["ops"].write_text(RUNNING_OPS)
+             "trees": tmp_path / "trees.txt",
+             "branching": tmp_path / "branching.txt",
+             "defs": tmp_path / "defs.txt"}
+    paths["ops"].write_text(ops)
     paths["rtg"].write_text(RUNNING_GRAMMAR)
     paths["trees"].write_text(RUNNING_TREE_TEXT)
-    paths["defs"].write_text("she: she, he\n")
+    paths["branching"].write_text(BRANCHING_TREE_TEXT)
+    paths["defs"].write_text("she: she, he\nc: c, d\n")
     src = Path(gexpand.__file__).resolve().parents[1]
     out = tmp_path / "corpus"
     # -S keeps modules that site hooks load out of the picture, and the
@@ -82,8 +106,20 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib(
         env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == repr((0, [[], [], [], []]))
+    assert result.stdout.splitlines()[-1] == repr(
+        (0, [[], [], [], []], draws))
     assert (out / "g0_1.gv").is_file()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40])
+def test_draws_hash_with_the_digests_of_hashlib(seed):
+    sha256 = _builtin_sha256()
+    if BUILTIN_SHA256:
+        assert sha256.__module__ in ("_sha2", "_sha256")
+    for tree_index, path in [(0, ""), (7, "0.1"), (12_345, "0.0.0.1.0")]:
+        for ctx_index in range(3):
+            key = f"{seed}|{tree_index}|{path}|{ctx_index}".encode()
+            assert sha256(key).digest() == hashlib.sha256(key).digest()
 
 
 def small_records():
