@@ -4,19 +4,16 @@ label instantiation -> gv corpus on disk.
 Either a tree file (-t) or a weighted grammar (--rtg, with -N) feeds
 the evaluator; the operation file (-g) is always required.  Each final
 graph lands in one gv file named g<tree-index>_<variant-index>.gv next
-to a deterministic manifest.json; a forked writer process creates the
-files while the text of later ones is built.
+to a deterministic manifest.json; the writer of ``corpus`` creates
+the files while the text of later ones is built.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
-import gc
 import os
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
@@ -28,6 +25,7 @@ from .algebra import (
     check_extension,
     parse_operation_file,
 )
+from .corpus import CorpusWriteError, _CorpusWriter, _json_text
 from .evaluator import EvalConfig, evaluate_corpus
 from .grammar import (
     BudgetExceededError,
@@ -79,10 +77,6 @@ class RunConfig(EvalConfig, kw_only=True):
 
 class ConfigError(ValueError):
     pass
-
-
-class CorpusWriteError(RuntimeError):
-    """The corpus cannot be written; the message names the path."""
 
 
 # What bad inputs or settings, or an output directory that cannot be
@@ -280,141 +274,6 @@ def template_labels_producible(algebra: Algebra) -> set:
     return labels
 
 
-def _create_files(out: str, records: int) -> None:
-    """Create the files whose records arrive on the pipe ``records``, in
-    the directory ``out``, until the pipe ends.  A record is the line
-    ``<size> <name>`` and then ``size`` bytes of content.  Each file
-    takes one open, write and close, its name resolved against one
-    descriptor of the directory, which is opened for the first record."""
-    dir_fd = None
-    name = ""
-    try:
-        with open(records, "rb") as reader:
-            for line in reader:
-                size, name = line.decode().split()
-                data = reader.read(int(size))
-                if len(data) < int(size):
-                    return  # the sender stopped inside this record
-                if dir_fd is None:
-                    dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
-                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                             0o666, dir_fd=dir_fd)
-                try:
-                    data = memoryview(data)
-                    while data:  # a regular file takes it in one write
-                        data = data[os.write(fd, data):]
-                finally:
-                    os.close(fd)
-    except OSError as exc:
-        raise CorpusWriteError(f"cannot write {os.path.join(out, name)}: "
-                               f"{exc.strerror or exc}") from None
-
-
-class _CorpusWriter:
-    """A forked child process that creates the corpus files in ``out``
-    while the parent builds their text.  Leaving the ``with`` block
-    reaps it and, unless the block raised, raises ``CorpusWriteError``
-    if it could not write.  The child opens ``out`` at the first file
-    and always ends in ``os._exit``: it never returns into the caller
-    or flushes the stdio buffers it inherited.  Fork only from a
-    single-threaded process."""
-
-    def __init__(self, out: str) -> None:
-        records, self._records = os.pipe()
-        # A pipe that holds most of a corpus spares the parent sleeps on
-        # a full pipe, which made building the text slower (Linux only).
-        if hasattr(fcntl, "F_SETPIPE_SZ"):
-            try:
-                fcntl.fcntl(self._records, fcntl.F_SETPIPE_SZ, 1 << 20)
-            except OSError:
-                pass  # above the host's limit for pipe buffers
-        errors, report = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError as exc:
-            for fd in (records, self._records, errors, report):
-                os.close(fd)
-            raise CorpusWriteError(f"cannot start a writer for {out}: "
-                                   f"{exc.strerror or exc}") from None
-        if self._pid == 0:
-            status = 1
-            try:
-                # An inherited object collected here could run a
-                # finalizer that flushes the parent's buffers.
-                gc.disable()
-                os.close(self._records)
-                os.close(errors)
-                try:
-                    _create_files(out, records)
-                    status = 0
-                except CorpusWriteError as exc:
-                    os.write(report, str(exc).encode())
-            finally:
-                os._exit(status)
-        os.close(records)
-        os.close(report)
-        self._errors = errors
-
-    def send(self, name: str, data: bytes) -> None:
-        record = memoryview(b"%d %s\n" % (len(data), name.encode()) + data)
-        try:
-            while record:  # a pipe may take it in parts
-                record = record[os.write(self._records, record):]
-        except BrokenPipeError:
-            self.close(failed=False)  # the child has ended: raise its error
-            raise
-
-    def close(self, failed: bool) -> None:
-        if self._pid is None:
-            return
-        os.close(self._records)
-        try:
-            _pid, status = os.waitpid(self._pid, 0)
-            message = os.read(self._errors, 1 << 16).decode()
-        finally:
-            os.close(self._errors)
-            self._pid = None
-        if status and not failed:
-            raise CorpusWriteError(
-                message or f"the corpus writer ended with exit status "
-                           f"{os.waitstatus_to_exitcode(status)}")
-
-    def __enter__(self) -> "_CorpusWriter":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        self.close(failed=exc_type is not None)
-
-
-def _json_text(value, indent: str) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for the types a
-    manifest holds, with ``indent`` the indent of the line ``value``
-    starts on.  Builds one string per value, where ``json.dumps`` keeps
-    a list of every token until the end."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):  # a key that is no str raises TypeError
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
-                 for k in sorted(value)]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(item, inner) for item in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"no manifest text for a {type(value).__name__}")
-    if not items:
-        return brackets
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
-            + f"\n{indent}{brackets[1]}")
-
-
 def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
               trees, definitions) -> Tuple[int, List[str]]:
     """Build the corpus and send each file to ``writer`` as soon as its
@@ -434,19 +293,13 @@ def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
     outcomes = evaluate_corpus(
         trees, algebra, cfg, dedup_across_trees=cfg.dedup_across_trees)
 
-    # Every check that can stop the run comes before ``--out`` exists.
+    # Every check that can stop the run comes before the first file.
     if definitions is not None:
         for outcome in outcomes:
             for g in outcome.graphs:
                 count = instantiation_count(g, definitions, cfg.per_label)
                 if count > cfg.instantiation_cap:
                     raise InstantiationCapError(count, cfg.instantiation_cap)
-    try:
-        Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CorpusWriteError(
-            f"cannot create output directory {cfg.out}: "
-            f"{exc.strerror or exc}") from None
 
     records = []
     for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline and corpus writer."""
 
 import errno
+import importlib.util
 import json
 import os
 import re
@@ -17,10 +18,10 @@ import gexpand.cli
 from gexpand.cli import (
     RunConfig,
     _build_parser,
-    _json_text,
     config_from_args,
     main,
 )
+from gexpand.corpus import _json_text
 from gexpand import (
     DerivationTree,
     is_isomorphic,
@@ -40,11 +41,11 @@ from fixtures import (
 from fixtures import running_result_graph
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+AMR = ["-g", str(BENCH_INPUTS / "amr.ops"),
+       "--rtg", str(BENCH_INPUTS / "amr.rtg")]
 # The amr-sample-defs benchmark run: 930 files and a manifest larger
 # than a pipe's buffer.
-AMR_SAMPLE_DEFS = ["-g", str(BENCH_INPUTS / "amr.ops"),
-                   "--rtg", str(BENCH_INPUTS / "amr.rtg"), "-N", "740",
-                   "-d", str(BENCH_INPUTS / "amr.defs")]
+AMR_SAMPLE_DEFS = AMR + ["-N", "740", "-d", str(BENCH_INPUTS / "amr.defs")]
 
 
 def run_cli(args, stdout=subprocess.PIPE, command=("-m", "gexpand.cli"),
@@ -479,6 +480,81 @@ class TestUnwritableCorpus:
                         + os.strerror(errno.EAGAIN))
         assert len(os.listdir("/dev/fd")) == before
         assert not out.exists()
+
+
+def manifest_files(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return [r["file"] for r in manifest["graphs"]]
+
+
+def listing(out):
+    return sorted(os.listdir(out))
+
+
+class TestRerun:
+    """A run into the ``--out`` of an earlier one leaves the directory
+    in step with its own manifest, and touches no name it does not
+    write."""
+
+    def test_smaller_rerun_leaves_only_its_files(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(AMR + ["-N", "40", "--out", str(out)]) == 0
+        assert len(listing(out)) == 16
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"not a graph\n")
+        (out / "notes.txt").write_text("keep me\n")
+        (out / "g99_0.gv").mkdir()
+        (out / "g98_0.gv").symlink_to(Path("..") / "victim")
+        assert main(AMR + ["-N", "5", "--out", str(out)]) == 0
+        assert listing(out) == sorted(
+            manifest_files(out) + ["manifest.json", "notes.txt", "g99_0.gv"])
+        assert len(manifest_files(out)) == 3
+        assert (out / "notes.txt").read_text() == "keep me\n"
+        assert victim.read_bytes() == b"not a graph\n"
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        argv = AMR + ["-N", "40", "-d", str(BENCH_INPUTS / "amr.defs"),
+                      "--out", str(out)]
+        assert main(argv) == 0
+        first, second = manifest_files(out)[:2]
+        (out / second).unlink()
+        (out / second).mkdir()
+        capsys.readouterr()
+        assert main(argv + ["--seed", "7"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"error: cannot write {out / second}: "
+                        f"{os.strerror(errno.EISDIR)}")
+        assert_no_child_process()
+        assert listing(out) == [first, second]
+        (out / second).rmdir()
+        assert main(argv + ["--seed", "7"]) == 0
+        assert listing(out) == sorted(manifest_files(out) + ["manifest.json"])
+
+    def test_rerun_stopped_by_a_check_changes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        argv = AMR + ["-N", "20", "-d", str(BENCH_INPUTS / "amr.defs"),
+                      "--out", str(out)]
+        assert main(argv) == 0
+        before = corpus_bytes(out)
+        capsys.readouterr()
+        assert main(argv + ["--instantiation-cap", "1"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "exceeding the cap of 1" in line
+        assert corpus_bytes(out) == before
+
+
+class TestTracingTargets:
+    def test_every_traced_name_is_an_attribute_of_its_module(self):
+        # The benchmark wraps these names from outside the package; one
+        # that moved would silently lose its span.
+        path = BENCH_INPUTS.parent / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TARGETS
+        for module, name, span in tracing.TARGETS:
+            assert hasattr(importlib.import_module(module), name), span
 
 
 DUPLICATE_RULE_OPS = "".join(
