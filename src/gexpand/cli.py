@@ -25,7 +25,12 @@ from .algebra import (
     check_extension,
     parse_operation_file,
 )
-from .corpus import CorpusWriteError, _CorpusWriter, _json_text
+from .corpus import (
+    CorpusWriteError,
+    _CorpusWriter,
+    _json_text,
+    _manifest_parts,
+)
 from .evaluator import EvalConfig, evaluate_corpus
 from .grammar import (
     BudgetExceededError,
@@ -318,8 +323,9 @@ def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
                                             cap=cfg.instantiation_cap)
             for inst in instances:
                 filename = f"g{tree_index}_{variant}.gv"
-                writer.send(filename, emit_gv(inst).encode("utf-8"))
-                records.append(
+                writer.send(filename, [emit_gv(inst).encode("utf-8")])
+                # Each record is kept as its text in manifest.json.
+                records.append(_json_text(
                     {
                         "file": filename,
                         "tree_index": tree_index,
@@ -328,23 +334,15 @@ def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
                         "tree_weight": weight,
                         "nodes": len(inst.nodes),
                         "edges": len(inst.edges),
-                    }
-                )
+                    }, "    ").encode("ascii"))
                 variant += 1
 
     config = cfg.asdict()
     del config["out"]
     if cfg.rtg is None:
         config["best_count"] = None  # -N only applies to --rtg
-    manifest = {
-        "tool": "gexpand",
-        "version": __version__,
-        "config": config,
-        "warnings": all_warnings,
-        "graphs": records,
-    }
     writer.send("manifest.json",
-                (_json_text(manifest, "") + "\n").encode("utf-8"))
+                _manifest_parts(config, records, all_warnings))
     return len(records), all_warnings
 
 
@@ -365,8 +363,7 @@ def run(cfg: RunConfig) -> int:
     with _CorpusWriter(cfg.out) as writer:
         count, all_warnings = _generate(cfg, writer, algebra, grammar,
                                         trees, definitions)
-    for line in all_warnings:
-        print(f"warning: {line}", file=sys.stderr)
+    sys.stderr.write("".join(f"warning: {line}\n" for line in all_warnings))
     print(f"wrote {count} graph(s) to {Path(cfg.out)}")
     return 0
 

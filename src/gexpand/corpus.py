@@ -1,5 +1,5 @@
 """The corpus on disk: a forked writer process that owns the output
-directory, and the text of ``manifest.json``.
+directory, and the bytes of ``manifest.json``.
 
 At the first file, the writer creates the directory and removes every
 ``manifest.json`` and ``g<i>_<j>.gv`` entry in it that is not a
@@ -14,9 +14,18 @@ import fcntl
 import gc
 import os
 import re
-from json.encoder import encode_basestring_ascii
+from typing import List
+
+from . import __version__
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
 
 _CORPUS_NAME = re.compile(r"manifest\.json|g[0-9]+_[0-9]+\.gv")
+# The most buffers one ``os.writev`` takes (1024 on Linux and macOS).
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class CorpusWriteError(RuntimeError):
@@ -113,11 +122,22 @@ class _CorpusWriter:
         os.close(report)
         self._errors = errors
 
-    def send(self, name: str, data: bytes) -> None:
-        record = memoryview(b"%d %s\n" % (len(data), name.encode()) + data)
+    def send(self, name: str, parts: List[bytes]) -> None:
+        """Send the file ``name`` whose content is ``parts`` joined,
+        without joining them: one ``os.writev`` takes up to IOV_MAX
+        parts."""
+        buffers = [b"%d %s\n" % (sum(map(len, parts)), name.encode()),
+                   *parts]
+        first = 0
         try:
-            while record:  # a pipe may take it in parts
-                record = record[os.write(self._records, record):]
+            while first < len(buffers):
+                written = os.writev(self._records,
+                                    buffers[first:first + _IOV_MAX])
+                while first < len(buffers) and written >= len(buffers[first]):
+                    written -= len(buffers[first])
+                    first += 1
+                if written:  # a pipe may take a part in pieces
+                    buffers[first] = memoryview(buffers[first])[written:]
         except BrokenPipeError:
             self.close(failed=False)  # the child has ended: raise its error
             raise
@@ -171,3 +191,26 @@ def _json_text(value, indent: str) -> str:
         return brackets
     return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
             + f"\n{indent}{brackets[1]}")
+
+
+def _manifest_parts(config: dict, records: List[bytes],
+                    warnings: List[str]) -> List[bytes]:
+    """The bytes of ``manifest.json`` as parts that, joined, are
+    ``json.dumps(manifest, indent=2, sort_keys=True) + "\\n"`` for the
+    manifest of ``config``, the graph records and ``warnings``: a head,
+    the records with the separators between them, and a tail.
+    ``records`` are the records' texts, each ``_json_text(record,
+    "    ")`` as ASCII, so the parts share them and the manifest is
+    never copied."""
+    head = f'{{\n  "config": {_json_text(config, "  ")},\n  "graphs": '
+    tail = (f',\n  "tool": "gexpand",\n'
+            f'  "version": {_json_text(__version__, "  ")},\n'
+            f'  "warnings": {_json_text(warnings, "  ")}\n}}\n')
+    if not records:
+        return [f"{head}[]{tail}".encode("ascii")]
+    parts = [f"{head}[\n    ".encode("ascii")]
+    separator = b",\n    "
+    for text in records:
+        parts += (text, separator)
+    parts[-1] = f"\n  ]{tail}".encode("ascii")
+    return parts

@@ -7,13 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gexpand
 import gexpand.cli
 from gexpand.cli import (
     RunConfig,
@@ -21,7 +23,7 @@ from gexpand.cli import (
     config_from_args,
     main,
 )
-from gexpand.corpus import _json_text
+from gexpand.corpus import _CorpusWriter, _json_text, _manifest_parts
 from gexpand import (
     DerivationTree,
     is_isomorphic,
@@ -373,6 +375,86 @@ class TestManifestText:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             _json_text(value, "")
+
+    @given(config=st.dictionaries(MANIFEST_STRINGS, MANIFEST_VALUES,
+                                  max_size=6),
+           records=st.lists(st.dictionaries(MANIFEST_STRINGS,
+                                            MANIFEST_VALUES, max_size=7),
+                            max_size=5),
+           warnings=st.lists(MANIFEST_STRINGS | st.text(), max_size=5))
+    @example(config={}, records=[], warnings=[])
+    @example(config={"seed": 0}, records=[{"file": "g0_0.gv"}], warnings=[])
+    @example(config={}, records=[], warnings=["tree 0: \u00e9\x00\n"])
+    @settings(max_examples=100, deadline=None)
+    def test_parts_join_to_json_dumps(self, config, records, warnings):
+        manifest = {"tool": "gexpand", "version": gexpand.__version__,
+                    "config": config, "graphs": records,
+                    "warnings": warnings}
+        parts = _manifest_parts(
+            config, [_json_text(r, "    ").encode("ascii") for r in records],
+            warnings)
+        assert all(type(part) is bytes for part in parts)
+        assert b"".join(parts) == (json.dumps(
+            manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+def file_writer(path):
+    """A ``_CorpusWriter`` whose pipe is the regular file ``path``: it
+    starts no process, and the file keeps every record ``send``
+    writes.  Close its ``_records`` descriptor when done."""
+    writer = _CorpusWriter.__new__(_CorpusWriter)
+    writer._records = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    return writer
+
+
+class TestSend:
+    def test_manifest_is_held_once(self, tmp_path):
+        """Building 20,000 record texts, the parts and sending them
+        peaks below twice the manifest's size: the manifest is never
+        copied whole (joining it, encoding it or putting the record
+        header in front each would be a copy)."""
+        path = tmp_path / "records"
+        writer = file_writer(path)
+        config = {"best_count": 20_000, "mode": "sample", "seed": 0}
+        warnings = [f"tree {i}: zero-result: no candidate" for i in range(50)]
+        source = "want-01(boy, go-02(girl, she))"
+        tracemalloc.start()
+        try:
+            records = [_json_text({"file": f"g{i}_0.gv", "tree_index": i,
+                                   "variant": 0, "tree": source,
+                                   "tree_weight": "-12.5", "nodes": 9,
+                                   "edges": 8}, "    ").encode("ascii")
+                       for i in range(20_000)]
+            writer.send("manifest.json",
+                        _manifest_parts(config, records, warnings))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            os.close(writer._records)
+        header, manifest = path.read_bytes().split(b"\n", 1)
+        assert header == b"%d manifest.json" % len(manifest)
+        assert peak < 2 * len(manifest)
+        assert manifest == b"".join(_manifest_parts(config, records,
+                                                    warnings))
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        """A pipe may take fewer bytes than one ``writev`` offers, and
+        stop inside a part; ``send`` goes on from the first byte not
+        taken."""
+        def short_writev(fd, buffers):
+            return os.write(fd, b"".join(buffers)[:5])
+
+        path = tmp_path / "records"
+        writer = file_writer(path)
+        parts = [b"abc", b"", b"defghij", b"k" * 3000]
+        monkeypatch.setattr(os, "writev", short_writev)
+        try:
+            writer.send("g0_0.gv", parts)
+            writer.send("g0_1.gv", [])
+        finally:
+            os.close(writer._records)
+        assert path.read_bytes() == (b"3010 g0_0.gv\n" + b"".join(parts)
+                                     + b"0 g0_1.gv\n")
 
 
 class TestErrors:

@@ -2,8 +2,9 @@
 
 Every record class keeps the constructor, checks, immutability,
 equality and hashing it had as a frozen dataclass, and importing or
-running the package loads neither ``dataclasses`` nor ``inspect``.  No
-run loads ``hashlib`` where the interpreter has its builtin SHA-256
+running the package loads neither ``dataclasses``, ``inspect`` nor
+``json``: the manifest is escaped by ``_json``'s C function.  No run
+loads ``hashlib`` where the interpreter has its builtin SHA-256
 module (``_sha2`` or ``_sha256``): sample draws hash with that module,
 which maps no OpenSSL library and gives the digests of
 ``hashlib.sha256``.
@@ -50,7 +51,7 @@ from fixtures import (
 CHILD = """\
 import sys
 
-WATCHED = ("dataclasses", "inspect", "hashlib")
+WATCHED = ("dataclasses", "inspect", "hashlib", "json")
 
 
 def loaded():
