@@ -4,8 +4,8 @@ label instantiation -> gv corpus on disk.
 Either a tree file (-t) or a weighted grammar (--rtg, with -N) feeds
 the evaluator; the operation file (-g) is always required.  Each final
 graph lands in one gv file named g<tree-index>_<variant-index>.gv next
-to a deterministic manifest.json; the writer of ``corpus`` creates
-the files while the text of later ones is built.
+to a deterministic manifest.json; the writer thread of ``corpus``
+creates the files while the text of later ones is built.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .algebra import (
 from .corpus import (
     CorpusWriteError,
     _CorpusWriter,
+    _gv_name,
     _json_text,
     _manifest_parts,
 )
@@ -63,12 +64,10 @@ class RunConfig(EvalConfig, kw_only=True):
     defaults here are the command line's."""
 
     __slots__ = ("operations", "trees", "rtg", "best_count", "definitions",
-                 "out", "instantiation_cap", "per_label",
-                 "dedup_across_trees")
+                 "out", "instantiation_cap", "per_label")
     _defaults = {"trees": None, "rtg": None, "best_count": 1,
                  "definitions": None, "out": "./corpus",
-                 "instantiation_cap": 10_000, "per_label": False,
-                 "dedup_across_trees": False}
+                 "instantiation_cap": 10_000, "per_label": False}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -295,8 +294,7 @@ def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
     else:
         weights = ["0"] * len(trees)
 
-    outcomes = evaluate_corpus(
-        trees, algebra, cfg, dedup_across_trees=cfg.dedup_across_trees)
+    outcomes = evaluate_corpus(trees, algebra, cfg)
 
     # Every check that can stop the run comes before the first file.
     if definitions is not None:
@@ -322,7 +320,7 @@ def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
                                             per_label=cfg.per_label,
                                             cap=cfg.instantiation_cap)
             for inst in instances:
-                filename = f"g{tree_index}_{variant}.gv"
+                filename = _gv_name(tree_index, variant)
                 writer.send(filename, [emit_gv(inst).encode("utf-8")])
                 # Each record is kept as its text in manifest.json.
                 records.append(_json_text(
@@ -358,8 +356,8 @@ def run(cfg: RunConfig) -> int:
             print(f"error: {line}", file=sys.stderr)
         return 1
 
-    # Fork while the heap is small: the writer waits for its first file
-    # while N-best and evaluation run.
+    # The writer thread waits for its first file while N-best and
+    # evaluation run.
     with _CorpusWriter(cfg.out) as writer:
         count, all_warnings = _generate(cfg, writer, algebra, grammar,
                                         trees, definitions)

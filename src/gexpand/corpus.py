@@ -1,5 +1,5 @@
-"""The corpus on disk: a forked writer process that owns the output
-directory, and the bytes of ``manifest.json``.
+"""The corpus on disk: a writer thread that owns the output directory,
+and the names and bytes of the files in it.
 
 At the first file, the writer creates the directory and removes every
 ``manifest.json`` and ``g<i>_<j>.gv`` entry in it that is not a
@@ -10,11 +10,11 @@ was, and a failed one leaves only its own files and no manifest.
 
 from __future__ import annotations
 
-import fcntl
-import gc
 import os
+import queue
 import re
-from typing import List
+import threading
+from typing import Iterable, List, Tuple
 
 from . import __version__
 
@@ -26,136 +26,115 @@ except ImportError:  # an interpreter without json's C accelerator
 _CORPUS_NAME = re.compile(r"manifest\.json|g[0-9]+_[0-9]+\.gv")
 # The most buffers one ``os.writev`` takes (1024 on Linux and macOS).
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+# The most files that wait for the writer, about 1 MB of amr graphs: a
+# writer that falls behind the caller would otherwise hold most of a
+# large corpus in memory until the end of the run.
+_QUEUED_FILES = 1024
 
 
 class CorpusWriteError(RuntimeError):
     """The corpus cannot be written; the message names the path."""
 
 
-def _create_files(out: str, records: int) -> None:
-    """Create the files whose records arrive on the pipe ``records``, in
-    the directory ``out``, until the pipe ends.  A record is the line
-    ``<size> <name>`` and then ``size`` bytes of content.  Each file
-    takes one open, write and close, its name resolved against one
-    descriptor of the directory, which is created, opened and cleared
-    when the first record arrives.  A symlink is removed, not followed,
+def _gv_name(tree_index: int, variant: int) -> str:
+    """The file of a tree's ``variant``-th graph: a name that
+    ``_CORPUS_NAME`` matches, so that a rerun removes it."""
+    return f"g{tree_index}_{variant}.gv"
+
+
+def _write_parts(fd: int, parts: List[bytes]) -> None:
+    """Write ``parts`` joined to ``fd`` without joining them: one
+    ``os.writev`` takes up to IOV_MAX parts, and a write that takes
+    fewer bytes than offered goes on from the first byte not taken."""
+    first = skip = 0  # parts[first][:skip] is written
+    while first < len(parts):
+        batch = parts[first:first + _IOV_MAX]
+        if skip:
+            batch[0] = memoryview(batch[0])[skip:]
+        written = skip + os.writev(fd, batch)
+        while first < len(parts) and written >= len(parts[first]):
+            written -= len(parts[first])
+            first += 1
+        skip = written
+
+
+def _create_files(out: str,
+                  files: Iterable[Tuple[str, List[bytes]]]) -> None:
+    """Create the files ``(name, parts)`` of ``files`` in the directory
+    ``out``, each with the content ``parts`` joined.  Each file takes
+    one open, one or more writes and one close, its name resolved
+    against one descriptor of the directory, which is created, opened
+    and cleared at the first file.  A symlink is removed, not followed,
     and the old manifest goes first: it never names a file that is
     gone.  ``name`` is the entry an ``OSError`` concerns."""
     dir_fd = None
     name = ""
     try:
-        with open(records, "rb") as reader:
-            for line in reader:
-                if dir_fd is None:
-                    try:
-                        os.makedirs(out, exist_ok=True)
-                    except OSError as exc:
-                        raise CorpusWriteError(
-                            f"cannot create output directory {out}: "
-                            f"{exc.strerror or exc}") from None
-                    dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
-                    with os.scandir(dir_fd) as entries:
-                        stale = [e.name for e in entries
-                                 if _CORPUS_NAME.fullmatch(e.name)
-                                 and not e.is_dir(follow_symlinks=False)]
-                    for name in sorted(stale, key="manifest.json".__ne__):
-                        os.unlink(name, dir_fd=dir_fd)
-                size, name = line.decode().split()
-                data = reader.read(int(size))
-                if len(data) < int(size):
-                    return  # the sender stopped inside this record
-                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                             0o666, dir_fd=dir_fd)
+        for file in files:
+            if dir_fd is None:
                 try:
-                    data = memoryview(data)
-                    while data:  # a regular file takes it in one write
-                        data = data[os.write(fd, data):]
-                finally:
-                    os.close(fd)
+                    os.makedirs(out, exist_ok=True)
+                except OSError as exc:
+                    raise CorpusWriteError(
+                        f"cannot create output directory {out}: "
+                        f"{exc.strerror or exc}") from None
+                dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+                with os.scandir(dir_fd) as entries:
+                    stale = [e.name for e in entries
+                             if _CORPUS_NAME.fullmatch(e.name)
+                             and not e.is_dir(follow_symlinks=False)]
+                for name in sorted(stale, key="manifest.json".__ne__):
+                    os.unlink(name, dir_fd=dir_fd)
+            name, parts = file
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                         0o666, dir_fd=dir_fd)
+            try:
+                _write_parts(fd, parts)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise CorpusWriteError(f"cannot write {os.path.join(out, name)}: "
                                f"{exc.strerror or exc}") from None
+    finally:
+        if dir_fd is not None:
+            os.close(dir_fd)
 
 
 class _CorpusWriter:
-    """A forked child process that creates the corpus files in ``out``
-    while the parent builds their text.  Leaving the ``with`` block
-    reaps it and, unless the block raised, raises ``CorpusWriteError``
-    if it could not write.  The child creates and clears ``out`` at the
-    first file and always ends in ``os._exit``: it never returns into
-    the caller or flushes the stdio buffers it inherited.  Fork only
-    from a single-threaded process."""
+    """A thread that creates the corpus files in ``out`` while the
+    caller builds their text.  It creates and clears ``out`` at the
+    first file.  Leaving the ``with`` block waits for the thread to
+    finish and, unless the block raised, raises whatever the thread
+    raised, ``CorpusWriteError`` if it could not write."""
 
     def __init__(self, out: str) -> None:
-        records, self._records = os.pipe()
-        # A pipe that holds most of a corpus spares the parent sleeps on
-        # a full pipe, which made building the text slower (Linux only).
-        if hasattr(fcntl, "F_SETPIPE_SZ"):
-            try:
-                fcntl.fcntl(self._records, fcntl.F_SETPIPE_SZ, 1 << 20)
-            except OSError:
-                pass  # above the host's limit for pipe buffers
-        errors, report = os.pipe()
+        self._files = queue.Queue(_QUEUED_FILES)
+        self._error = None
+        self._thread = threading.Thread(target=self._run, args=(out,),
+                                        name="gexpand corpus writer")
+        self._thread.start()
+
+    def _run(self, out: str) -> None:
+        files = iter(self._files.get, None)
         try:
-            self._pid = os.fork()
-        except OSError as exc:
-            for fd in (records, self._records, errors, report):
-                os.close(fd)
-            raise CorpusWriteError(f"cannot start a writer for {out}: "
-                                   f"{exc.strerror or exc}") from None
-        if self._pid == 0:
-            status = 1
-            try:
-                # An inherited object collected here could run a
-                # finalizer that flushes the parent's buffers.
-                gc.disable()
-                os.close(self._records)
-                os.close(errors)
-                try:
-                    _create_files(out, records)
-                    status = 0
-                except CorpusWriteError as exc:
-                    os.write(report, str(exc).encode())
-            finally:
-                os._exit(status)
-        os.close(records)
-        os.close(report)
-        self._errors = errors
+            _create_files(out, files)
+        except BaseException as exc:  # raised again in the caller
+            self._error = exc
+            for _file in files:  # a send waiting for room raises next
+                pass
 
     def send(self, name: str, parts: List[bytes]) -> None:
-        """Send the file ``name`` whose content is ``parts`` joined,
-        without joining them: one ``os.writev`` takes up to IOV_MAX
-        parts."""
-        buffers = [b"%d %s\n" % (sum(map(len, parts)), name.encode()),
-                   *parts]
-        first = 0
-        try:
-            while first < len(buffers):
-                written = os.writev(self._records,
-                                    buffers[first:first + _IOV_MAX])
-                while first < len(buffers) and written >= len(buffers[first]):
-                    written -= len(buffers[first])
-                    first += 1
-                if written:  # a pipe may take a part in pieces
-                    buffers[first] = memoryview(buffers[first])[written:]
-        except BrokenPipeError:
-            self.close(failed=False)  # the child has ended: raise its error
-            raise
+        """Queue the file ``name`` whose content is ``parts`` joined;
+        raise the writer's error if it has stopped."""
+        if self._error is not None:
+            raise self._error
+        self._files.put((name, parts))
 
     def close(self, failed: bool) -> None:
-        if self._pid is None:
-            return
-        os.close(self._records)
-        try:
-            _pid, status = os.waitpid(self._pid, 0)
-            message = os.read(self._errors, 1 << 16).decode()
-        finally:
-            os.close(self._errors)
-            self._pid = None
-        if status and not failed:
-            raise CorpusWriteError(
-                message or f"the corpus writer ended with exit status "
-                           f"{os.waitstatus_to_exitcode(status)}")
+        self._files.put(None)
+        self._thread.join()
+        if self._error is not None and not failed:
+            raise self._error
 
     def __enter__(self) -> "_CorpusWriter":
         return self

@@ -53,10 +53,12 @@ class EvalConfig(Record):
     """The evaluation settings; every field has a default."""
 
     __slots__ = ("mode", "seed", "result_cap", "min_nodes", "max_nodes",
-                 "required_op", "tree_size_bounds", "injective_contexts")
+                 "required_op", "tree_size_bounds", "injective_contexts",
+                 "dedup_across_trees")
     _defaults = {"mode": "sample", "seed": 0, "result_cap": 10_000,
                  "min_nodes": None, "max_nodes": None, "required_op": None,
-                 "tree_size_bounds": False, "injective_contexts": False}
+                 "tree_size_bounds": False, "injective_contexts": False,
+                 "dedup_across_trees": False}
 
     def __post_init__(self) -> None:
         if self.mode not in ("enumerate", "sample"):
@@ -345,7 +347,6 @@ def evaluate_corpus(
     a: Algebra,
     cfg: EvalConfig,
     parallel: bool = False,
-    dedup_across_trees: bool = False,
 ) -> List[EvalOutcome]:
     """Evaluate trees independently, preserving input order.
 
@@ -354,8 +355,10 @@ def evaluate_corpus(
     enumerate mode, or in sample mode when it is forced; the outcomes
     equal those of ``evaluate`` on each tree alone.  Per-tree
     evaluation errors become diagnostics instead of aborting the
-    corpus.  Trees are evaluated one after another: ``parallel`` is
-    ignored, and kept only because the benchmark passes it.
+    corpus.  With ``cfg.dedup_across_trees``, a graph isomorphic to one
+    an earlier tree yields is dropped; ``evaluate`` ignores that field.
+    Trees are evaluated one after another: ``parallel`` is ignored, and
+    kept only because the benchmark passes it.
     """
     # ``trees`` keeps every node alive, so the ids in the memos stay valid.
     checks: dict = {}
@@ -367,7 +370,7 @@ def evaluate_corpus(
         except (EvaluationError, ResultCapExceededError) as exc:
             outcomes.append(EvalOutcome(t, (), (f"error: {exc}",)))
 
-    if dedup_across_trees:
+    if cfg.dedup_across_trees:
         seen = set()
         deduped = []
         for outcome in outcomes:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -23,7 +24,13 @@ from gexpand.cli import (
     config_from_args,
     main,
 )
-from gexpand.corpus import _CorpusWriter, _json_text, _manifest_parts
+from gexpand.corpus import (
+    _CORPUS_NAME,
+    _CorpusWriter,
+    _gv_name,
+    _json_text,
+    _manifest_parts,
+)
 from gexpand import (
     DerivationTree,
     is_isomorphic,
@@ -67,9 +74,22 @@ def run_cli(args, stdout=subprocess.PIPE, command=("-m", "gexpand.cli"),
 
 
 def assert_no_child_process():
-    """Every process the run forked has been reaped."""
+    """The run left no child process behind."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def nothing_left_open():
+    """The test ends with as many threads as it began with and, where
+    ``/dev/fd`` lists them, as many open descriptors."""
+    has_fd_dir = os.path.isdir("/dev/fd")
+    threads = threading.active_count()
+    fds = len(os.listdir("/dev/fd")) if has_fd_dir else None
+    yield
+    assert threading.active_count() == threads
+    if has_fd_dir:
+        assert len(os.listdir("/dev/fd")) == fds
 
 
 @pytest.fixture()
@@ -169,14 +189,11 @@ class TestRun:
         assert record["nodes"] == 4
         assert record["edges"] == 5
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
-                        reason="lists open descriptors through /dev/fd")
-    def test_run_leaves_no_descriptor_open(self, inputs):
+    @pytest.mark.usefixtures("nothing_left_open")
+    def test_run_leaves_no_thread_or_descriptor_open(self, inputs):
         tmp, ops, _trees, rtg = inputs
-        before = len(os.listdir("/dev/fd"))
         assert main(["-g", str(ops), "--rtg", str(rtg), "-N", "3",
                      "--out", str(tmp / "corpus")]) == 0
-        assert len(os.listdir("/dev/fd")) == before
 
     def test_run_leaves_no_child_process(self, inputs):
         tmp, ops, _trees, rtg = inputs
@@ -185,8 +202,6 @@ class TestRun:
         assert_no_child_process()
 
     def test_each_output_line_appears_once_through_pipes(self, tmp_path):
-        # Output to a pipe is buffered, so a forked process that flushed
-        # what it inherited, or returned into the caller, would repeat it.
         out = tmp_path / "corpus"
         result = run_cli([*AMR_SAMPLE_DEFS, "--out", str(out)])
         assert result.returncode == 0, result.stderr
@@ -398,23 +413,18 @@ class TestManifestText:
             manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-def file_writer(path):
-    """A ``_CorpusWriter`` whose pipe is the regular file ``path``: it
-    starts no process, and the file keeps every record ``send``
-    writes.  Close its ``_records`` descriptor when done."""
-    writer = _CorpusWriter.__new__(_CorpusWriter)
-    writer._records = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
-    return writer
+@given(st.integers(min_value=0), st.integers(min_value=0))
+def test_every_gv_name_is_a_corpus_name(tree_index, variant):
+    """A rerun removes every graph file an earlier run wrote."""
+    assert _CORPUS_NAME.fullmatch(_gv_name(tree_index, variant))
 
 
 class TestSend:
     def test_manifest_is_held_once(self, tmp_path):
-        """Building 20,000 record texts, the parts and sending them
+        """Building 20,000 record texts, the parts and writing them
         peaks below twice the manifest's size: the manifest is never
-        copied whole (joining it, encoding it or putting the record
-        header in front each would be a copy)."""
-        path = tmp_path / "records"
-        writer = file_writer(path)
+        copied whole (joining it or encoding it would be a copy)."""
+        out = tmp_path / "corpus"
         config = {"best_count": 20_000, "mode": "sample", "seed": 0}
         warnings = [f"tree {i}: zero-result: no candidate" for i in range(50)]
         source = "want-01(boy, go-02(girl, she))"
@@ -425,36 +435,87 @@ class TestSend:
                                    "tree_weight": "-12.5", "nodes": 9,
                                    "edges": 8}, "    ").encode("ascii")
                        for i in range(20_000)]
-            writer.send("manifest.json",
-                        _manifest_parts(config, records, warnings))
+            with _CorpusWriter(str(out)) as writer:
+                writer.send("manifest.json",
+                            _manifest_parts(config, records, warnings))
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            os.close(writer._records)
-        header, manifest = path.read_bytes().split(b"\n", 1)
-        assert header == b"%d manifest.json" % len(manifest)
+        manifest = (out / "manifest.json").read_bytes()
         assert peak < 2 * len(manifest)
         assert manifest == b"".join(_manifest_parts(config, records,
                                                     warnings))
 
     def test_short_writes_are_finished(self, tmp_path, monkeypatch):
-        """A pipe may take fewer bytes than one ``writev`` offers, and
-        stop inside a part; ``send`` goes on from the first byte not
+        """A write may take fewer bytes than one ``writev`` offers, and
+        stop inside a part; the writer goes on from the first byte not
         taken."""
         def short_writev(fd, buffers):
             return os.write(fd, b"".join(buffers)[:5])
 
-        path = tmp_path / "records"
-        writer = file_writer(path)
+        out = tmp_path / "corpus"
         parts = [b"abc", b"", b"defghij", b"k" * 3000]
         monkeypatch.setattr(os, "writev", short_writev)
-        try:
+        with _CorpusWriter(str(out)) as writer:
             writer.send("g0_0.gv", parts)
             writer.send("g0_1.gv", [])
+        assert (out / "g0_0.gv").read_bytes() == b"abcdefghij" + b"k" * 3000
+        assert (out / "g0_1.gv").read_bytes() == b""
+
+
+@pytest.mark.usefixtures("nothing_left_open")
+class TestWriterThread:
+    def test_any_writer_exception_reaches_the_caller(self, inputs,
+                                                     monkeypatch):
+        real_open = os.open
+
+        def gv_open(path, flags, mode=0o777, *, dir_fd=None):
+            if str(path).endswith(".gv"):
+                raise RuntimeError("no gv file today")
+            return real_open(path, flags, mode, dir_fd=dir_fd)
+
+        monkeypatch.setattr(os, "open", gv_open)
+        tmp, ops, trees, _rtg = inputs
+        with pytest.raises(RuntimeError, match="^no gv file today$"):
+            main(["-g", str(ops), "-t", str(trees),
+                  "--out", str(tmp / "corpus")])
+
+    def test_run_beside_another_thread_writes_the_same_bytes(self, inputs):
+        tmp, ops, _trees, rtg = inputs
+        argv = ["-g", str(ops), "--rtg", str(rtg), "-N", "3"]
+        assert main(argv + ["--out", str(tmp / "plain")]) == 0
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            assert main(argv + ["--out", str(tmp / "beside")]) == 0
         finally:
-            os.close(writer._records)
-        assert path.read_bytes() == (b"3010 g0_0.gv\n" + b"".join(parts)
-                                     + b"0 g0_1.gv\n")
+            done.set()
+            other.join()
+        assert corpus_bytes(tmp / "beside") == corpus_bytes(tmp / "plain")
+
+    def test_full_queue_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        argv = AMR + ["-N", "40", "-d", str(BENCH_INPUTS / "amr.defs")]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setattr(gexpand.corpus, "_QUEUED_FILES", 1)
+        assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+        assert corpus_bytes(tmp_path / "one") == corpus_bytes(
+            tmp_path / "plain")
+
+    def test_failed_writer_frees_a_full_queue(self, tmp_path):
+        """A send that waits for room in the queue when the writer
+        fails goes on, and the next one raises the writer's error."""
+        out = tmp_path / "corpus"
+        (out / "g0_0.gv").mkdir(parents=True)
+        one_file_queue = ("import sys, gexpand.corpus, gexpand.cli; "
+                          "gexpand.corpus._QUEUED_FILES = 1; "
+                          "sys.exit(gexpand.cli.main())")
+        result = run_cli([*AMR_SAMPLE_DEFS, "--out", str(out)],
+                         command=("-c", one_file_queue))
+        assert result.returncode == 1
+        assert result.stderr == (f"error: cannot write {out / 'g0_0.gv'}: "
+                                 f"{os.strerror(errno.EISDIR)}\n")
+        assert listing(out) == ["g0_0.gv"]
 
 
 class TestErrors:
@@ -511,6 +572,7 @@ class TestErrors:
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.usefixtures("nothing_left_open")
 class TestUnwritableCorpus:
     """A corpus that cannot be written ends in one ``error:`` line that
     names the path, with exit status 1, and leaves no process behind."""
@@ -545,23 +607,6 @@ class TestUnwritableCorpus:
         assert line == (f"error: cannot write {out / 'g0_0.gv'}: "
                         f"{os.strerror(errno.EISDIR)}")
         assert not (out / "manifest.json").exists()
-
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
-                        reason="lists open descriptors through /dev/fd")
-    def test_failed_fork_closes_its_pipes(self, inputs, capsys, monkeypatch):
-        def fork():
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", fork)
-        tmp, ops, trees, _rtg = inputs
-        out = tmp / "corpus"
-        before = len(os.listdir("/dev/fd"))
-        line = self.run_failing(["-g", str(ops), "-t", str(trees)], out,
-                                capsys)
-        assert line == (f"error: cannot start a writer for {out}: "
-                        + os.strerror(errno.EAGAIN))
-        assert len(os.listdir("/dev/fd")) == before
-        assert not out.exists()
 
 
 def manifest_files(out):
@@ -648,6 +693,7 @@ DUPLICATE_RULE_OPS = "".join(
 ) + "operation t5r2 { 1 1 }\n"
 
 
+@pytest.mark.usefixtures("nothing_left_open")
 class TestOneErrorLine:
     """Bad settings, runaway searches and cap hits end in exactly one
     ``error:`` line and exit status 1, before the output directory

@@ -314,8 +314,7 @@ class TestEvaluateCorpus:
         plain = evaluate_corpus(trees, running_algebra(), cfg)
         assert [len(o.graphs) for o in plain] == [1, 1]
         deduped = evaluate_corpus(
-            trees, running_algebra(), cfg, dedup_across_trees=True
-        )
+            trees, running_algebra(), cfg.replace(dedup_across_trees=True))
         assert [len(o.graphs) for o in deduped] == [1, 0]
 
 

@@ -195,7 +195,8 @@ def test_production_checks_its_rank():
 def test_config_signatures():
     defaults = {"mode": "sample", "seed": 0, "result_cap": 10_000,
                 "min_nodes": None, "max_nodes": None, "required_op": None,
-                "tree_size_bounds": False, "injective_contexts": False}
+                "tree_size_bounds": False, "injective_contexts": False,
+                "dedup_across_trees": False}
     params = inspect.signature(EvalConfig).parameters
     assert {n: p.default for n, p in params.items()} == defaults
     assert {p.kind for p in params.values()} == {
@@ -206,8 +207,7 @@ def test_config_signatures():
     assert kw_only == {
         "operations": inspect.Parameter.empty, "trees": None, "rtg": None,
         "best_count": 1, "definitions": None, "out": "./corpus",
-        "instantiation_cap": 10_000, "per_label": False,
-        "dedup_across_trees": False}
+        "instantiation_cap": 10_000, "per_label": False}
     assert list(params)[:len(defaults)] == list(defaults)
     assert RunConfig.__match_args__ == EvalConfig.__match_args__ == tuple(
         defaults)
@@ -230,8 +230,7 @@ def test_replace_and_asdict():
     cfg = RunConfig(operations="o", rtg="r")
     assert list(cfg.asdict()) == [*EvalConfig().asdict(), "operations",
                                   "trees", "rtg", "best_count", "definitions",
-                                  "out", "instantiation_cap", "per_label",
-                                  "dedup_across_trees"]
+                                  "out", "instantiation_cap", "per_label"]
     changed = cfg.replace(seed=5)
     assert type(changed) is RunConfig and changed.seed == 5
     assert changed.replace(seed=0) == cfg
@@ -245,7 +244,8 @@ def test_repr():
     assert repr(EvalConfig()) == (
         "EvalConfig(mode='sample', seed=0, result_cap=10000, "
         "min_nodes=None, max_nodes=None, required_op=None, "
-        "tree_size_bounds=False, injective_contexts=False)")
+        "tree_size_bounds=False, injective_contexts=False, "
+        "dedup_across_trees=False)")
     assert repr(RankedSymbol("f", 1)) == "RankedSymbol(name='f', rank=1)"
     assert repr(tree("f", tree("a"))) == "DerivationTree(f(a))"
 
