@@ -4,8 +4,9 @@ label instantiation -> gv corpus on disk.
 Either a tree file (-t) or a weighted grammar (--rtg, with -N) feeds
 the evaluator; the operation file (-g) is always required.  Each final
 graph lands in one gv file named g<tree-index>_<variant-index>.gv next
-to a deterministic manifest.json; the writer thread of ``corpus``
-creates the files while the text of later ones is built.
+to a deterministic manifest.json.  The ``Corpus`` of ``corpus`` names
+and writes them; the run opens it once every check that can stop the
+run has passed, and hands it each graph's gv text as it is built.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .algebra import (
     check_extension,
     parse_operation_file,
 )
-from .corpus import (
-    CorpusWriteError,
-    _CorpusWriter,
-    _gv_name,
-    _json_text,
-    _manifest_parts,
-)
+from .corpus import Corpus, CorpusWriteError
 from .evaluator import EvalConfig, evaluate_corpus
 from .grammar import (
     BudgetExceededError,
@@ -173,6 +168,9 @@ def _read(path: str, what: str) -> str:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file is not UTF-8: {path}: {exc.reason} "
                           f"at byte {exc.start}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} file cannot be read: {path}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _load_inputs(cfg: RunConfig):
@@ -219,7 +217,7 @@ def validate(cfg: RunConfig) -> Tuple[List[str], bool]:
     fatal)."""
     algebra, grammar, trees, _definitions = _load_inputs(cfg)
     report = _symbol_rank_findings(algebra, grammar, trees)
-    fatal = any(line.startswith("fatal:") for line in report)
+    fatal = bool(report)  # every symbol-rank finding is fatal
 
     producible = template_labels_producible(algebra)
     for name in sorted(algebra.operations):
@@ -278,70 +276,24 @@ def template_labels_producible(algebra: Algebra) -> set:
     return labels
 
 
-def _generate(cfg: RunConfig, writer: _CorpusWriter, algebra, grammar,
-              trees, definitions) -> Tuple[int, List[str]]:
-    """Build the corpus and send each file to ``writer`` as soon as its
-    text is built, ``manifest.json`` last; returns the graph count and
-    the warnings."""
-    all_warnings: List[str] = []
-    if grammar is not None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            best = n_best_trees(grammar, cfg.best_count)
-        all_warnings.extend(str(w.message) for w in caught)
-        trees = [t for t, _w in best]
-        weights = [str(w) for _t, w in best]
-    else:
-        weights = ["0"] * len(trees)
+def _write_out(text: str, status: int) -> int:
+    """Write ``text`` to stdout and return ``status``, or 120 as in
+    ``entry``: unbuffered stdout fails here, buffered at its flush."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        return _cannot_write(sys.stdout, exc)
+    return status
 
-    outcomes = evaluate_corpus(trees, algebra, cfg)
 
-    # Every check that can stop the run comes before the first file.
-    if definitions is not None:
-        for outcome in outcomes:
-            for g in outcome.graphs:
-                count = instantiation_count(g, definitions, cfg.per_label)
-                if count > cfg.instantiation_cap:
-                    raise InstantiationCapError(count, cfg.instantiation_cap)
-
-    records = []
-    for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
-        for diag in outcome.diagnostics:
-            all_warnings.append(f"tree {tree_index}: {diag}")
-        if not outcome.graphs:
-            continue
-        source = outcome.source_tree.serialize()
-        variant = 0
-        for g in outcome.graphs:
-            if definitions is None:
-                instances = [g]
-            else:
-                instances = instantiate_all(g, definitions,
-                                            per_label=cfg.per_label,
-                                            cap=cfg.instantiation_cap)
-            for inst in instances:
-                filename = _gv_name(tree_index, variant)
-                writer.send(filename, [emit_gv(inst).encode("utf-8")])
-                # Each record is kept as its text in manifest.json.
-                records.append(_json_text(
-                    {
-                        "file": filename,
-                        "tree_index": tree_index,
-                        "variant": variant,
-                        "tree": source,
-                        "tree_weight": weight,
-                        "nodes": len(inst.nodes),
-                        "edges": len(inst.edges),
-                    }, "    ").encode("ascii"))
-                variant += 1
-
-    config = cfg.asdict()
-    del config["out"]
-    if cfg.rtg is None:
-        config["best_count"] = None  # -N only applies to --rtg
-    writer.send("manifest.json",
-                _manifest_parts(config, records, all_warnings))
-    return len(records), all_warnings
+def _cannot_write(stream, exc: OSError) -> int:
+    """Report that ``stream`` cannot be written; returns status 120."""
+    try:
+        print(f"error: cannot write to {stream.name}: {exc}",
+              file=sys.stderr, flush=True)
+    except OSError:
+        pass  # stderr itself cannot be written
+    return 120
 
 
 def run(cfg: RunConfig) -> int:
@@ -356,14 +308,53 @@ def run(cfg: RunConfig) -> int:
             print(f"error: {line}", file=sys.stderr)
         return 1
 
-    # The writer thread waits for its first file while N-best and
-    # evaluation run.
-    with _CorpusWriter(cfg.out) as writer:
-        count, all_warnings = _generate(cfg, writer, algebra, grammar,
-                                        trees, definitions)
+    all_warnings: List[str] = []
+    if grammar is not None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            best = n_best_trees(grammar, cfg.best_count)
+        all_warnings.extend(str(w.message) for w in caught)
+        trees = [t for t, _w in best]
+        weights = [str(w) for _t, w in best]
+    else:
+        weights = ["0"] * len(trees)
+
+    outcomes = evaluate_corpus(trees, algebra, cfg)
+
+    if definitions is not None:
+        for outcome in outcomes:
+            for g in outcome.graphs:
+                count = instantiation_count(g, definitions, cfg.per_label)
+                if count > cfg.instantiation_cap:
+                    raise InstantiationCapError(count, cfg.instantiation_cap)
+
+    # Every check that can stop the run has passed: the corpus opens.
+    with Corpus(cfg.out) as corpus:
+        for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
+            for diag in outcome.diagnostics:
+                all_warnings.append(f"tree {tree_index}: {diag}")
+            if not outcome.graphs:
+                continue
+            source = outcome.source_tree.serialize()
+            variant = 0
+            for g in outcome.graphs:
+                if definitions is None:
+                    instances = [g]
+                else:
+                    instances = instantiate_all(g, definitions,
+                                                per_label=cfg.per_label,
+                                                cap=cfg.instantiation_cap)
+                for inst in instances:
+                    corpus.add(emit_gv(inst), tree_index, variant, source,
+                               weight, len(inst.nodes), len(inst.edges))
+                    variant += 1
+        config = cfg.asdict()
+        del config["out"]
+        if cfg.rtg is None:
+            config["best_count"] = None  # -N only applies to --rtg
+        count = corpus.write_manifest(config, all_warnings)
     sys.stderr.write("".join(f"warning: {line}\n" for line in all_warnings))
-    print(f"wrote {count} graph(s) to {Path(cfg.out)}")
-    return 0
+    return _write_out(f"wrote {count} graph(s) to {Path(cfg.out)}\n", 0)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -385,9 +376,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Symbols come from UTF-8 files, so a report line may hold characters
     # that stdout's encoding cannot write: escape them, as stderr does.
     encoding = sys.stdout.encoding or "utf-8"
-    for line in report or ["ok: no findings"]:
-        print(line.encode(encoding, "backslashreplace").decode(encoding))
-    return 1 if fatal else 0
+    text = "".join(f"{line}\n" for line in report or ["ok: no findings"])
+    return _write_out(text.encode(encoding, "backslashreplace")
+                      .decode(encoding), 1 if fatal else 0)
 
 
 def entry() -> NoReturn:
@@ -402,12 +393,7 @@ def entry() -> NoReturn:
         try:
             stream.flush()
         except OSError as exc:
-            status = 120
-            try:
-                print(f"error: cannot write to {stream.name}: {exc}",
-                      file=sys.stderr, flush=True)
-            except OSError:
-                pass  # stderr itself cannot be written
+            status = _cannot_write(stream, exc)
     os._exit(status)
 
 

@@ -1,11 +1,11 @@
-"""The corpus on disk: a writer thread that owns the output directory,
-and the names and bytes of the files in it.
+"""The corpus on disk: the output directory, the names and bytes of the
+files in it, and the writer thread that creates them.
 
-At the first file, the writer creates the directory and removes every
+Opening a ``Corpus`` creates the directory and removes every
 ``manifest.json`` and ``g<i>_<j>.gv`` entry in it that is not a
-directory, and no other entry.  Every check that can stop a run comes
-before its first file: a stopped run leaves an earlier corpus as it
-was, and a failed one leaves only its own files and no manifest.
+directory, and no other entry.  The caller opens it once every check
+that can stop a run has passed: a stopped run leaves an earlier corpus
+as it was, and a failed one leaves only its own files and no manifest.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import queue
 import re
 import threading
-from typing import Iterable, List, Tuple
+from typing import List, Optional
 
 from . import __version__
 
@@ -58,89 +58,101 @@ def _write_parts(fd: int, parts: List[bytes]) -> None:
         skip = written
 
 
-def _create_files(out: str,
-                  files: Iterable[Tuple[str, List[bytes]]]) -> None:
-    """Create the files ``(name, parts)`` of ``files`` in the directory
-    ``out``, each with the content ``parts`` joined.  Each file takes
-    one open, one or more writes and one close, its name resolved
-    against one descriptor of the directory, which is created, opened
-    and cleared at the first file.  A symlink is removed, not followed,
-    and the old manifest goes first: it never names a file that is
-    gone.  ``name`` is the entry an ``OSError`` concerns."""
-    dir_fd = None
-    name = ""
-    try:
-        for file in files:
-            if dir_fd is None:
-                try:
-                    os.makedirs(out, exist_ok=True)
-                except OSError as exc:
-                    raise CorpusWriteError(
-                        f"cannot create output directory {out}: "
-                        f"{exc.strerror or exc}") from None
-                dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
-                with os.scandir(dir_fd) as entries:
-                    stale = [e.name for e in entries
-                             if _CORPUS_NAME.fullmatch(e.name)
-                             and not e.is_dir(follow_symlinks=False)]
-                for name in sorted(stale, key="manifest.json".__ne__):
-                    os.unlink(name, dir_fd=dir_fd)
-            name, parts = file
-            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                         0o666, dir_fd=dir_fd)
-            try:
-                _write_parts(fd, parts)
-            finally:
-                os.close(fd)
-    except OSError as exc:
-        raise CorpusWriteError(f"cannot write {os.path.join(out, name)}: "
-                               f"{exc.strerror or exc}") from None
-    finally:
-        if dir_fd is not None:
-            os.close(dir_fd)
-
-
-class _CorpusWriter:
-    """A thread that creates the corpus files in ``out`` while the
-    caller builds their text.  It creates and clears ``out`` at the
-    first file.  Leaving the ``with`` block waits for the thread to
-    finish and, unless the block raised, raises whatever the thread
-    raised, ``CorpusWriteError`` if it could not write."""
+class Corpus:
+    """The corpus in the directory ``out``: one gv file per ``add`` and
+    ``manifest.json`` from ``write_manifest``, which a writer thread
+    creates while the caller builds the next text.  Opening it creates
+    and clears ``out`` in the caller: a symlink is removed, not
+    followed, and the old manifest goes first, so that it never names a
+    file that is gone.  Each file takes one open, one or more writes and
+    one close, relative to a descriptor of ``out``.  Once the thread has
+    stopped, ``add`` raises its error; leaving the ``with`` block waits
+    for the thread and, unless the block raised, raises whatever the
+    thread raised, ``CorpusWriteError`` if it could not write."""
 
     def __init__(self, out: str) -> None:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise CorpusWriteError(
+                f"cannot create output directory {out}: "
+                f"{exc.strerror or exc}") from None
+        self._out = out
+        dir_fd = None
+        name = ""
+        try:
+            dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+            with os.scandir(dir_fd) as entries:
+                stale = [e.name for e in entries
+                         if _CORPUS_NAME.fullmatch(e.name)
+                         and not e.is_dir(follow_symlinks=False)]
+            for name in sorted(stale, key="manifest.json".__ne__):
+                os.unlink(name, dir_fd=dir_fd)
+        except OSError as exc:
+            if dir_fd is not None:
+                os.close(dir_fd)
+            raise self._write_error(name, exc) from None
+        self._dir_fd = dir_fd
+        self._records: List[bytes] = []
+        self._error: Optional[BaseException] = None
         self._files = queue.Queue(_QUEUED_FILES)
-        self._error = None
-        self._thread = threading.Thread(target=self._run, args=(out,),
+        self._thread = threading.Thread(target=self._run,
                                         name="gexpand corpus writer")
         self._thread.start()
 
-    def _run(self, out: str) -> None:
+    def _write_error(self, name: str, exc: OSError) -> CorpusWriteError:
+        """The error for an ``OSError`` on the entry ``name``."""
+        return CorpusWriteError(f"cannot write {os.path.join(self._out, name)}"
+                                f": {exc.strerror or exc}")
+
+    def _run(self) -> None:
         files = iter(self._files.get, None)
         try:
-            _create_files(out, files)
+            for name, parts in files:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                             0o666, dir_fd=self._dir_fd)
+                try:
+                    _write_parts(fd, parts)
+                finally:
+                    os.close(fd)
         except BaseException as exc:  # raised again in the caller
-            self._error = exc
-            for _file in files:  # a send waiting for room raises next
+            self._error = (self._write_error(name, exc)
+                           if isinstance(exc, OSError) else exc)
+            for _file in files:  # an add waiting for room raises next
                 pass
 
-    def send(self, name: str, parts: List[bytes]) -> None:
-        """Queue the file ``name`` whose content is ``parts`` joined;
-        raise the writer's error if it has stopped."""
+    def add(self, text: str, tree_index: int, variant: int, tree: str,
+            weight: str, nodes: int, edges: int) -> None:
+        """Queue the gv file ``text`` of the ``variant``-th graph of the
+        tree ``tree_index``, and keep the graph's manifest record, with
+        the serialized ``tree``, its ``weight`` and the node and edge
+        counts, as its text in manifest.json."""
         if self._error is not None:
             raise self._error
-        self._files.put((name, parts))
+        name = _gv_name(tree_index, variant)
+        self._files.put((name, [text.encode("utf-8")]))
+        self._records.append(_json_text(
+            {"file": name, "tree_index": tree_index, "variant": variant,
+             "tree": tree, "tree_weight": weight, "nodes": nodes,
+             "edges": edges}, "    ").encode("ascii"))
 
-    def close(self, failed: bool) -> None:
-        self._files.put(None)
-        self._thread.join()
-        if self._error is not None and not failed:
-            raise self._error
+    def write_manifest(self, config: dict, warnings: List[str]) -> int:
+        """Queue ``manifest.json`` for the run settings ``config``, the
+        graphs added and ``warnings``; no graph may follow it.  Returns
+        the number of graphs."""
+        self._files.put(("manifest.json",
+                         _manifest_parts(config, self._records, warnings)))
+        return len(self._records)
 
-    def __enter__(self) -> "_CorpusWriter":
+    def __enter__(self) -> "Corpus":
         return self
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
-        self.close(failed=exc_type is not None)
+        self._files.put(None)
+        self._thread.join()
+        os.close(self._dir_fd)
+        if self._error is not None and exc_type is None:
+            raise self._error
 
 
 def _json_text(value, indent: str) -> str:

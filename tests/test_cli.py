@@ -26,10 +26,11 @@ from gexpand.cli import (
 )
 from gexpand.corpus import (
     _CORPUS_NAME,
-    _CorpusWriter,
+    Corpus,
     _gv_name,
     _json_text,
     _manifest_parts,
+    _write_parts,
 )
 from gexpand import (
     DerivationTree,
@@ -287,6 +288,22 @@ class TestExit:
         assert "Traceback" not in result.stderr
         assert (tmp / "corpus" / "manifest.json").is_file()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    @pytest.mark.parametrize("validate", [False, True],
+                             ids=["run", "validate"])
+    def test_unbuffered_stdout_that_cannot_be_written_exits_120(
+            self, inputs, validate):
+        tmp, ops, trees, _rtg = inputs
+        args = ["-g", str(ops), "-t", str(trees)]
+        args += ["--validate"] if validate else ["--out", str(tmp / "corpus")]
+        with open("/dev/full", "w") as full:
+            result = run_cli(args, stdout=full, PYTHONUNBUFFERED="1")
+        assert result.returncode == 120
+        assert result.stderr == (f"error: cannot write to <stdout>: "
+                                 f"[Errno {errno.ENOSPC}] "
+                                 f"{os.strerror(errno.ENOSPC)}\n")
+
     def test_no_atexit_handler_runs(self, inputs):
         tmp, ops, trees, _rtg = inputs
         code = ("import atexit\n"
@@ -365,6 +382,35 @@ class TestEncoding:
             f"error: {what} file is not UTF-8: {bad}: invalid start byte "
             f"at byte 0\n")
 
+    @pytest.mark.parametrize("what",
+                             ["operation", "tree", "grammar", "definition"])
+    def test_unreadable_input_is_one_error_line(self, inputs, capsys,
+                                                monkeypatch, what):
+        tmp, ops, trees, _rtg = inputs
+        locked = tmp / "locked.txt"
+        locked.write_text("")
+        real_read_text = Path.read_text
+
+        def read_text(path, *args, **kwargs):
+            if path == locked:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                      str(path))
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        argv = {
+            "operation": ["-g", locked, "-t", trees],
+            "tree": ["-g", ops, "-t", locked],
+            "grammar": ["-g", ops, "--rtg", locked],
+            "definition": ["-g", ops, "-t", trees, "-d", locked],
+        }[what]
+        assert main([str(x) for x in argv]
+                    + ["--out", str(tmp / "corpus")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {what} file cannot be read: {locked}: "
+            f"{os.strerror(errno.EACCES)}\n")
+        assert not (tmp / "corpus").exists()
+
 
 # Manifest values: strings with non-ASCII and control characters, ints,
 # bools, None, and nested dicts, lists and tuples, empty ones included.
@@ -377,6 +423,22 @@ MANIFEST_VALUES = st.recursive(
                    | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(MANIFEST_STRINGS, inner, max_size=4)),
     max_leaves=25)
+
+
+def manifest_bytes(config, records, warnings):
+    """What ``manifest.json`` holds for these config, records and
+    warnings: ``json.dumps`` of the manifest and a newline."""
+    manifest = {"tool": "gexpand", "version": gexpand.__version__,
+                "config": config, "graphs": records, "warnings": warnings}
+    return (json.dumps(manifest, indent=2, sort_keys=True)
+            + "\n").encode("ascii")
+
+
+def graph_record(tree_index, variant, tree, weight, nodes, edges):
+    """The manifest record of a graph that ``Corpus.add`` was given."""
+    return {"file": f"g{tree_index}_{variant}.gv", "tree_index": tree_index,
+            "variant": variant, "tree": tree, "tree_weight": weight,
+            "nodes": nodes, "edges": edges}
 
 
 class TestManifestText:
@@ -402,15 +464,11 @@ class TestManifestText:
     @example(config={}, records=[], warnings=["tree 0: \u00e9\x00\n"])
     @settings(max_examples=100, deadline=None)
     def test_parts_join_to_json_dumps(self, config, records, warnings):
-        manifest = {"tool": "gexpand", "version": gexpand.__version__,
-                    "config": config, "graphs": records,
-                    "warnings": warnings}
         parts = _manifest_parts(
             config, [_json_text(r, "    ").encode("ascii") for r in records],
             warnings)
         assert all(type(part) is bytes for part in parts)
-        assert b"".join(parts) == (json.dumps(
-            manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
+        assert b"".join(parts) == manifest_bytes(config, records, warnings)
 
 
 @given(st.integers(min_value=0), st.integers(min_value=0))
@@ -421,30 +479,28 @@ def test_every_gv_name_is_a_corpus_name(tree_index, variant):
 
 class TestSend:
     def test_manifest_is_held_once(self, tmp_path):
-        """Building 20,000 record texts, the parts and writing them
-        peaks below twice the manifest's size: the manifest is never
-        copied whole (joining it or encoding it would be a copy)."""
+        """Adding 20,000 graphs, whose record texts the corpus keeps,
+        and writing the manifest from them peaks below twice the
+        manifest's size: the manifest is never copied whole (joining it
+        or encoding it would be a copy)."""
         out = tmp_path / "corpus"
         config = {"best_count": 20_000, "mode": "sample", "seed": 0}
         warnings = [f"tree {i}: zero-result: no candidate" for i in range(50)]
-        source = "want-01(boy, go-02(girl, she))"
+        graph = ("want-01(boy, go-02(girl, she))", "-12.5", 9, 8)
         tracemalloc.start()
         try:
-            records = [_json_text({"file": f"g{i}_0.gv", "tree_index": i,
-                                   "variant": 0, "tree": source,
-                                   "tree_weight": "-12.5", "nodes": 9,
-                                   "edges": 8}, "    ").encode("ascii")
-                       for i in range(20_000)]
-            with _CorpusWriter(str(out)) as writer:
-                writer.send("manifest.json",
-                            _manifest_parts(config, records, warnings))
+            with Corpus(str(out)) as corpus:
+                for i in range(20_000):
+                    corpus.add("", i, 0, *graph)
+                assert corpus.write_manifest(config, warnings) == 20_000
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         manifest = (out / "manifest.json").read_bytes()
         assert peak < 2 * len(manifest)
-        assert manifest == b"".join(_manifest_parts(config, records,
-                                                    warnings))
+        assert manifest == manifest_bytes(
+            config, [graph_record(i, 0, *graph) for i in range(20_000)],
+            warnings)
 
     def test_short_writes_are_finished(self, tmp_path, monkeypatch):
         """A write may take fewer bytes than one ``writev`` offers, and
@@ -455,12 +511,21 @@ class TestSend:
 
         out = tmp_path / "corpus"
         parts = [b"abc", b"", b"defghij", b"k" * 3000]
+        graphs = [("abcdefghij" + "k" * 3000, 0, 0, "t", "0", 1, 0),
+                  ("", 0, 1, "t", "0", 0, 0)]
         monkeypatch.setattr(os, "writev", short_writev)
-        with _CorpusWriter(str(out)) as writer:
-            writer.send("g0_0.gv", parts)
-            writer.send("g0_1.gv", [])
+        with Corpus(str(out)) as corpus:
+            for graph in graphs:
+                corpus.add(*graph)
+            corpus.write_manifest({"seed": 0}, ["tree 1: no graph"])
+        with open(tmp_path / "parts", "wb") as file:
+            _write_parts(file.fileno(), parts)
+        assert (tmp_path / "parts").read_bytes() == b"".join(parts)
         assert (out / "g0_0.gv").read_bytes() == b"abcdefghij" + b"k" * 3000
         assert (out / "g0_1.gv").read_bytes() == b""
+        assert (out / "manifest.json").read_bytes() == manifest_bytes(
+            {"seed": 0}, [graph_record(*graph[1:]) for graph in graphs],
+            ["tree 1: no graph"])
 
 
 @pytest.mark.usefixtures("nothing_left_open")
@@ -592,6 +657,20 @@ class TestUnwritableCorpus:
         assert line == (f"error: cannot create output directory {out}: "
                         + os.strerror(errno.EEXIST))
         assert out.read_text() == "taken\n"
+
+    def test_out_is_a_regular_file_stops_before_any_graph_text(
+            self, inputs, capsys, monkeypatch):
+        """The corpus opens, and fails, before the first graph's text
+        is built."""
+        texts = []
+        monkeypatch.setattr(gexpand.cli, "emit_gv", texts.append)
+        tmp, _ops, _trees, _rtg = inputs
+        out = tmp / "corpus"
+        out.write_text("taken\n")
+        line = self.run_failing(AMR_SAMPLE_DEFS, out, capsys)
+        assert line == (f"error: cannot create output directory {out}: "
+                        + os.strerror(errno.EEXIST))
+        assert texts == []
 
     # The first case fails once every file is sent, the second while
     # the run still sends.
