@@ -160,11 +160,10 @@ def config_from_args(argv: Sequence[str]) -> Tuple[RunConfig, bool]:
 def _read(path: str, what: str) -> str:
     """The text of an input file, decoded as UTF-8 whatever the locale:
     the encoding the corpus is written in."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
     try:
-        return p.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file is not UTF-8: {path}: {exc.reason} "
                           f"at byte {exc.start}") from None

@@ -355,32 +355,29 @@ def evaluate_corpus(
     enumerate mode, or in sample mode when it is forced; the outcomes
     equal those of ``evaluate`` on each tree alone.  Per-tree
     evaluation errors become diagnostics instead of aborting the
-    corpus.  With ``cfg.dedup_across_trees``, a graph isomorphic to one
-    an earlier tree yields is dropped; ``evaluate`` ignores that field.
+    corpus.  With ``cfg.dedup_across_trees``, each tree's graphs are
+    filtered as soon as it is evaluated: one isomorphic to a graph an
+    earlier tree yields is dropped; ``evaluate`` ignores that field.
     Trees are evaluated one after another: ``parallel`` is ignored, and
     kept only because the benchmark passes it.
     """
     # ``trees`` keeps every node alive, so the ids in the memos stay valid.
     checks: dict = {}
     memo: dict = {}
+    seen = set()
     outcomes = []
     for index, t in enumerate(trees):
         try:
-            outcomes.append(_evaluate(t, a, cfg, index, checks, memo))
+            outcome = _evaluate(t, a, cfg, index, checks, memo)
         except (EvaluationError, ResultCapExceededError) as exc:
-            outcomes.append(EvalOutcome(t, (), (f"error: {exc}",)))
-
-    if cfg.dedup_across_trees:
-        seen = set()
-        deduped = []
-        for outcome in outcomes:
+            outcome = EvalOutcome(t, (), (f"error: {exc}",))
+        if cfg.dedup_across_trees:
             kept = []
             for g in outcome.graphs:
                 key = canonical_key(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append(g)
-            deduped.append(outcome.replace(graphs=tuple(kept)))
-        outcomes = deduped
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(g)
+            outcome = outcome.replace(graphs=tuple(kept))
+        outcomes.append(outcome)
     return outcomes

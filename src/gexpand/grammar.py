@@ -185,9 +185,9 @@ class DerivationTree(Record):
         return sum(1 for _ in self.walk())
 
     def serialize(self) -> str:
-        # A stack of nodes and literal tokens rather than walk(): trees
-        # are serialized for every n-best candidate, and this runs about
-        # as fast as direct recursion.
+        # A stack of nodes and literal tokens rather than recursion, so
+        # that a tree deeper than the recursion limit serializes too,
+        # in time linear in its size.
         parts = []
         stack = [self]
         while stack:

@@ -11,7 +11,6 @@ renderers ignore it, so emitted files feed straight into Graphviz.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph, canonical_order
@@ -36,22 +35,15 @@ _NODE_ID = (r'(?:"(?P<q%s>' + _QUOTED
 _ATTRS = r'(?:\s*\[(?P<attrs>(?:[^\]"]|"' + _QUOTED + r'")*)\])?'
 
 
-@lru_cache(maxsize=None)
-def _statement_res() -> Tuple["re.Pattern", "re.Pattern", "re.Pattern"]:
-    """The edge, node and attribute regexes, compiled on first use, so
-    that importing the package does not pay for them.  The attribute
-    regex matches one ``key=value`` attribute, else one quoted string or
-    other character, so that text inside a quoted value never reads as
-    a key."""
-    return (
-        re.compile(_NODE_ID % ("1", "1") + r"\s*->\s*" + _NODE_ID % ("2", "2")
-                   + _ATTRS + r"\s*;?\s*$"),
-        re.compile(_NODE_ID % ("1", "1") + _ATTRS + r"\s*;?\s*$"),
-        re.compile(
-            r'(?:"(?P<qk>' + _QUOTED + r')"|(?P<bk>[A-Za-z0-9_.\-]+))\s*=\s*'
-            r'(?:"(?P<qv>' + _QUOTED + r')"|(?P<bv>[A-Za-z0-9_.\-]+))'
-            r'|"' + _QUOTED + r'"|[^"]'),
-    )
+_EDGE_RE = re.compile(_NODE_ID % ("1", "1") + r"\s*->\s*" + _NODE_ID % ("2", "2")
+                      + _ATTRS + r"\s*;?\s*$")
+_NODE_RE = re.compile(_NODE_ID % ("1", "1") + _ATTRS + r"\s*;?\s*$")
+# One ``key=value`` attribute, else one quoted string or other
+# character, so that text inside a quoted value never reads as a key.
+_ATTR_RE = re.compile(
+    r'(?:"(?P<qk>' + _QUOTED + r')"|(?P<bk>[A-Za-z0-9_.\-]+))\s*=\s*'
+    r'(?:"(?P<qv>' + _QUOTED + r')"|(?P<bv>[A-Za-z0-9_.\-]+))'
+    r'|"' + _QUOTED + r'"|[^"]')
 
 
 def _unquote(text: str) -> str:
@@ -67,7 +59,7 @@ def _parse_label(attrs: Optional[str]) -> Optional[str]:
     """The value of the ``label`` attribute; as in Graphviz, the last
     one wins."""
     label = None
-    for m in _statement_res()[2].finditer(attrs or ""):
+    for m in _ATTR_RE.finditer(attrs or ""):
         if _get_id(m, "k") == "label":
             label = _get_id(m, "v")
     return label
@@ -102,7 +94,6 @@ class _Body:
 def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
     """Parse node and edge statements shared by gv files and operation
     bodies."""
-    edge_re, node_re, _attr_re = _statement_res()
     body = _Body()
     for lineno, raw in lines:
         line = raw.strip()
@@ -116,7 +107,7 @@ def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
                 body.ports = comment[len("ports:"):].split()
                 body.port_line = lineno
             continue
-        m = edge_re.match(line)
+        m = _EDGE_RE.match(line)
         if m:
             src, tgt = _get_id(m, "1"), _get_id(m, "2")
             label = _parse_label(m.group("attrs"))
@@ -126,7 +117,7 @@ def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
             body.declare(tgt, None, lineno)
             body.edges.append((src, label, tgt))
             continue
-        m = node_re.match(line)
+        m = _NODE_RE.match(line)
         if m:
             node = _get_id(m, "1")
             body.declare(node, _parse_label(m.group("attrs")), lineno)

@@ -88,28 +88,15 @@ def parse_definitions(text: str) -> DefinitionTable:
     return DefinitionTable(entries)
 
 
-def _shared(
-    g: Graph, d: DefinitionTable, per_label: bool, ordered: bool = False,
-) -> List[Tuple[Tuple[str, ...], List[str]]]:
-    """(replacements, nodes) for each group of nodes of ``g`` that take
-    one replacement together: with ``per_label`` the nodes of one
-    abstract label, in sorted label order; otherwise one node with an
-    abstract label, in canonical node order if ``ordered`` and in no
-    fixed order if not, which spares the count a canonical order."""
-    nodes = canonical_order(g) if ordered and not per_label else g.nodes
-    groups: Dict[str, List[str]] = {}
-    for v in nodes:
-        if g.labels[v] in d:
-            groups.setdefault(g.labels[v] if per_label else v, []).append(v)
-    keys = sorted(groups) if per_label else groups
-    return [(d.entries[g.labels[groups[k][0]]], groups[k]) for k in keys]
-
-
 def instantiation_count(g: Graph, d: DefinitionTable, per_label: bool = False) -> int:
-    """How many graphs instantiate_all would produce."""
+    """How many graphs instantiate_all would produce: the product of the
+    replacement counts of the abstract labels of ``g``'s nodes (each
+    distinct label once with ``per_label``), read from the labels alone."""
+    labels = g.labels.values()
     count = 1
-    for choices, _nodes in _shared(g, d, per_label):
-        count *= len(choices)
+    for label in set(labels) if per_label else labels:
+        if label in d:
+            count *= len(d.entries[label])
     return count
 
 
@@ -124,18 +111,27 @@ def instantiate_all(
     By default every node occurrence is substituted independently; with
     ``per_label`` all occurrences of one abstract label receive the
     same replacement.  Labels absent from the table pass through
-    unchanged.  Output order is deterministic: the Cartesian product in
-    canonical node order (respectively sorted label order) with each
-    replacement list in file order.
+    unchanged.  Output order is deterministic: the Cartesian product
+    over the abstract nodes in canonical node order (respectively over
+    the abstract labels in sorted order) with each replacement list in
+    file order.  ``InstantiationCapError`` is raised, before any graph
+    is built, when ``instantiation_count`` exceeds ``cap``.
     """
     count = instantiation_count(g, d, per_label)
     if count > cap:
         raise InstantiationCapError(count, cap)
-    groups = _shared(g, d, per_label, ordered=True)
+    # Each group of nodes takes one replacement: the nodes of one
+    # abstract label with ``per_label``, else one abstract node.
+    if per_label:
+        abstract = sorted({label for label in g.labels.values() if label in d})
+        groups = [[v for v in g.nodes if g.labels[v] == label]
+                  for label in abstract]
+    else:
+        groups = [[v] for v in canonical_order(g) if g.labels[v] in d]
     out = []
-    for combo in product(*(choices for choices, _nodes in groups)):
+    for combo in product(*(d.entries[g.labels[nodes[0]]] for nodes in groups)):
         labels = dict(g.labels)
-        for (_choices, nodes), value in zip(groups, combo):
+        for nodes, value in zip(groups, combo):
             for v in nodes:
                 labels[v] = value
         out.append(Graph(g.nodes, g.edges, labels, g.ports))

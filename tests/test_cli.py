@@ -411,6 +411,26 @@ class TestEncoding:
             f"{os.strerror(errno.EACCES)}\n")
         assert not (tmp / "corpus").exists()
 
+    @pytest.mark.parametrize("what",
+                             ["operation", "tree", "grammar", "definition"])
+    def test_directory_input_is_one_error_line(self, inputs, capsys, what):
+        # A directory exists, so it is not "not found": reading it fails.
+        tmp, ops, trees, _rtg = inputs
+        folder = tmp / "folder"
+        folder.mkdir()
+        argv = {
+            "operation": ["-g", folder, "-t", trees],
+            "tree": ["-g", ops, "-t", folder],
+            "grammar": ["-g", ops, "--rtg", folder],
+            "definition": ["-g", ops, "-t", trees, "-d", folder],
+        }[what]
+        assert main([str(x) for x in argv]
+                    + ["--out", str(tmp / "corpus")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {what} file cannot be read: {folder}: "
+            f"{os.strerror(errno.EISDIR)}\n")
+        assert not (tmp / "corpus").exists()
+
 
 # Manifest values: strings with non-ASCII and control characters, ints,
 # bools, None, and nested dicts, lists and tuples, empty ones included.

@@ -317,6 +317,35 @@ class TestEvaluateCorpus:
             trees, running_algebra(), cfg.replace(dedup_across_trees=True))
         assert [len(o.graphs) for o in deduped] == [1, 0]
 
+    @given(seeds, st.sampled_from([5, 20]),
+           st.sampled_from(["enumerate", "sample"]), st.booleans(),
+           st.sampled_from([1, 2, 10_000]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_dedup_across_trees_keeps_first_seen_keys(
+            self, s, n, mode, injective, cap, crowded):
+        # Crowded algebras make the small caps fire, so outcomes with
+        # ``error:`` lines occur; as in the crowded enumerate test,
+        # trees whose sets could grow past 100 graphs are left out.
+        corpus = random_corpus(s, n, crowded=crowded)
+        assume(corpus is not None)
+        _rng, _grammar, algebra, trees = corpus
+        cfg = EvalConfig(mode=mode, seed=s % 97, result_cap=cap,
+                         injective_contexts=injective)
+        trees = [t for t in trees if set_size_bound(t, algebra, cfg) <= 100]
+        seen = set()
+        want = []
+        for o in evaluate_corpus(trees, algebra, cfg):
+            kept = []
+            for g in o.graphs:
+                if canonical_key(g) not in seen:
+                    seen.add(canonical_key(g))
+                    kept.append(g)
+            want.append((o.source_tree, exact(kept), o.diagnostics))
+        got = evaluate_corpus(trees, algebra,
+                              cfg.replace(dedup_across_trees=True))
+        assert [(o.source_tree, exact(o.graphs), o.diagnostics)
+                for o in got] == want
+
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
