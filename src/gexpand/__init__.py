@@ -7,7 +7,7 @@ bottom-up into directed labelled graphs with ports; the resulting
 graph bank is written as gv (DOT) files.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .algebra import (
     Algebra,

@@ -324,21 +324,22 @@ def _parse_expansion_body(
     dock_args: List[str] = []
     dock_seen = False
     for lineno, raw in body:
-        line = raw.strip()
-        first = line.split(None, 1)[0] if line else ""
+        # The keyword may carry the statement's ";" (``port;``).
+        words = raw.strip().rstrip(";").split()
+        first = words[0] if words else ""
         if first == "port":
             if port_args is not None:
                 raise OperationFileError(
                     f"line {lineno}: duplicate port line in operation {name!r}"
                 )
-            port_args = line.rstrip(";").split()[1:]
+            port_args = words[1:]
             port_line = lineno
         elif first == "dock":
             if dock_seen:
                 raise OperationFileError(
                     f"line {lineno}: duplicate dock line in operation {name!r}"
                 )
-            dock_args = line.rstrip(";").split()[1:]
+            dock_args = words[1:]
             dock_seen = True
         else:
             gv_lines.append((lineno, raw))

@@ -13,10 +13,11 @@ every graph of the subtree has and whether the required operation
 occurs, which the filters read, and abstracts the subtree to its sample
 shape: port labels and non-port label counts, which decide whether the
 subtree yields any graph and, if not, the ``zero-result:`` lines, and
-whether it is forced.  Evaluation only builds graphs,
-and either mode folds only the trees that yield a graph inside the
-size bounds; any other tree gets the pre-pass's lines, even if a
-subtree of it would exceed the result cap.
+whether it is forced.  Evaluation only builds graphs, and either mode
+folds only the trees that yield a graph inside the size bounds; any
+other tree gets the pre-pass's lines, the same in both modes, even if a
+subtree of it would exceed the result cap: a ``required-op:`` line,
+else its ``zero-result:`` lines, else a ``size-filtered:`` line.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ def _shape(
     """The sample shape of a node applying ``op`` to subtrees of the
     given shapes: (the labels of its ports in order, the label counts
     of its non-port nodes), which every graph the subtree yields has in
-    either mode; or, when it yields none, (None, the ``zero-result:``
-    lines ``cfg.mode`` reports, in post-order).  Paired with it, whether
+    either mode; or, when it yields none, (None, its ``zero-result:``
+    lines in post-order).  Paired with it, whether
     each of the node's context nodes has exactly one candidate.  The
     label counts are never mutated, since memoized shapes are shared."""
     empty = [lines for ports, lines in args if ports is None]
@@ -194,12 +195,9 @@ def _shape(
         return (None, tuple(line for lines in empty for line in lines)), False
     if isinstance(op, EmptyConstant):
         return _NO_NODES, True
-    sample = cfg.mode == "sample"
     if isinstance(op, UnionOperation):
         (left, left_counts), (right, right_counts) = args
         if len(left) != op.left_arity or len(right) != op.right_arity:
-            if not sample:
-                return (None, ()), False  # enumerate mode reports nothing here
             return (None, (
                 f"zero-result: union {op.name!r} got argument types "
                 f"({len(left)}, {len(right)}), expected "
@@ -210,10 +208,6 @@ def _shape(
         return (left + right, counts), True
     port_labels, arg_counts = args[0] if args else _NO_NODES
     if len(port_labels) != len(op.docks):
-        if not sample:
-            return (None, (
-                f"zero-result: operation {op.name!r} received no argument "
-                f"of type {len(op.docks)}",)), False
         return (None, (
             f"zero-result: operation {op.name!r} needs an argument of "
             f"type {len(op.docks)}, got {len(port_labels)}",)), False
@@ -226,12 +220,6 @@ def _shape(
         taken = drawn.get(label, 0) if cfg.injective_contexts else 0
         candidates = arg_counts.get(label, 0) - taken
         if candidates < 1:
-            if not sample:
-                needed = ", ".join(
-                    sorted({op.template.labels[v] or "?" for v in op.context}))
-                return (None, (
-                    f"zero-result: operation {op.name!r} found no context "
-                    f"candidate (labels needed: {needed})",)), False
             return (None, (
                 f"zero-result: operation {op.name!r} found no context "
                 f"candidate with label {label!r}",)), False
@@ -307,29 +295,20 @@ def _evaluate(
     if info.__class__ is str:
         raise EvaluationError(info)
     size, count, uses_required_op, (ports, lines), _forced = info
-    low, high = cfg.min_nodes, cfg.max_nodes
-
     if cfg.required_op is not None and not uses_required_op:
         return EvalOutcome(t, (), (
             f"required-op: tree does not use operation {cfg.required_op!r}",))
-    if cfg.tree_size_bounds:
-        if low is not None and size < low:
-            return EvalOutcome(t, (), (
-                f"size-filtered: tree has {size} nodes, minimum is {low}",))
-        if high is not None and size > high:
-            return EvalOutcome(t, (), (
-                f"size-filtered: tree has {size} nodes, maximum is {high}",))
-    elif high is not None and count > high:
-        return EvalOutcome(t, (), (
-            f"size-filtered: every result has at least {count} nodes, "
-            f"maximum is {high}",))
-
     if ports is None:
         return EvalOutcome(t, (), lines)
-    if not cfg.tree_size_bounds and low is not None and count < low:
+    what, n = (("tree", size) if cfg.tree_size_bounds
+               else ("every graph", count))
+    low, high = cfg.min_nodes, cfg.max_nodes
+    if low is not None and n < low:
         return EvalOutcome(t, (), (
-            f"size-filtered: all evaluated graphs fall outside "
-            f"[{low}, {high}]",))
+            f"size-filtered: {what} has {n} nodes, minimum is {low}",))
+    if high is not None and n > high:
+        return EvalOutcome(t, (), (
+            f"size-filtered: {what} has {n} nodes, maximum is {high}",))
     if cfg.mode == "sample":
         # A forced subtree draws nothing, so its graph is shared; any
         # other node's draws are keyed by its path in this tree.

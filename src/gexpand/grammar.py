@@ -248,7 +248,7 @@ def parse_rtg(text: str) -> WeightedRtg:
         if m.group("weight") is not None:
             try:
                 weight = Fraction(m.group("weight"))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise RtgSyntaxError(f"bad weight {m.group('weight')!r}", lineno)
             if weight < 0:
                 raise RtgSyntaxError("weights must be non-negative", lineno)

@@ -195,7 +195,10 @@ def _least_leaf(
     first is branched on: swapping two twins is an automorphism fixing
     every other node, so their subtrees reach the same certificates,
     and the first leaf that reaches the least one lies under the first
-    twin.
+    twin.  A node is skipped too when automorphisms that fix the placed
+    nodes map an earlier branch of its level onto it; two leaves with
+    equal certificates give one (McKay and Piperno, *Practical graph
+    isomorphism, II*, 2014).
     """
     placed = {v: i for i, v in enumerate(order)}
     twin = {}
@@ -229,28 +232,53 @@ def _least_leaf(
         return iter(firsts)
 
     best_cert = best_order = None
+    automorphisms: List[dict] = []  # each as {node: image} of what it moves
     base = len(order)
-    levels = [branches()]
+    levels = [(branches(), [])]
     while levels:
-        # Take back this level's previous choice, if it is still placed.
-        if len(order) - base == len(levels):
+        level, tried = levels[-1]
+        # Take back the choices of this level and of any level dropped.
+        while len(order) - base >= len(levels):
             v = order.pop()
             del placed[v]
             remaining.add(v)
-        v = next(levels[-1], None)
+        v = next(level, None)
         if v is None:
             levels.pop()
             continue
+        if tried and v in _orbit(tried, automorphisms, placed):
+            continue
+        tried.append(v)
         placed[v] = len(order)
         order.append(v)
         remaining.remove(v)
         if remaining:
-            levels.append(branches())
+            levels.append((branches(), []))
         else:
             cert = _certificate(g, order)
             if best_cert is None or cert < best_cert:
                 best_cert, best_order = cert, tuple(order)
+            elif cert == best_cert:
+                # The map from the best leaf to this one takes the branch
+                # of the best leaf onto this branch, so nothing below the
+                # level where the two part is less.
+                moved = {u: w for u, w in zip(best_order, order) if u != w}
+                automorphisms.append(moved)
+                del levels[min(map(placed.get, moved.values())) - base + 1:]
     return best_order
+
+
+def _orbit(nodes: List[str], automorphisms: List[dict], placed) -> set:
+    """The images of ``nodes`` under the group that the automorphisms
+    fixing every node in ``placed`` generate."""
+    fixing = [a for a in automorphisms if a.keys().isdisjoint(placed)]
+    orbit, stack = set(nodes), list(nodes)
+    while stack:
+        u = stack.pop()
+        for w in {a.get(u, u) for a in fixing} - orbit:
+            orbit.add(w)
+            stack.append(w)
+    return orbit
 
 
 def _certificate(g: Graph, order: Sequence[str]) -> tuple:

@@ -498,62 +498,49 @@ def _naive_check(t: DerivationTree, a: Algebra) -> Optional[str]:
 
 
 def _naive_prefiltered(t: DerivationTree, a: Algebra, cfg: EvalConfig):
-    """The (graphs, diagnostics) of a tree that the tree check, the
-    required-operation filter or the size bounds drop before it is
-    evaluated, or None.  The node count of every graph a tree yields is
-    the sum over its expansions of |ports and docks as a set| - |docks|:
-    docks take exactly the argument's ports, and context nodes fuse into
-    non-ports the argument already has."""
+    """The (graphs, diagnostics) of a tree that the tree check or the
+    required-operation filter drops before it is evaluated, or None."""
     problem = _naive_check(t, a)
     if problem is not None:
         return (), (f"error: {problem}",)
-    nodes = list(t.walk())
-    count = 0
-    for node in nodes:
-        op = a[node.label]
-        if isinstance(op, ExpansionOperation):
-            count += len(set(op.ports) | set(op.docks)) - len(op.docks)
-    low, high = cfg.min_nodes, cfg.max_nodes
     if cfg.required_op is not None and all(
-            node.label != cfg.required_op for node in nodes):
+            node.label != cfg.required_op for node in t.walk()):
         return (), (
             f"required-op: tree does not use operation {cfg.required_op!r}",)
-    if cfg.tree_size_bounds:
-        if low is not None and len(nodes) < low:
-            return (), (
-                f"size-filtered: tree has {len(nodes)} nodes, minimum is "
-                f"{low}",)
-        if high is not None and len(nodes) > high:
-            return (), (
-                f"size-filtered: tree has {len(nodes)} nodes, maximum is "
-                f"{high}",)
-        return None
-    if high is not None and count > high:
-        return (), (
-            f"size-filtered: every result has at least {count} nodes, "
-            f"maximum is {high}",)
     return None
 
 
-def _naive_size_filtered(graphs, diags, cfg: EvalConfig):
-    """(graphs, diagnostics) after dropping each evaluated graph whose
-    node count falls outside ``-L``/``-H``."""
+def _naive_size_filtered(t: DerivationTree, graphs, diags, cfg: EvalConfig):
+    """(graphs, diagnostics) of a tree that yields ``graphs``: its
+    ``zero-result:`` lines ``diags`` if it yields none, else the graphs
+    whose node count, or with ``cfg.tree_size_bounds`` the tree's, lies
+    inside ``-L``/``-H``, or the line that says which bound every one
+    of them misses."""
+    if not graphs:
+        return (), tuple(diags)
     low, high = cfg.min_nodes, cfg.max_nodes
+
+    def inside(n):
+        return (low is None or n >= low) and (high is None or n <= high)
+
     if cfg.tree_size_bounds:
-        return tuple(graphs), tuple(diags)
-    kept = tuple(g for g in graphs
-                 if (low is None or len(g.nodes) >= low)
-                 and (high is None or len(g.nodes) <= high))
-    if graphs and not kept:
-        diags.append(f"size-filtered: all evaluated graphs fall outside "
-                     f"[{low}, {high}]")
-    return kept, tuple(diags)
+        what, n = "tree", len(list(t.walk()))
+        kept = tuple(graphs) if inside(n) else ()
+    else:
+        what, n = "every graph", len(graphs[0].nodes)
+        kept = tuple(g for g in graphs if inside(len(g.nodes)))
+    if kept:
+        return kept, tuple(diags)
+    bound = (f"minimum is {low}" if low is not None and n < low
+             else f"maximum is {high}")
+    return (), (f"size-filtered: {what} has {n} nodes, {bound}",)
 
 
 def naive_sample_corpus(trees, a: Algebra, cfg: EvalConfig):
     """Sample-mode ``evaluate_corpus`` as (graphs, diagnostics) per
-    tree: the tree check, the required-operation and size filters, and
-    ``naive_sample`` on every tree that passes them."""
+    tree: the tree check and the required-operation filter, then
+    ``naive_sample`` on every tree that passes them and the size filter
+    on what it yields."""
     outcomes = []
     for index, t in enumerate(trees):
         dropped = _naive_prefiltered(t, a, cfg)
@@ -562,7 +549,7 @@ def naive_sample_corpus(trees, a: Algebra, cfg: EvalConfig):
             continue
         g, diags = naive_sample(t, a, cfg, index)
         outcomes.append(
-            _naive_size_filtered([] if g is None else [g], diags, cfg))
+            _naive_size_filtered(t, [] if g is None else [g], diags, cfg))
     return outcomes
 
 
@@ -572,8 +559,11 @@ def naive_enumerate(t: DerivationTree, a: Algebra, cfg: EvalConfig,
     canonical key at every node, appending the ``zero-result:`` lines of
     its nodes to ``diags`` in post-order: every node of the tree is
     evaluated, as enumerate mode did before a pre-pass decided its
-    diagnostics.  Raises ResultCapExceededError at the first set, in
-    post-order, larger than ``cfg.result_cap``."""
+    diagnostics.  A node whose arguments yield graphs but none of the
+    right type, or none with a candidate for every context node, gets
+    the line ``naive_sample`` gives its first such argument graph.
+    Raises ResultCapExceededError at the first set, in post-order,
+    larger than ``cfg.result_cap``."""
     args = [naive_enumerate(c, a, cfg, diags) for c in t.children]
     op = a[t.label]
     if isinstance(op, EmptyConstant):
@@ -587,29 +577,42 @@ def naive_enumerate(t: DerivationTree, a: Algebra, cfg: EvalConfig,
             for h in right
             if h.type == op.right_arity
         ]
+        if left and right and not combined:
+            diags.append(
+                f"zero-result: union {op.name!r} got argument types "
+                f"({left[0].type}, {right[0].type}), expected "
+                f"({op.left_arity}, {op.right_arity})")
         return _naive_capped(combined, cfg, t.label)
     arg_sets = args[0] if args else [empty_graph()]
+    typed = [g for g in arg_sets if g.type == len(op.docks)]
     results: List[Graph] = []
-    any_type_ok = False
-    for g in arg_sets:
-        if g.type != len(op.docks):
-            continue
-        any_type_ok = True
+    for g in typed:
         results.extend(
             apply_expansion_all(op, g, injective=cfg.injective_contexts))
     results = _naive_capped(results, cfg, t.label)
-    if not results:
-        if any_type_ok and op.context:
-            missing = ", ".join(
-                sorted({op.template.labels[u] or "?" for u in op.context}))
-            diags.append(
-                f"zero-result: operation {op.name!r} found no context "
-                f"candidate (labels needed: {missing})")
-        elif not any_type_ok and arg_sets:
-            diags.append(
-                f"zero-result: operation {op.name!r} received no argument "
-                f"of type {len(op.docks)}")
+    if arg_sets and not typed:
+        diags.append(
+            f"zero-result: operation {op.name!r} needs an argument of "
+            f"type {len(op.docks)}, got {arg_sets[0].type}")
+    elif typed and not results:
+        diags.append(
+            f"zero-result: operation {op.name!r} found no context "
+            f"candidate with label {_missing_label(op, typed[0], cfg)!r}")
     return results
+
+
+def _missing_label(op, g: Graph, cfg: EvalConfig) -> Optional[str]:
+    """The label of the first context node of ``op`` left without a
+    candidate in ``g`` when each earlier one takes its first candidate,
+    which under injectivity no later one may take."""
+    taken = set()
+    for u, candidates in zip(op.context, context_candidates(op, g)):
+        if cfg.injective_contexts:
+            candidates = [v for v in candidates if v not in taken]
+        if not candidates:
+            return op.template.labels[u]
+        taken.add(candidates[0])
+    return None
 
 
 def _naive_capped(graphs, cfg: EvalConfig, symbol: str) -> List[Graph]:
@@ -625,15 +628,26 @@ def _naive_capped(graphs, cfg: EvalConfig, symbol: str) -> List[Graph]:
 
 def naive_enumerate_corpus(trees, a: Algebra, cfg: EvalConfig):
     """Enumerate-mode ``evaluate_corpus`` as (graphs, diagnostics) per
-    tree: the tree check, the required-operation and size filters, and
+    tree: the tree check and the required-operation filter, the size
+    filter on the one graph ``naive_sample`` draws, if any, then
     ``naive_enumerate`` on every tree that passes them, each tree
-    evaluated alone.  A blown result cap is an error only for a tree
-    that, evaluated again without the cap, yields a graph inside the
-    size bounds; any other tree gets that evaluation's diagnostics."""
+    evaluated alone, and the size filter on what it yields.  A tree
+    that yields nothing is evaluated all the same, for the
+    ``zero-result:`` lines of ``naive_enumerate``; one that yields
+    graphs outside the bounds is not, since its sets can grow
+    exponentially with its size.  A blown result cap is an error only
+    for a tree that, evaluated again without the cap, yields a graph
+    inside the size bounds; any other tree gets that evaluation's
+    diagnostics."""
     uncapped = cfg.replace(result_cap=sys.maxsize)
     outcomes = []
     for t in trees:
         dropped = _naive_prefiltered(t, a, cfg)
+        if dropped is None:
+            drawn, _lines = naive_sample(t, a, cfg)
+            if drawn is not None:
+                kept, lines = _naive_size_filtered(t, [drawn], [], cfg)
+                dropped = None if kept else (kept, lines)
         if dropped is not None:
             outcomes.append(dropped)
             continue
@@ -643,10 +657,10 @@ def naive_enumerate_corpus(trees, a: Algebra, cfg: EvalConfig):
         except ResultCapExceededError as exc:
             diags = []
             kept, lines = _naive_size_filtered(
-                naive_enumerate(t, a, uncapped, diags), diags, cfg)
+                t, naive_enumerate(t, a, uncapped, diags), diags, cfg)
             outcomes.append(((), (f"error: {exc}",)) if kept else (kept, lines))
             continue
-        outcomes.append(_naive_size_filtered(graphs, diags, cfg))
+        outcomes.append(_naive_size_filtered(t, graphs, diags, cfg))
     return outcomes
 
 

@@ -435,6 +435,14 @@ class TestParseOperationFile:
         op = parse_operation_file(text)["f"]
         assert op.docks == ("1", "1")
 
+    @pytest.mark.parametrize("port, dock", [
+        ("port;", "dock;"), ("port ;", "dock ;")])
+    def test_empty_port_and_dock_lines_parse_with_or_without_space(
+            self, port, dock):
+        text = f'operation f {{\n  0 [label="x"];\n  {port}\n  {dock}\n}}\n'
+        op = parse_operation_file(text)["f"]
+        assert (op.ports, op.docks, op.template.nodes) == ((), (), {"0"})
+
     def test_operation_without_port_line_has_type_zero_result(self):
         text = 'operation f {\n  0 [label="x"];\n  dock 0;\n}\n'
         op = parse_operation_file(text)["f"]

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexpand import Graph, canonical_key, canonical_order, emit_gv, rename_nodes
+from gexpand import (
+    Graph, canonical_key, canonical_order, disjoint_union, emit_gv,
+    rename_nodes,
+)
 from gexpand import graphs
 from generators import EDGE_LABELS, NODE_LABELS, random_graph
 from oracles import (
@@ -138,6 +141,26 @@ class TestExactness:
         g = star(k, hub_port, leaf_loops, rng if mixed else None)
         assert_same_as_naive(shuffled_names(rng, g))
 
+    @given(seeds, st.integers(2, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_components(self, s, k, hub):
+        # k copies of one graph are not twins, so only the automorphisms
+        # the search finds prune it; a hub joined to one node of each
+        # copy keeps them interchangeable.  The unpruned search takes up
+        # to 20 s on four copies, so the pins below go further.
+        rng = random.Random(s)
+        part = random_graph(rng, 4)
+        g = part
+        for _ in range(k - 1):
+            g = disjoint_union(g, part)
+        if hub and part.nodes:
+            first = sorted(part.nodes)[0]
+            firsts = [v for v in g.nodes if v.startswith(first)]
+            g = Graph(g.nodes | {"hub"},
+                      set(g.edges) | {("hub", "spoke", v) for v in firsts},
+                      {**g.labels, "hub": "hub"}, g.ports)
+        assert_same_as_naive(shuffled_names(rng, g))
+
     @given(seeds, st.integers(2, 5))
     @settings(max_examples=50, deadline=None)
     def test_joined_twin_looking_pair_is_not_pruned(self, s, k):
@@ -233,6 +256,16 @@ class TestWork:
     def test_star_reaches_one_leaf(self, certificates, k, hub_port):
         canonical_order(star(k, hub_port))
         assert len(certificates) == 1
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_disjoint_copies_reach_k_leaves(self, certificates, k):
+        # Each copy the first node may come from is one leaf; every
+        # other branch lies in the orbit of one already taken.
+        nodes = [f"n{i}" for i in range(2 * k)]
+        edges = {(nodes[2 * i], "e", nodes[2 * i + 1]) for i in range(k)}
+        g = Graph(nodes, edges, {v: "x" for v in nodes}, ())
+        canonical_order(g)
+        assert certificates == [2 * k] * k
 
     def test_ported_path_reaches_one_leaf(self, certificates):
         canonical_key(path(200))

@@ -1,6 +1,7 @@
 """Tests for bottom-up evaluation in enumerate and sample modes."""
 
 import random
+import re
 import warnings
 from functools import partial
 from pathlib import Path
@@ -215,7 +216,7 @@ class TestFilters:
         # The pre-pass count is the node count of every graph the tree
         # yields.
         assert out.diagnostics == (
-            "size-filtered: every result has at least 4 nodes, maximum is 3",)
+            "size-filtered: every graph has 4 nodes, maximum is 3",)
 
     def test_min_nodes_keeps_the_running_graph(self):
         out = evaluate(
@@ -591,6 +592,26 @@ def random_corpus(s, n, crowded=False):
     return rng, grammar, algebra, trees
 
 
+NEEDS_TWO_OPS = """\
+operation needs_two {
+  0 [label="r"];
+  1;
+  2;
+  port 0;
+  dock 1 2;
+}
+"""
+
+UNION_PROBE_OPS = """\
+operation u { 1 1 }
+operation c { empty }
+operation p {
+  0 [label="x"];
+  port 0;
+}
+"""
+
+
 def sample_shape(t, algebra, cfg):
     return t.fold(partial(evaluator._check_node, algebra, cfg))[3]
 
@@ -717,30 +738,30 @@ operation three_c {
             assert out.diagnostics == diagnostics
             assert (sample_shape(t, ops, cfg)[0] is None) == (not graphs)
 
-    def test_enumerate_mode_skips_an_empty_tree(self, steps):
-        # The root needs an argument of type 2 and gets type 1, so
-        # neither mode evaluates the tree, and a result cap its subtree
-        # would exceed goes unnoticed.
-        ops = parse_operation_file(BRANCHING_OPS + """\
-operation needs_two {
-  0 [label="r"];
-  1;
-  2;
-  port 0;
-  dock 1 2;
-}
-""")
-        trees = [parse_tree("needs_two(pick_context(drop_ports(two_leaves)))")]
-        sample = evaluate_corpus(trees, ops, EvalConfig(mode="sample"))
-        assert sample[0].diagnostics == (
-            "zero-result: operation 'needs_two' needs an argument of "
-            "type 2, got 1",)
-        enum = evaluate_corpus(trees, ops, EvalConfig(mode="enumerate",
-                                                      result_cap=1))
-        assert enum[0].diagnostics == (
-            "zero-result: operation 'needs_two' received no argument of "
-            "type 2",)
-        assert steps == []
+    @pytest.mark.parametrize("ops_text, tree, line", [
+        # The root needs an argument of type 2 and gets type 1.
+        (BRANCHING_OPS + NEEDS_TWO_OPS,
+         "needs_two(pick_context(drop_ports(two_leaves)))",
+         "zero-result: operation 'needs_two' needs an argument of type 2, "
+         "got 1"),
+        # The union's left argument has type 0, not 1.
+        (UNION_PROBE_OPS, "u(c p)",
+         "zero-result: union 'u' got argument types (0, 1), expected (1, 1)"),
+    ], ids=["argument-type", "union-types"])
+    def test_enumerate_mode_skips_an_empty_tree(
+            self, steps, sample_steps, ops_text, tree, line):
+        # Neither mode folds a node of the tree, so a result cap that a
+        # subtree would exceed goes unnoticed, and both print one line,
+        # which a size bound the tree also misses does not replace.
+        ops = parse_operation_file(ops_text)
+        trees = [parse_tree(tree)]
+        for mode in ["sample", "enumerate"]:
+            for bounds in [{}, {"max_nodes": 0},
+                           {"tree_size_bounds": True, "max_nodes": 1}]:
+                cfg = EvalConfig(mode=mode, result_cap=1, **bounds)
+                outcome, = evaluate_corpus(trees, ops, cfg)
+                assert outcome.diagnostics == (line,)
+        assert steps == [] and sample_steps == []
 
     def test_enumerate_mode_skips_a_tree_below_min_nodes(self, steps):
         # Every graph of the tree has 4 nodes and the template bound is
@@ -752,7 +773,7 @@ operation needs_two {
             mode="enumerate", min_nodes=5, result_cap=1))
         assert out[0].graphs == ()
         assert out[0].diagnostics == (
-            "size-filtered: all evaluated graphs fall outside [5, None]",)
+            "size-filtered: every graph has 4 nodes, minimum is 5",)
         assert steps == []
 
     def test_shared_subtree_that_draws_runs_once_per_tree(
@@ -825,8 +846,8 @@ def assert_same_as_naive_enumerate(trees, algebra, cfg):
 class TestNodeCount:
     """Every graph a subtree yields has the node count the pre-pass
     computes, in both modes, so ``-L``/``-H`` are decided before
-    evaluation; the pre-pass also decides enumerate mode's
-    ``zero-result:`` lines."""
+    evaluation; the pre-pass also decides the ``zero-result:`` lines,
+    the same in both modes."""
 
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     def test_merged_ports_keep_the_one_node_graph(self, mode):
@@ -839,7 +860,7 @@ class TestNodeCount:
         out = evaluate(parse_tree("pair"), ops, cfg)
         assert out.graphs == ()
         assert out.diagnostics == (
-            "size-filtered: every result has at least 2 nodes, maximum is 1",)
+            "size-filtered: every graph has 2 nodes, maximum is 1",)
 
     @given(seeds, st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -892,6 +913,34 @@ class TestNodeCount:
             tree_size_bounds=on_trees))
 
     @given(seeds, st.sampled_from([5, 20]), st.booleans(),
+           st.sampled_from([1, 2, 10_000]),
+           st.none() | st.integers(0, 12), st.none() | st.integers(0, 12),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_both_modes_give_the_same_diagnostics(
+            self, s, n, injective, cap, low, high, on_trees, want_op):
+        # Only enumerate mode has a result cap; it is an error only for
+        # a tree that yields a graph inside the bounds.
+        corpus = random_corpus(s, n)
+        assume(corpus is not None)
+        rng, grammar, algebra, trees = corpus
+        if low is not None and high is not None and low > high:
+            low, high = high, low
+        required_op = rng.choice(sorted(grammar.terminals)) if want_op else None
+        cfg = EvalConfig(mode="sample", result_cap=cap,
+                         injective_contexts=injective, min_nodes=low,
+                         max_nodes=high, required_op=required_op,
+                         tree_size_bounds=on_trees)
+        sample = evaluate_corpus(trees, algebra, cfg)
+        enum = evaluate_corpus(trees, algebra, cfg.replace(mode="enumerate"))
+        for got, want in zip(enum, sample, strict=True):
+            if got.diagnostics and "exceeding the cap" in got.diagnostics[0]:
+                assert want.graphs and want.diagnostics == ()
+            else:
+                assert got.diagnostics == want.diagnostics
+                assert bool(got.graphs) == bool(want.graphs)
+
+    @given(seeds, st.sampled_from([5, 20]), st.booleans(),
            st.sampled_from([1, 2, 10_000]))
     @settings(max_examples=300, deadline=None)
     def test_crowded_enumerate_corpus_equals_evaluating_every_node(
@@ -934,9 +983,11 @@ class TestNodeCount:
         outcomes = evaluate_corpus(trees, algebra,
                                    EvalConfig(mode=mode, min_nodes=9))
         lines = [d for o in outcomes for d in o.diagnostics]
-        below = "size-filtered: all evaluated graphs fall outside [9, None]"
-        assert lines.count(below) == 95
-        assert all(d == below or d.startswith("zero-result:") for d in lines)
+        below = [d for d in lines
+                 if re.fullmatch(r"size-filtered: every graph has [0-8] "
+                                 r"nodes, minimum is 9", d)]
+        assert len(below) == 95
+        assert all(d in below or d.startswith("zero-result:") for d in lines)
         kept = [t for t, o in zip(trees, outcomes) if o.graphs]
         assert len(kept) == 76
         assert sum(t.size() for t in kept) == 809

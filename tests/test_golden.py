@@ -10,9 +10,12 @@ changelog entry that says which output changed.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
+import gexpand
 from gexpand.cli import main
 
 # A small copy of the AMR-style workload in the ROADMAP appendix.
@@ -147,31 +150,31 @@ GRAMMAR = ["-g", "amr.ops", "--rtg", "amr.rtg", "-N", "80"]
 CASES = {
     "enumerate": (
         GRAMMAR + ["--mode", "enumerate"],
-        "ec299d9e3b0f4540085b90b458264995c661a00650dc66810a02c390f51de9ca",
+        "770f4b1bd67c1de4b0b0e3f35314242ff1eb1366366b851067c38cd617b30047",
     ),
     "sample-defs": (
         GRAMMAR + ["--mode", "sample", "--seed", "7", "-d", "amr.defs"],
-        "a0e47e132de3a481e727f1f55890bad596dfffe7ab33f818850fabee78ad3ce2",
+        "1f6e58c7e45d5e5ae35a17e74af4b651729f9cb4857b0f5a622e19bf614255f2",
     ),
     "sample-injective-bounds-required": (
         GRAMMAR + ["--mode", "sample", "--injective-contexts",
                    "-L", "3", "-H", "9", "-k", "tell"],
-        "7399cdc195fbda721146352859ed8e23f41eed644c1c9fa47637920bd71fbb18",
+        "dd1b5d7298e0fcbd137a383110cabd4389b668a93977a79f538fe33c3b79584b",
     ),
     "enumerate-tree-bounds-dedup-per-label": (
         GRAMMAR + ["--mode", "enumerate", "--tree-size-bounds",
                    "-L", "2", "-H", "8", "--dedup-across-trees",
                    "--per-label", "-d", "amr.defs"],
-        "c8bd1027057a09e7c6058d5ff0876bdf22e147384367b3e736e12247bfba82bb",
+        "e5cb5a109c1321d6d049e0939a5968582ba3ffea37a8e2eb14d3caf8baf7466b",
     ),
     "symmetric": (
         ["-g", "symmetric.ops", "--rtg", "symmetric.rtg", "-N", "43",
          "--mode", "enumerate"],
-        "d8c39a2dfde06e2919ba7ff9c40a769815ee5d553aba02cb3afb8a6d94f235c0",
+        "70f53cf1a8286bf554b540f86280c826f7e63998ce840ba9686c7812b3fcf9b6",
     ),
     "tree-file": (
         ["-g", "amr.ops", "-t", "amr.trees", "--mode", "enumerate"],
-        "17b590ee0c11346cfceb22152472ccef6b6d28edf4f71850d696d088440b3820",
+        "6759b4106bc0b06b5038a14e0fd7f6342a6110a646417ed0bc576451c72b7f18",
     ),
 }
 
@@ -232,3 +235,11 @@ def test_validate_digest(workdir, case, capsys):
     out = capsys.readouterr().out
     assert digest([("status", str(status).encode()),
                    ("stdout", out.encode())]) == expected
+
+
+def test_pyproject_version_is_the_package_version():
+    # The manifest records __version__, and a digest changes only with a
+    # version bump; read with a regex, since Python 3.10 has no tomllib.
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    m = re.search(r'^version = "([^"]*)"$', text, re.MULTILINE)
+    assert m is not None and m.group(1) == gexpand.__version__

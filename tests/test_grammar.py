@@ -131,6 +131,12 @@ class TestParseRtg:
         with pytest.raises(RtgSyntaxError):
             parse_rtg("S\nS -> a # -1")
 
+    @pytest.mark.parametrize("weight", ["inf", "1/0"])
+    def test_weight_that_is_no_fraction_rejected(self, weight):
+        with pytest.raises(RtgSyntaxError) as exc:
+            parse_rtg(f"S\nS -> a # {weight}")
+        assert str(exc.value) == f"line 2: bad weight '{weight}'"
+
 
 class TestLanguageContains:
     def test_running_tree_is_in_the_language(self):
