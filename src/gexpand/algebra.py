@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ._record import Record, _set
 from .graphs import Graph, _fresh, canonical_key
-from .gvio import GvSyntaxError, parse_statements
+from .gvio import GvSyntaxError, parse_statements, split_blocks
 
 
 class OperationFileError(ValueError):
@@ -270,115 +270,31 @@ def check_extension(op: ExpansionOperation) -> ExtensionReport:
     )
 
 
-_OP_HEADER_RE = re.compile(r"^operation\s+(?P<name>[^\s{]+)\s*\{(?P<rest>.*)$")
-_UNION_BODY_RE = re.compile(r"^\s*(\d+)\s+(\d+)\s*;?\s*$")
-
-
-def _split_operations(text: str) -> List[Tuple[str, int, List[Tuple[int, str]]]]:
-    blocks = []
-    name = None
-    start_line = 0
-    body: List[Tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if name is None:
-            if not line or line.startswith("//"):
-                continue
-            m = _OP_HEADER_RE.match(line)
-            if m is None:
-                raise OperationFileError(
-                    f"line {lineno}: expected 'operation <name> {{'"
-                )
-            name = m.group("name")
-            start_line = lineno
-            rest = m.group("rest").strip()
-            if rest.endswith("}"):
-                inner = rest[:-1].strip()
-                blocks.append(
-                    (name, lineno, [(lineno, inner)] if inner else [])
-                )
-                name = None
-            elif rest:
-                body = [(lineno, rest)]
-            else:
-                body = []
-            continue
-        if line == "}":
-            blocks.append((name, start_line, body))
-            name = None
-            body = []
-        else:
-            body.append((lineno, raw))
-    if name is not None:
-        raise OperationFileError(
-            f"line {start_line}: operation {name!r} is missing its closing brace"
-        )
-    return blocks
+_OP_HEADER_RE = re.compile(r"operation\s+(?P<name>[^\s{]+)\s*\{")
+_UNION_BODY_RE = re.compile(r"(\d+)\s+(\d+)\s*;?")
 
 
 def _parse_expansion_body(
-    name: str, body: List[Tuple[int, str]]
+    name: str, lines: List[Tuple[int, str]]
 ) -> ExpansionOperation:
-    gv_lines = []
-    port_args: Optional[List[str]] = None
-    dock_args: List[str] = []
-    dock_seen = False
-    for lineno, raw in body:
-        # The keyword may carry the statement's ";" (``port;``).
-        words = raw.strip().rstrip(";").split()
-        first = words[0] if words else ""
-        if first == "port":
-            if port_args is not None:
-                raise OperationFileError(
-                    f"line {lineno}: duplicate port line in operation {name!r}"
-                )
-            port_args = words[1:]
-            port_line = lineno
-        elif first == "dock":
-            if dock_seen:
-                raise OperationFileError(
-                    f"line {lineno}: duplicate dock line in operation {name!r}"
-                )
-            dock_args = words[1:]
-            dock_seen = True
-        else:
-            gv_lines.append((lineno, raw))
-    try:
-        parsed = parse_statements(gv_lines)
-    except GvSyntaxError as exc:
-        raise OperationFileError(f"operation {name!r}: {exc}") from exc
-    node_order = tuple(parsed.declared)
-    ports = tuple(port_args or ())
-    docks = tuple(dock_args)
-    declared = set(parsed.declared)
-    for v in ports:
-        if v not in declared:
-            raise OperationFileError(
-                f"line {port_line}: port references unknown node {v!r} "
-                f"in operation {name!r}"
-            )
-    if len(set(ports)) != len(ports):
-        raise OperationFileError(
-            f"operation {name!r}: repeated node in port line"
-        )
-    for v in docks:
-        if v not in declared:
-            raise OperationFileError(
-                f"operation {name!r}: dock references unknown node {v!r}"
-            )
+    body = parse_statements(lines, ("port", "dock", "// ports:"))
+    if "// ports:" in body.lists:
+        raise GvSyntaxError(
+            "a '// ports:' comment sets no ports in an operation; list "
+            "them in a 'port' line", body.lists["// ports:"][0])
+    ports = body.ids("port", unique=True)
+    docks = body.ids("dock")
     # Unlabelled nodes are wildcards, legal only as docks: a label-free
     # context node would match every node, and a label-free new port
     # would yield an unlabelled output node.
-    labels: Dict[str, Optional[str]] = {}
-    for v, lab in parsed.declared.items():
+    for v, lab in body.declared.items():
         if lab is None and v not in docks:
-            raise OperationFileError(
-                f"operation {name!r}: node {v!r} has no label and is not "
-                f"a dock"
-            )
-        labels[v] = lab
-    template = Graph(declared, parsed.edges, labels, ports)
-    return ExpansionOperation(name, template, ports, docks, node_order)
+            raise GvSyntaxError(
+                f"node {v!r} has no label and is not a dock",
+                body.decl_line[v])
+    template = Graph(body.declared, body.edges, body.declared, ports)
+    return ExpansionOperation(name, template, ports, docks,
+                              tuple(body.declared))
 
 
 def parse_operation_file(text: str) -> Algebra:
@@ -388,21 +304,27 @@ def parse_operation_file(text: str) -> Algebra:
     literal body ``empty`` is the empty-graph constant; anything else
     is an expansion body of gv statements plus port/dock lines.
     """
+    try:
+        blocks = split_blocks(text, _OP_HEADER_RE, "operation <name> {")
+    except GvSyntaxError as exc:
+        raise OperationFileError(str(exc)) from exc
     operations: Dict[str, Operation] = {}
-    for name, start_line, body in _split_operations(text):
+    for start_line, header, body in blocks:
+        name = header.group("name")
         if name in operations:
             raise OperationFileError(
                 f"line {start_line}: duplicate operation name {name!r}"
             )
-        content = [
-            (ln, l.strip()) for ln, l in body
-            if l.strip() and not l.strip().startswith("//")
-        ]
-        if len(content) == 1 and _UNION_BODY_RE.match(content[0][1]):
-            m = _UNION_BODY_RE.match(content[0][1])
+        content = [l for _ln, l in body if l and not l.startswith("//")]
+        only = content[0] if len(content) == 1 else ""
+        m = _UNION_BODY_RE.fullmatch(only)
+        if m:
             operations[name] = UnionOperation(name, int(m.group(1)), int(m.group(2)))
-        elif len(content) == 1 and content[0][1].rstrip(";") == "empty":
+        elif only.rstrip(";") == "empty":
             operations[name] = EmptyConstant(name)
         else:
-            operations[name] = _parse_expansion_body(name, body)
+            try:
+                operations[name] = _parse_expansion_body(name, body)
+            except GvSyntaxError as exc:
+                raise OperationFileError(f"operation {name!r}: {exc}") from exc
     return Algebra(operations)

@@ -1,11 +1,13 @@
 """Reading and writing graphs in the gv (DOT digraph) text format.
 
-The only extension over plain DOT is a trailing comment line
+The only extension over plain DOT is a comment line
 
     // ports: n0 n1
 
-listing the port node identifiers in sequence order.  Standard
-renderers ignore it, so emitted files feed straight into Graphviz.
+listing the port node identifiers, quoted or bare, in sequence order.
+Standard renderers ignore it, so emitted files feed straight into
+Graphviz.  Operation files read their braced bodies with the same
+block splitter and statement reader.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from .graphs import Graph, canonical_order
 class GvSyntaxError(ValueError):
     """Malformed gv text; carries the offending line number."""
 
-    def __init__(self, message: str, line: int, column: int = 0) -> None:
-        where = f"line {line}" + (f", column {column}" if column else "")
-        super().__init__(f"{where}: {message}")
+    def __init__(self, message: str, line: int) -> None:
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 # The text of a quoted DOT string.  As in Graphviz, a backslash before a
@@ -44,6 +44,18 @@ _ATTR_RE = re.compile(
     r'(?:"(?P<qk>' + _QUOTED + r')"|(?P<bk>[A-Za-z0-9_.\-]+))\s*=\s*'
     r'(?:"(?P<qv>' + _QUOTED + r')"|(?P<bv>[A-Za-z0-9_.\-]+))'
     r'|"' + _QUOTED + r'"|[^"]')
+# One id of a list.  The lookahead keeps the list pattern from reading
+# one bare id as several, which would also make it backtrack
+# exponentially on a line that is no list.
+_ID_RE = re.compile(_NODE_ID % ("", "") + r"(?![A-Za-z0-9_.\-])")
+_ID_LIST_RE = re.compile(r"(?:\s*" + _ID_RE.pattern + r")*\s*;?\s*")
+# A line that may list ids: a bare ``port`` or ``dock`` keyword, or the
+# gv ``// ports:`` comment.
+_KEYWORD_RE = re.compile(
+    r"(?:(?P<kw>port|dock)(?![A-Za-z0-9_.\-])|//\s*ports:)(?P<ids>.*)")
+# The text of a line before a ``//`` that lies outside quoted strings.
+_CODE_RE = re.compile(r'(?:[^"/]|"' + _QUOTED + r'"|/(?!/))*')
+_DIGRAPH_RE = re.compile(r"digraph(?:\s+[A-Za-z0-9_.]+)?\s*\{")
 
 
 def _unquote(text: str) -> str:
@@ -65,15 +77,63 @@ def _parse_label(attrs: Optional[str]) -> Optional[str]:
     return label
 
 
+def parse_ids(text: str) -> Optional[List[str]]:
+    """The ids, quoted or bare, of a whitespace-separated list that a
+    ``;`` may end, or None when ``text`` is no such list."""
+    if _ID_LIST_RE.fullmatch(text) is None:
+        return None
+    return [_get_id(m, "") for m in _ID_RE.finditer(text)]
+
+
+def split_blocks(
+    text: str, header_re: "re.Pattern", expected: str
+) -> List[Tuple[int, "re.Match", List[Tuple[int, str]]]]:
+    """Split text into braced blocks: (header line, header match, body
+    lines) for each.
+
+    A block opens on a line that ``header_re`` matches and closes on
+    the first line, its header line included, that ends in ``}``.  A
+    ``//`` outside quoted strings starts a comment that runs to the end
+    of the line.  Blank and comment lines may lie between blocks.  Body
+    lines come stripped and without their comment, except that a line
+    that is all comment comes whole.
+    """
+    blocks: List[Tuple[int, "re.Match", List[Tuple[int, str]]]] = []
+    body: Optional[List[Tuple[int, str]]] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        m = _CODE_RE.match(line)
+        code = m.group().rstrip() if line.startswith("//", m.end()) else line
+        if body is None:
+            if not code:
+                continue
+            m = header_re.match(code)
+            if m is None:
+                raise GvSyntaxError(f"expected {expected!r}", lineno)
+            body = []
+            blocks.append((lineno, m, body))
+            code = line = code[m.end():].strip()
+        if code.endswith("}"):
+            body.append((lineno, code[:-1].rstrip()))
+            body = None
+        else:
+            body.append((lineno, code or line))
+    if body is not None:
+        lineno, m, _lines = blocks[-1]
+        raise GvSyntaxError(f"{m.group()!r} is missing its closing brace",
+                            lineno)
+    return blocks
+
+
 class _Body:
-    """Accumulated statements of a digraph body."""
+    """Accumulated statements of a block body."""
 
     def __init__(self) -> None:
         self.declared: Dict[str, Optional[str]] = {}
         self.decl_line: Dict[str, int] = {}
         self.edges: List[Tuple[str, str, str]] = []
-        self.ports: Optional[List[str]] = None
-        self.port_line = 0
+        # Keyword -> (line, ids) of each id-list line.
+        self.lists: Dict[str, Tuple[int, List[str]]] = {}
 
     def declare(self, node: str, label: Optional[str], lineno: int) -> None:
         if node in self.declared:
@@ -90,22 +150,42 @@ class _Body:
             self.declared[node] = label
             self.decl_line[node] = lineno
 
+    def ids(self, key: str, unique: bool = False) -> Tuple[str, ...]:
+        """The ids of the ``key`` line, each a declared node and, with
+        ``unique``, listed once."""
+        lineno, ids = self.lists.get(key, (0, []))
+        for i, v in enumerate(ids):
+            if v not in self.declared:
+                raise GvSyntaxError(
+                    f"unknown node {v!r} in {key!r} line", lineno)
+            if unique and v in ids[:i]:
+                raise GvSyntaxError(
+                    f"repeated node {v!r} in {key!r} line", lineno)
+        return tuple(ids)
 
-def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
-    """Parse node and edge statements shared by gv files and operation
-    bodies."""
+
+def parse_statements(
+    lines: List[Tuple[int, str]], keywords: Tuple[str, ...]
+) -> _Body:
+    """Parse the body lines of a block: node and edge statements,
+    comments, and the id-list lines of ``keywords``.
+
+    A line is an id-list line when it starts with a keyword of
+    ``keywords`` (``port`` or ``dock`` as a bare word, or the comment
+    ``// ports:``) and the rest of it is an id list; any other line is
+    a statement or a comment.
+    """
     body = _Body()
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
+    for lineno, line in lines:
+        m = _KEYWORD_RE.match(line)
+        key = m and (m.group("kw") or "// ports:")
+        ids = parse_ids(m.group("ids")) if key in keywords else None
+        if ids is not None:
+            if key in body.lists:
+                raise GvSyntaxError(f"duplicate {key!r} line", lineno)
+            body.lists[key] = (lineno, ids)
             continue
-        if line.startswith("//"):
-            comment = line[2:].strip()
-            if comment.startswith("ports:"):
-                if body.ports is not None:
-                    raise GvSyntaxError("duplicate ports comment", lineno)
-                body.ports = comment[len("ports:"):].split()
-                body.port_line = lineno
+        if not line or (line.startswith("//") and key is None):
             continue
         m = _EDGE_RE.match(line)
         if m:
@@ -126,63 +206,22 @@ def parse_statements(lines: List[Tuple[int, str]]) -> _Body:
     return body
 
 
-def _split_digraph(text: str) -> List[Tuple[int, str]]:
-    lines = text.splitlines()
-    inner: List[Tuple[int, str]] = []
-    opened = closed = False
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not opened:
-            if not line or line.startswith("//"):
-                continue
-            m = re.match(r"digraph(\s+[A-Za-z0-9_.]+)?\s*\{\s*(.*)$", line)
-            if m is None:
-                raise GvSyntaxError("expected 'digraph {'", i, 1)
-            opened = True
-            rest = m.group(2)
-            if rest.endswith("}"):
-                inner.append((i, rest[:-1]))
-                closed = True
-            elif rest:
-                inner.append((i, rest))
-            continue
-        if closed:
-            if line:
-                raise GvSyntaxError("text after closing brace", i)
-            continue
-        if line == "}":
-            closed = True
-        elif line.endswith("}"):
-            inner.append((i, line[:-1]))
-            closed = True
-        else:
-            inner.append((i, raw))
-    if not opened:
-        raise GvSyntaxError("empty input, expected 'digraph {'", max(1, len(lines)))
-    if not closed:
-        raise GvSyntaxError("missing closing brace", len(lines))
-    return inner
-
-
 def parse_gv(text: str) -> Graph:
     """Parse a gv digraph into a Graph.
 
     Node statements without a label attribute get their identifier as
     label.  The ``// ports:`` comment sets the port sequence.
     """
-    body = parse_statements(_split_digraph(text))
+    blocks = split_blocks(text, _DIGRAPH_RE, "digraph {")
+    if not blocks:
+        raise GvSyntaxError("empty input, expected 'digraph {'",
+                            max(1, len(text.splitlines())))
+    if len(blocks) > 1:
+        raise GvSyntaxError("text after closing brace", blocks[1][0])
+    body = parse_statements(blocks[0][2], ("// ports:",))
     labels = {v: (lab if lab is not None else v) for v, lab in body.declared.items()}
-    ports = body.ports or []
-    seen = set()
-    for p in ports:
-        if p not in labels:
-            raise GvSyntaxError(
-                f"port references unknown node {p!r}", body.port_line
-            )
-        if p in seen:
-            raise GvSyntaxError(f"repeated node {p!r} in port list", body.port_line)
-        seen.add(p)
-    return Graph(labels.keys(), body.edges, labels, ports)
+    return Graph(labels.keys(), body.edges, labels,
+                 body.ids("// ports:", unique=True))
 
 
 def _quote(s: str) -> str:

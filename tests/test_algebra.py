@@ -3,6 +3,7 @@ and the extension (r1/r2) validator."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from gexpand import (
     parse_operation_file,
     rename_nodes,
 )
+from gexpand.gvio import _quote
 from fixtures import (
     RUNNING_OPS,
     repeated_dock_argument,
@@ -405,17 +407,20 @@ class TestParseOperationFile:
             "  port 0;\n"
             "}\n"
         )
-        with pytest.raises(OperationFileError):
+        with pytest.raises(OperationFileError, match=(
+                "^operation 'bad': line 3: node '1' has no label")):
             parse_operation_file(text)
 
     def test_unknown_node_in_dock_line_rejected(self):
         text = 'operation bad {\n  0 [label="x"];\n  port 0;\n  dock 9;\n}\n'
-        with pytest.raises(OperationFileError):
+        with pytest.raises(OperationFileError, match=(
+                "^operation 'bad': line 4: unknown node '9' in 'dock' line")):
             parse_operation_file(text)
 
     def test_repeated_node_in_port_line_rejected(self):
         text = 'operation bad {\n  0 [label="x"];\n  port 0 0;\n}\n'
-        with pytest.raises(OperationFileError):
+        with pytest.raises(OperationFileError, match=(
+                "^operation 'bad': line 3: repeated node '0' in 'port' line")):
             parse_operation_file(text)
 
     def test_missing_closing_brace_rejected(self):
@@ -447,6 +452,119 @@ class TestParseOperationFile:
         text = 'operation f {\n  0 [label="x"];\n  dock 0;\n}\n'
         op = parse_operation_file(text)["f"]
         assert op.ports == ()
+
+    def test_quoted_ids_in_port_and_dock_lines(self):
+        text = (
+            "operation f {\n"
+            '  "a" [label="x"];\n'
+            '  "b c";\n'
+            '  "a" -> "b c" [label="e"];\n'
+            '  port "a";\n'
+            '  dock "b c" "b c";\n'
+            "}\n"
+        )
+        op = parse_operation_file(text)["f"]
+        assert (op.ports, op.docks) == (("a",), ("b c", "b c"))
+
+    def test_node_named_port_or_dock(self):
+        # Only a bare keyword followed by an id list is a keyword line.
+        text = (
+            "operation f {\n"
+            '  port [label="x"];\n'
+            '  "dock";\n'
+            "  port port;\n"
+            "  dock dock;\n"
+            "}\n"
+        )
+        op = parse_operation_file(text)["f"]
+        assert (op.ports, op.docks) == (("port",), ("dock",))
+        assert op.template.labels == {"port": "x", "dock": None}
+
+    def test_statement_line_ending_in_brace_closes_the_block(self):
+        text = 'operation f {\n  0 [label="x"];\n  port 0; }\n'
+        assert parse_operation_file(text)["f"].ports == ("0",)
+
+    def test_trailing_comments(self):
+        text = (
+            "operation f { // a comment may hold } and \"\n"
+            '  0 [label="http://x"]; // not part of the label\n'
+            "  port 0; // }\n"
+            "} // end\n"
+            "operation u { 1 1 } // union\n"
+        )
+        algebra = parse_operation_file(text)
+        assert algebra["f"].template.labels == {"0": "http://x"}
+        assert algebra["f"].ports == ("0",)
+        assert isinstance(algebra["u"], UnionOperation)
+
+    def test_keyword_line_that_is_no_list_is_read_in_linear_time(self):
+        # A list pattern that could split the long bare id into several
+        # ids would try 2**9999 ways before giving up.
+        text = "operation f {\n  port " + "a" * 10000 + " [;\n}\n"
+        with pytest.raises(OperationFileError, match="cannot parse statement"):
+            parse_operation_file(text)
+
+    def test_readme_operation_file_parses(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("**Operation file**", 1)[1]
+        text = section.split("```text\n", 1)[1].split("```", 1)[0]
+        algebra = parse_operation_file(text)
+        assert sorted(algebra.operations) == ["name", "nil", "pair"]
+        op = algebra["name"]
+        assert op.template.labels == {"0": "persuade", "1": None}
+        assert (op.ports, op.docks) == (("0",), ("1", "1"))
+        assert algebra["pair"] == UnionOperation("pair", 1, 1)
+        assert algebra["nil"] == EmptyConstant("nil")
+
+    @pytest.mark.parametrize("lines, line, message", [
+        (["0 [label=\"x\"];", "// ports: 0"], 3, "'port' line"),
+        (["0 [label=\"x\"];", "port 9;"], 3, "unknown node '9'"),
+        (["0 [label=\"x\"];", "port 0;", "port 0;"], 4, "duplicate 'port'"),
+    ], ids=["ports-comment", "unknown-port", "duplicate-port"])
+    def test_body_errors_name_their_line(self, lines, line, message):
+        text = "operation f {\n" + "".join(f"  {l}\n" for l in lines) + "}\n"
+        with pytest.raises(OperationFileError,
+                           match=f"^operation 'f': line {line}: .*{message}"):
+            parse_operation_file(text)
+
+
+# Node ids that the file can only hold quoted, and the two keywords.
+node_ids = st.sampled_from(["port", "dock"]) | st.text(
+    st.sampled_from(['"', "\\", " ", "/", "}", ";", "a", "é"]), max_size=5,
+).filter(lambda v: not v.endswith("\\"))
+
+
+def operation_text(op: ExpansionOperation) -> str:
+    t = op.template
+    lines = [f"operation {op.name} {{"]
+    lines += [f"  {_quote(v)}" + ("" if t.labels[v] is None
+                                  else f" [label={_quote(t.labels[v])}]")
+              + ";" for v in op.node_order]
+    lines += [f"  {_quote(s)} -> {_quote(d)} [label={_quote(l)}];"
+              for s, l, d in sorted(t.edges)]
+    lines.append("  port" + "".join(f" {_quote(v)}" for v in op.ports) + ";")
+    lines.append("  dock" + "".join(f" {_quote(v)}" for v in op.docks) + ";")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestOperationFileRoundTrip:
+    @given(seeds, st.integers(0, 3), st.integers(0, 3),
+           st.lists(node_ids, min_size=8, max_size=8, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_after_write_keeps_the_operation(self, s, docks, ports,
+                                                   names):
+        op = random_expansion_operation(random.Random(s), "op", docks, ports,
+                                        max_context=2)
+        name = dict(zip(op.node_order, names))
+        op = ExpansionOperation(
+            op.name, rename_nodes(op.template, name),
+            *(tuple(name[v] for v in seq)
+              for seq in (op.ports, op.docks, op.node_order)))
+        (parsed,) = parse_operation_file(operation_text(op)).operations.values()
+        assert (parsed.name, parsed.ports, parsed.docks, parsed.node_order) == (
+            op.name, op.ports, op.docks, op.node_order)
+        assert parsed.template.labels == op.template.labels
+        assert parsed.template.edges == op.template.edges
 
 
 class TestUnionOperation:

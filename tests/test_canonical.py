@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpand import (
-    Graph, canonical_key, canonical_order, disjoint_union, emit_gv,
-    rename_nodes,
+    EvalConfig, Graph, canonical_key, canonical_order, disjoint_union,
+    emit_gv, evaluate_corpus, rename_nodes, tree,
 )
 from gexpand import graphs
-from generators import EDGE_LABELS, NODE_LABELS, random_graph
+from generators import (
+    EDGE_LABELS, NODE_LABELS, random_algebra_for, random_grammar, random_graph,
+)
 from oracles import (
     _naive_wl_colors,
     naive_canonical_key,
@@ -266,6 +268,27 @@ class TestWork:
         g = Graph(nodes, edges, {v: "x" for v in nodes}, ())
         canonical_order(g)
         assert certificates == [2 * k] * k
+
+    def test_dock_forgetting_chain_reaches_linear_leaves(self, certificates):
+        # The t2r1 chain of random_corpus(192478, 20, crowded=True) in
+        # tests/test_evaluator.py: each step adds two swappable nodes,
+        # and the unpruned search took k! time on them.
+        rng = random.Random(192478)
+        algebra = random_algebra_for(rng, random_grammar(rng), max_context=3,
+                                     crowded=True)
+        t = tree("t6r0")
+        for _ in range(19):
+            t = tree("t2r1", t)
+        (outcome,) = evaluate_corpus([t], algebra, EvalConfig(mode="enumerate"))
+        (g,) = outcome.graphs
+        # Each depth d has 2d + 2 nodes.  Up to depth 2 the WL colours
+        # are discrete and only the key is built; from depth 3 on, the
+        # search reaches d - 1 leaves and the key adds one certificate.
+        assert certificates == [2, 4, 6] + [
+            n for d in range(3, 20) for n in [2 * d + 2] * d]
+        certificates.clear()
+        canonical_order(Graph(g.nodes, g.edges, g.labels, g.ports))
+        assert certificates == [40] * 18
 
     def test_ported_path_reaches_one_leaf(self, certificates):
         canonical_key(path(200))

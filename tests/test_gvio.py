@@ -90,6 +90,28 @@ class TestParseGv:
         with pytest.raises(GvSyntaxError):
             parse_gv('digraph {\n  a -> b [taillabel="t"];\n}')
 
+    def test_ports_comment_reads_quoted_ids(self):
+        g = parse_gv('digraph {\n  "a b" [label="x"];\n  c;\n'
+                     '  // ports: "a b" c\n}')
+        assert g.ports == ("a b", "c")
+
+    @pytest.mark.parametrize("last", [
+        '"n0" [label="x"]; }', '"n0" [label="x"]; }  // end'])
+    def test_statement_line_ending_in_brace_closes_the_digraph(self, last):
+        g = parse_gv(f"digraph {{\n  // ports: n0\n  {last}\n")
+        assert (g.labels, g.ports) == ({"n0": "x"}, ("n0",))
+
+    def test_trailing_comment_outside_quotes_is_dropped(self):
+        g = parse_gv('digraph { // a } here does not close\n'
+                     '  a [label="http://x"]; // ports: a\n'
+                     '  b -> a [label="//"];\n}')
+        assert g.labels == {"a": "http://x", "b": "b"}
+        assert g.edges == {("b", "//", "a")} and g.ports == ()
+
+    def test_ports_comment_that_lists_no_ids_rejected(self):
+        with pytest.raises(GvSyntaxError, match="^line 3: cannot parse"):
+            parse_gv('digraph {\n  a [label="x"];\n  // ports: a "b\n}')
+
 
 class TestEmitGv:
     def test_running_result_matches_expected_text(self):
