@@ -38,7 +38,6 @@ from .grammar import (
     EmptyLanguageWarning,
     Production,
     RankConflictError,
-    RankedSymbol,
     RtgSyntaxError,
     WeightedRtg,
     language_contains,
@@ -90,7 +89,6 @@ __all__ = [
     "OperationFileError",
     "Production",
     "RankConflictError",
-    "RankedSymbol",
     "ResultCapExceededError",
     "RtgSyntaxError",
     "UnionOperation",

@@ -29,30 +29,25 @@ class ExpansionTypeError(TypeError):
 
 
 class ExpansionOperation(Record):
-    """An expansion: a name, a template graph, its port and dock
-    sequences, and its node names in declaration order."""
+    """An expansion: a name, a template graph, whose ports are the
+    operation's, its dock sequence, and its node names in declaration
+    order."""
 
-    __slots__ = ("name", "template", "ports", "docks", "node_order",
-                 "_context")
+    __slots__ = ("name", "template", "docks", "node_order", "_context")
 
     def __post_init__(self) -> None:
-        for v in self.ports + self.docks:
+        for v in self.docks:
             if v not in self.template.nodes:
                 raise OperationFileError(
                     f"operation {self.name!r}: {v!r} is not a template node"
                 )
-        if len(set(self.ports)) != len(self.ports):
-            raise OperationFileError(
-                f"operation {self.name!r}: repeated node in port sequence"
-            )
-        if self.template.ports != self.ports:
-            raise OperationFileError(
-                f"operation {self.name!r}: template ports disagree with "
-                f"port sequence"
-            )
         outside = set(self.ports) | set(self.docks)
         _set(self, "_context",
              tuple(v for v in self.node_order if v not in outside))
+
+    @property
+    def ports(self) -> Tuple[str, ...]:
+        return self.template.ports
 
     @property
     def context(self) -> Tuple[str, ...]:
@@ -293,8 +288,7 @@ def _parse_expansion_body(
                 f"node {v!r} has no label and is not a dock",
                 body.decl_line[v])
     template = Graph(body.declared, body.edges, body.declared, ports)
-    return ExpansionOperation(name, template, ports, docks,
-                              tuple(body.declared))
+    return ExpansionOperation(name, template, docks, tuple(body.declared))
 
 
 def parse_operation_file(text: str) -> Algebra:

@@ -8,12 +8,13 @@ per context node from a seeded, replayable stream, keyed by the node's
 position, and evaluates each distinct forced subtree (one in which no
 context node has more than one candidate, so nothing is drawn) once per
 corpus.  In both modes one pre-pass checks each distinct subtree once
-per corpus and decides its diagnostics: it computes the node count
-every graph of the subtree has and whether the required operation
-occurs, which the filters read, and abstracts the subtree to its sample
+per corpus and decides its diagnostics: it records whether the
+required operation occurs, and abstracts the subtree to its sample
 shape: port labels and non-port label counts, which decide whether the
 subtree yields any graph and, if not, the ``zero-result:`` lines, and
-whether it is forced.  Evaluation only builds graphs, and either mode
+whether it is forced; the node count every graph of the subtree has,
+which the size filter reads, is the shape's port count plus its
+non-port label counts.  Evaluation only builds graphs, and either mode
 folds only the trees that yield a graph inside the size bounds; any
 other tree gets the pre-pass's lines, the same in both modes, even if a
 subtree of it would exceed the result cap: a ``required-op:`` line,
@@ -30,7 +31,6 @@ from ._record import Record
 from .algebra import (
     Algebra,
     EmptyConstant,
-    ExpansionOperation,
     Operation,
     UnionOperation,
     apply_expansion,
@@ -142,39 +142,29 @@ def _enumerate_node(
 
 def _check_node(
     a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: str, kids: list,
-) -> Union[Tuple[int, int, bool, tuple, bool], str]:
+) -> Union[Tuple[int, bool, tuple, bool], str]:
     """Memoized fold step of the pre-pass: for node ``t``'s subtree,
-    (tree size, node count of every graph it yields, uses
-    ``cfg.required_op``, sample shape, forced), or the check message of
-    its first faulty node in preorder.  A subtree is forced when every
-    context node of every expansion in it has exactly one candidate:
-    sample mode then draws nothing in it, and it yields the same graph,
-    node names included, at every position of every tree.
-
-    The count is exact in both modes: an expansion's docks take exactly
-    the argument's ports, and its context nodes fuse into non-ports the
-    argument already has, so it adds its ports and docks as a set and
-    loses one node per dock."""
+    (tree size, uses ``cfg.required_op``, sample shape, forced), or the
+    check message of its first faulty node in preorder.  A subtree is
+    forced when every context node of every expansion in it has exactly
+    one candidate: sample mode then draws nothing in it, and it yields
+    the same graph, node names included, at every position of every
+    tree."""
     if t.label not in a:
         return f"unknown symbol {t.label!r} in tree"
     ranks = a.term_ranks(t.label)
     if t.rank not in ranks:
         return (f"symbol {t.label!r} used with {t.rank} children, "
                 f"algebra allows {ranks}")
-    size, count, uses = 1, 0, t.label == cfg.required_op
-    forced = True
-    op = a[t.label]
-    if isinstance(op, ExpansionOperation):
-        count = len(set(op.ports) | set(op.docks)) - len(op.docks)
+    size, uses, forced = 1, t.label == cfg.required_op, True
     for kid in kids:
         if kid.__class__ is str:
             return kid
         size += kid[0]
-        count += kid[1]
-        uses = uses or kid[2]
-        forced = forced and kid[4]
-    shape, single = _shape(op, cfg, [kid[3] for kid in kids])
-    return size, count, uses, shape, forced and single
+        uses = uses or kid[1]
+        forced = forced and kid[3]
+    shape, single = _shape(a[t.label], cfg, [kid[2] for kid in kids])
+    return size, uses, shape, forced and single
 
 
 _NO_NODES: tuple = ((), {})
@@ -294,14 +284,15 @@ def _evaluate(
     info = t.fold(partial(_check_node, a, cfg), checks)
     if info.__class__ is str:
         raise EvaluationError(info)
-    size, count, uses_required_op, (ports, lines), _forced = info
+    size, uses_required_op, (ports, counts), _forced = info
     if cfg.required_op is not None and not uses_required_op:
         return EvalOutcome(t, (), (
             f"required-op: tree does not use operation {cfg.required_op!r}",))
     if ports is None:
-        return EvalOutcome(t, (), lines)
+        # An empty shape holds the tree's ``zero-result:`` lines.
+        return EvalOutcome(t, (), counts)
     what, n = (("tree", size) if cfg.tree_size_bounds
-               else ("every graph", count))
+               else ("every graph", len(ports) + sum(counts.values())))
     low, high = cfg.min_nodes, cfg.max_nodes
     if low is not None and n < low:
         return EvalOutcome(t, (), (
@@ -313,7 +304,7 @@ def _evaluate(
         # A forced subtree draws nothing, so its graph is shared; any
         # other node's draws are keyed by its path in this tree.
         graphs = [t.fold(partial(_sample_node, a, cfg, tree_index), memo,
-                         lambda node: checks[id(node)][4])]
+                         lambda node: checks[id(node)][3])]
     else:
         graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
         if graphs.__class__ is str:

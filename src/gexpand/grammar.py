@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
 from ._record import Record, _set
+from .gvio import strip_comment
 
 
 T = TypeVar("T")
@@ -40,23 +41,15 @@ class BudgetExceededError(RuntimeError):
     """N-best search popped more candidates than the expansion budget."""
 
 
-class RankedSymbol(Record):
-    __slots__ = ("name", "rank")
-
-
 class Production(Record):
-    """A rule ``lhs -> symbol(rhs) # weight``; ``rhs`` is a tuple of
-    nonterminals and ``weight`` a non-negative ``Fraction``."""
+    """A rule ``lhs -> symbol(rhs) # weight``; ``symbol`` is a terminal
+    name, whose rank is ``len(rhs)``, ``rhs`` a tuple of nonterminals
+    and ``weight`` a non-negative ``Fraction``."""
 
     __slots__ = ("lhs", "symbol", "rhs", "weight")
     _defaults = {"weight": Fraction(0)}
 
     def __post_init__(self) -> None:
-        if len(self.rhs) != self.symbol.rank:
-            raise RankConflictError(
-                f"production {self.lhs} -> {self.symbol.name}: "
-                f"{len(self.rhs)} arguments for rank {self.symbol.rank}"
-            )
         if self.weight < 0:
             raise ValueError("weights must be non-negative")
 
@@ -213,7 +206,6 @@ def tree(label: str, *children: DerivationTree) -> DerivationTree:
     return DerivationTree(label, tuple(children))
 
 
-_COMMENT_RE = re.compile(r"//.*$")
 _RULE_RE = re.compile(
     r"^(?P<lhs>[^\s()#,]+)\s*->\s*(?P<sym>[^\s()#,]+)"
     r"(?:\s*\(\s*(?P<args>[^()#]*)\))?\s*(?:#\s*(?P<weight>\S+))?\s*$"
@@ -228,7 +220,7 @@ def parse_rtg(text: str) -> WeightedRtg:
     terminal_ranks: Dict[str, int] = {}
     productions: List[Production] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT_RE.sub("", raw).strip()
+        line = strip_comment(raw)
         if not line:
             continue
         if start is None:
@@ -262,9 +254,7 @@ def parse_rtg(text: str) -> WeightedRtg:
         terminal_ranks[sym] = len(args)
         nonterminals.add(lhs)
         nonterminals.update(args)
-        productions.append(
-            Production(lhs, RankedSymbol(sym, len(args)), args, weight)
-        )
+        productions.append(Production(lhs, sym, args, weight))
     if start is None:
         raise RtgSyntaxError("start line missing", max(1, text.count("\n") + 1))
     return WeightedRtg(
@@ -277,7 +267,7 @@ def _derivation_weights(g: WeightedRtg, t: DerivationTree) -> Dict[str, Fraction
     derives it."""
     by_symbol: Dict[Tuple[str, int], List[Production]] = {}
     for p in g.productions:
-        by_symbol.setdefault((p.symbol.name, p.symbol.rank), []).append(p)
+        by_symbol.setdefault((p.symbol, len(p.rhs)), []).append(p)
 
     def step(node, _path, children) -> Dict[str, Fraction]:
         best: Dict[str, Fraction] = {}
@@ -374,7 +364,7 @@ def n_best_trees(
     # the derivations the search pops.
     merged: Dict[tuple, Fraction] = {}
     for p in g.productions:
-        key = (p.lhs, p.symbol.name, p.rhs)
+        key = (p.lhs, p.symbol, p.rhs)
         if key not in merged or p.weight < merged[key]:
             merged[key] = p.weight
     # Bounds are exact integers: every weight times the least common
@@ -528,7 +518,7 @@ def parse_tree_file(text: str) -> List[DerivationTree]:
     # whose first lines are already recorded, so it is skipped.
     checked: Set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT_RE.sub("", raw).strip()
+        line = strip_comment(raw)
         if not line:
             continue
         t = _parse_tree(line, lineno, interned)

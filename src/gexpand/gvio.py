@@ -85,6 +85,13 @@ def parse_ids(text: str) -> Optional[List[str]]:
     return [_get_id(m, "") for m in _ID_RE.finditer(text)]
 
 
+def strip_comment(line: str) -> str:
+    """``line`` stripped, without the comment that a ``//`` outside
+    quoted strings starts.  Every input format shares this rule."""
+    m = _CODE_RE.match(line)
+    return (line[:m.end()] if line.startswith("//", m.end()) else line).strip()
+
+
 def split_blocks(
     text: str, header_re: "re.Pattern", expected: str
 ) -> List[Tuple[int, "re.Match", List[Tuple[int, str]]]]:
@@ -102,8 +109,7 @@ def split_blocks(
     body: Optional[List[Tuple[int, str]]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        m = _CODE_RE.match(line)
-        code = m.group().rstrip() if line.startswith("//", m.end()) else line
+        code = strip_comment(line)
         if body is None:
             if not code:
                 continue

@@ -7,11 +7,19 @@ combinations of the replacements.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from typing import Dict, List, Tuple
 
 from ._record import Record
 from .graphs import Graph, canonical_order
+from .gvio import _QUOTED, _get_id, strip_comment
+
+# A key or a replacement and the separator after it: a quoted gv string,
+# or else bare text, stripped.
+_FIELD = r'\s*(?:"(?P<q>' + _QUOTED + r')"|(?P<b>[^%s]*?))\s*(?:%s)'
+_KEY_RE = re.compile(_FIELD % (":", ":"))
+_VALUE_RE = re.compile(_FIELD % (",", ",|$"))
 
 
 class DefinitionError(ValueError):
@@ -59,21 +67,25 @@ class DefinitionTable(Record):
 
 
 def parse_definitions(text: str) -> DefinitionTable:
-    """Parse ``key: v1, v2`` lines into a definition table."""
+    """Parse ``key: v1, v2`` lines into a definition table.  A key or a
+    replacement is a gv quoted string, or else bare text up to the next
+    ``:`` or ``,``; a ``//`` outside quoted strings starts a comment."""
     entries: Dict[str, Tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
+        line = strip_comment(raw)
         if not line:
             continue
-        if ":" not in line:
+        m = _KEY_RE.match(line)
+        if m is None:
             raise DefinitionError(f"line {lineno}: expected 'key: v1, v2, ...'")
-        key, _, rest = line.partition(":")
-        key = key.strip()
+        key = _get_id(m, "")
         if not key:
             raise DefinitionError(f"line {lineno}: empty key")
         if key in entries:
             raise DefinitionError(f"line {lineno}: duplicate key {key!r}")
-        values = tuple(v.strip() for v in rest.split(",") if v.strip())
+        # An empty bare replacement is skipped, an empty quoted one kept.
+        values = tuple(_get_id(v, "") for v in _VALUE_RE.finditer(line, m.end())
+                       if v.group("b") != "")
         if not values:
             raise DefinitionError(
                 f"line {lineno}: empty replacement list for {key!r}"

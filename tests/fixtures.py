@@ -168,7 +168,6 @@ def repeated_dock_operation() -> ExpansionOperation:
             },
             ("x1", "x2", "y4", "x3"),
         ),
-        ports=("x1", "x2", "y4", "x3"),
         docks=("y1", "y4", "y4"),
         node_order=("x1", "x2", "x3", "y1", "y2", "y3", "y4"),
     )

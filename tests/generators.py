@@ -10,7 +10,6 @@ from gexpand import (
     ExpansionOperation,
     Graph,
     Production,
-    RankedSymbol,
     UnionOperation,
     WeightedRtg,
 )
@@ -67,7 +66,7 @@ def random_grammar(
         rhs = tuple(rng.choice(nts) for _ in range(rank))
         weight = rng.choice(weight_choices if rank else leaf_weight_choices)
         productions.append(
-            Production(lhs, RankedSymbol(name, rank), rhs, Fraction(weight))
+            Production(lhs, name, rhs, Fraction(weight))
         )
     return WeightedRtg(
         frozenset(nts), terminal_ranks, tuple(productions), nts[0]
@@ -150,7 +149,7 @@ def random_expansion_operation(
                     edges.add((s, rng.choice(EDGE_LABELS), t))
 
     template = Graph(node_order, edges, labels, ports)
-    return ExpansionOperation(name, template, ports, docks, node_order)
+    return ExpansionOperation(name, template, docks, node_order)
 
 
 def random_algebra_for(rng: random.Random, grammar: WeightedRtg,
@@ -172,17 +171,17 @@ def random_algebra_for(rng: random.Random, grammar: WeightedRtg,
     nt_type = {a: rng.randint(1, 2) for a in sorted(grammar.nonterminals)}
     ops = {}
     for p in grammar.productions:
-        name = p.symbol.name
+        name = p.symbol
         if name in ops:
             continue
         arg_types = [nt_type[b] for b in p.rhs]
-        if p.symbol.rank == 2:
+        if len(p.rhs) == 2:
             ops[name] = UnionOperation(name, *arg_types)
         else:
             ops[name] = random_expansion_operation(
                 rng, name, dock_count=sum(arg_types),
                 port_count=nt_type[p.lhs],
-                max_context=max_context if p.symbol.rank else 0,
+                max_context=max_context if p.rhs else 0,
                 node_labels=["a"] if crowded else NODE_LABELS)
     return Algebra(ops)
 
@@ -257,7 +256,7 @@ def random_extension_geg(rng: random.Random):
             rng, name, dock_count=0, port_count=nt_type[a], extension_only=True
         )
         productions.append(
-            Production(a, RankedSymbol(name, 0), (), Fraction(rng.randint(0, 3)))
+            Production(a, name, (), Fraction(rng.randint(0, 3)))
         )
     for _ in range(rng.randint(1, 6)):
         a = rng.choice(nts)
@@ -269,7 +268,7 @@ def random_extension_geg(rng: random.Random):
             ops[name] = UnionOperation(name, nt_type[b], nt_type[c])
             productions.append(
                 Production(
-                    a, RankedSymbol(name, 2), (b, c),
+                    a, name, (b, c),
                     Fraction(rng.randint(0, 3)),
                 )
             )
@@ -282,11 +281,11 @@ def random_extension_geg(rng: random.Random):
             )
             productions.append(
                 Production(
-                    a, RankedSymbol(name, 1), (b,),
+                    a, name, (b,),
                     Fraction(rng.randint(0, 3)),
                 )
             )
-    terminal_ranks = {p.symbol.name: p.symbol.rank for p in productions}
+    terminal_ranks = {p.symbol: len(p.rhs) for p in productions}
     grammar = WeightedRtg(
         frozenset(nts), terminal_ranks, tuple(productions), nts[0]
     )

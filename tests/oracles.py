@@ -177,7 +177,7 @@ def enumerate_derivations(g: WeightedRtg, max_height: int):
                 child_lists = [derive(b, height - 1) for b in p.rhs]
                 for combo in product(*child_lists):
                     t = DerivationTree(
-                        p.symbol.name, tuple(c for c, _w in combo)
+                        p.symbol, tuple(c for c, _w in combo)
                     )
                     w = p.weight + sum(
                         (cw for _c, cw in combo), Fraction(0)
@@ -257,15 +257,15 @@ def best_trees_by_enumeration(g: WeightedRtg, n: int, max_height: int,
                 weight = int(p.weight * scale)
                 kids = [list(trees(b, height - 1).items()) for b in p.rhs]
                 for combo in product(*kids):
-                    ser = (f"{p.symbol.name}({' '.join(s for s, _e in combo)})"
-                           if combo else p.symbol.name)
+                    ser = (f"{p.symbol}({' '.join(s for s, _e in combo)})"
+                           if combo else p.symbol)
                     w = weight + sum(e[0] for _s, e in combo)
                     if limit is not None and w > limit:
                         continue
                     if ser not in best or w < best[ser][0]:
                         best[ser] = (
                             w, 1 + sum(e[1] for _s, e in combo),
-                            DerivationTree(p.symbol.name,
+                            DerivationTree(p.symbol,
                                            tuple(e[2] for _s, e in combo)))
         memo[key] = best
         return best
@@ -318,7 +318,7 @@ def _expand_leftmost(node, by_lhs, best):
             if any(best[b] is None for b in p.rhs):
                 continue
             children = tuple(("?", b) for b in p.rhs)
-            yield ("!", p.weight, p.symbol.name, children)
+            yield ("!", p.weight, p.symbol, children)
         return
     for i, child in enumerate(node[3]):
         if _has_open(child):

@@ -14,6 +14,7 @@ from gexpand import (
     ExpansionOperation,
     ExpansionTypeError,
     Graph,
+    GraphError,
     OperationFileError,
     UnionOperation,
     apply_expansion,
@@ -61,7 +62,6 @@ class TestContextNodes:
         op = ExpansionOperation(
             "op",
             Graph(["a"], [], {"a": "x"}, ("a",)),
-            ("a",),
             (),
             ("a",),
         )
@@ -72,6 +72,23 @@ class TestContextNodes:
         op = op_from_seed(s)
         expected = op.template.nodes - set(op.ports) - set(op.docks)
         assert frozenset(op.context) == expected
+
+
+class TestOperationPorts:
+    """An expansion's ports are its template's."""
+
+    def test_ports_are_the_template_ports(self):
+        op = repeated_dock_operation()
+        assert op.ports == op.template.ports == ("x1", "x2", "y4", "x3")
+        assert "ports" not in op.asdict()
+
+    @pytest.mark.parametrize("ports, message", [
+        (("a", "a"), "repeated node in port sequence"),
+        (("b",), "port is not a node")])
+    def test_bad_ports_fail_when_the_template_is_built(self, ports, message):
+        with pytest.raises(GraphError, match=message):
+            ExpansionOperation("op", Graph(["a"], [], {"a": "x"}, ports),
+                               (), ("a",))
 
 
 class TestEnumerateContextAssignments:
@@ -89,7 +106,6 @@ class TestEnumerateContextAssignments:
         op = ExpansionOperation(
             "op",
             Graph(["a"], [], {"a": "x"}, ("a",)),
-            ("a",),
             (),
             ("a",),
         )
@@ -99,7 +115,6 @@ class TestEnumerateContextAssignments:
         op = ExpansionOperation(
             "op",
             Graph(["a", "u"], [], {"a": "x", "u": "zz"}, ("a",)),
-            ("a",),
             (),
             ("a", "u"),
         )
@@ -120,7 +135,7 @@ class TestEnumerateContextAssignments:
             {"p": "x", "u1": "c", "u2": "c"},
             ("p",),
         )
-        op = ExpansionOperation("op", template, ("p",), (), ("p", "u1", "u2"))
+        op = ExpansionOperation("op", template, (), ("p", "u1", "u2"))
         arg = Graph(["a", "b"], [], {"a": "c", "b": "c"})
         loose = enumerate_context_assignments(op, arg)
         strict = enumerate_context_assignments(op, arg, injective=True)
@@ -158,7 +173,6 @@ class TestApplyExpansion:
                 {"a": "x", "b": "y"},
                 ("a", "b"),
             ),
-            ("a", "b"),
             (),
             ("a", "b"),
         )
@@ -199,7 +213,7 @@ class TestApplyExpansion:
             {"p": "x", "d": "fixed"},
             ("p",),
         )
-        op = ExpansionOperation("op", template, ("p",), ("d",), ("p", "d"))
+        op = ExpansionOperation("op", template, ("d",), ("p", "d"))
         arg = Graph(["v"], [], {"v": "other"}, ("v",))
         result = apply_expansion(op, arg, {})
         assert sorted(result.labels.values()) == ["fixed", "x"]
@@ -208,7 +222,7 @@ class TestApplyExpansion:
         template = Graph(
             ["p", "d"], [("p", "e", "d")], {"p": "x", "d": None}, ("p",)
         )
-        op = ExpansionOperation("op", template, ("p",), ("d",), ("p", "d"))
+        op = ExpansionOperation("op", template, ("d",), ("p", "d"))
         arg = Graph(["v"], [], {"v": "kept"}, ("v",))
         result = apply_expansion(op, arg, {})
         assert sorted(result.labels.values()) == ["kept", "x"]
@@ -348,7 +362,6 @@ class TestCheckExtension:
             Graph(["a"], [], {"a": "x"}, ("a",)),
             ("a",),
             ("a",),
-            ("a",),
         )
         report = check_extension(op)
         assert report.r1 and report.r2
@@ -357,7 +370,6 @@ class TestCheckExtension:
         op = ExpansionOperation(
             "op",
             Graph(["p", "d"], [], {"p": "x", "d": None}, ("p",)),
-            ("p",),
             ("d",),
             ("p", "d"),
         )
@@ -558,8 +570,7 @@ class TestOperationFileRoundTrip:
         name = dict(zip(op.node_order, names))
         op = ExpansionOperation(
             op.name, rename_nodes(op.template, name),
-            *(tuple(name[v] for v in seq)
-              for seq in (op.ports, op.docks, op.node_order)))
+            *(tuple(name[v] for v in seq) for seq in (op.docks, op.node_order)))
         (parsed,) = parse_operation_file(operation_text(op)).operations.values()
         assert (parsed.name, parsed.ports, parsed.docks, parsed.node_order) == (
             op.name, op.ports, op.docks, op.node_order)

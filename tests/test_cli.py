@@ -158,6 +158,26 @@ class TestRun:
             "g0_0.gv", "manifest.json"]
         assert len(parse_gv((out / "g0_0.gv").read_text()).nodes) == 1
 
+    def test_quoted_comment_marker_is_text_in_every_input(self, tmp_path):
+        # One comment rule: an operation, rule, tree and definition may
+        # hold a ``//`` inside a quoted string.
+        ops = tmp_path / "ops.txt"
+        ops.write_text('operation "x//y" {\n  0 [label="a//b"];\n'
+                       '  port 0; // the port\n}\n')
+        rtg = tmp_path / "grammar.rtg"
+        rtg.write_text('S // the start\nS -> "x//y" // a rule\n')
+        trees = tmp_path / "trees.txt"
+        trees.write_text('"x//y" // a tree\n')
+        defs = tmp_path / "defs.txt"
+        defs.write_text('"a//b": "http://x", "c, d" // two\n')
+        for route in (["--rtg", str(rtg)], ["-t", str(trees)]):
+            out = tmp_path / route[0].strip("-")
+            assert main(["-g", str(ops), *route, "-d", str(defs),
+                         "--out", str(out)]) == 0
+            assert [parse_gv((out / f"g0_{i}.gv").read_text()).labels
+                    for i in range(2)] == [{"n0": "http://x"},
+                                           {"n0": "c, d"}]
+
     def test_required_op_present(self, inputs):
         tmp, ops, trees, _rtg = inputs
         out = tmp / "corpus"

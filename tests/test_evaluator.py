@@ -613,11 +613,11 @@ operation p {
 
 
 def sample_shape(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[3]
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[2]
 
 
 def sample_shape_forced(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[4]
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[3]
 
 
 @pytest.fixture()
@@ -811,7 +811,11 @@ operation three_c {
 
 
 def node_count(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[1]
+    """The node count of every graph ``t`` yields, read off its sample
+    shape: the port count plus the non-port label counts; None when the
+    shape is empty."""
+    ports, counts = sample_shape(t, algebra, cfg)
+    return None if ports is None else len(ports) + sum(counts.values())
 
 
 def set_size_bound(t, algebra, cfg):
@@ -825,7 +829,7 @@ def set_size_bound(t, algebra, cfg):
     for node in t.walk():
         op = algebra[node.label]
         if isinstance(op, ExpansionOperation) and node.children:
-            ports, counts = checks[id(node.children[0])][3]
+            ports, counts = checks[id(node.children[0])][2]
             if ports is not None:
                 for u in op.context:
                     bound *= max(1, counts.get(op.template.labels[u], 0))

@@ -99,17 +99,25 @@ class TestParseRtg:
     def test_single_nullary_rule(self):
         g = parse_rtg("S\nS -> a")
         (p,) = g.productions
-        assert p.symbol.name == "a" and p.symbol.rank == 0
+        assert p.symbol == "a" and p.rhs == ()
         assert p.weight == 0
 
     def test_weight_syntax(self):
         g = parse_rtg("S\nS -> f(S S) # 1.5\nS -> a # 0")
-        weights = {p.symbol.name: p.weight for p in g.productions}
+        weights = {p.symbol: p.weight for p in g.productions}
         assert weights == {"f": Fraction(3, 2), "a": Fraction(0)}
 
     def test_comments_and_blank_lines_ignored(self):
         g = parse_rtg("// header\n\nS\n// rule\nS -> a // trailing\n")
         assert len(g.productions) == 1
+
+    def test_quoted_comment_marker_starts_no_comment(self):
+        # The comment rule of every input format: a ``//`` inside a
+        # quoted string is text, as in an operation named "x//y".
+        g = parse_rtg('S // the start "\nS -> "x//y" // a rule\n')
+        assert [p.symbol for p in g.productions] == ['"x//y"']
+        (t,) = parse_tree_file('"x//y" // a tree\n')
+        assert t.label == '"x//y"'
 
     def test_rank_conflict_rejected(self):
         with pytest.raises(RankConflictError):
@@ -262,7 +270,7 @@ class TestNBestTrees:
         rng = random.Random(s)
         # Grammars without rank >= 1 rules have finite languages.
         g = random_grammar(rng, max_nonterminals=3, max_rules=6)
-        if any(p.symbol.rank > 0 for p in g.productions):
+        if any(p.rhs for p in g.productions):
             return
         expected = best_trees_by_enumeration(g, 50, 1)
         with warnings.catch_warnings():

@@ -31,8 +31,6 @@ from gexpand import (
     EvalOutcome,
     ExtensionReport,
     Production,
-    RankConflictError,
-    RankedSymbol,
     UnionOperation,
     WeightedRtg,
     parse_operation_file,
@@ -125,14 +123,11 @@ def test_draws_hash_with_the_digests_of_hashlib(seed):
 
 def small_records():
     """One record of each class but the configs, and a different one."""
-    sym = RankedSymbol("f", 1)
-    leaf = RankedSymbol("a", 0)
     return [
-        (sym, RankedSymbol("f", 2)),
-        (Production("S", sym, ("S",), Fraction(1)),
-         Production("S", sym, ("S",))),
+        (Production("S", "f", ("S",), Fraction(1)),
+         Production("S", "f", ("S",))),
         (WeightedRtg(frozenset({"S"}), {"a": 0},
-                     (Production("S", leaf, ()),), "S"),
+                     (Production("S", "a", ()),), "S"),
          WeightedRtg(frozenset({"S"}), {"a": 0}, (), "S")),
         (tree("f", tree("a")), tree("f", tree("b"))),
         (UnionOperation("u", 1, 2), UnionOperation("u", 2, 1)),
@@ -182,14 +177,12 @@ def test_operation_checks_and_context_survive():
     op = algebra["op2"]
     assert op.replace() == op and op.replace().context == op.context
     with pytest.raises(gexpand.OperationFileError, match="is not a template"):
-        op.replace(ports=("nowhere",))
+        op.replace(docks=("nowhere",))
 
 
-def test_production_checks_its_rank():
-    with pytest.raises(RankConflictError, match="1 arguments for rank 0"):
-        Production("S", RankedSymbol("a", 0), ("S",))
+def test_production_checks_its_weight():
     with pytest.raises(ValueError, match="non-negative"):
-        Production("S", RankedSymbol("a", 0), (), Fraction(-1))
+        Production("S", "a", (), Fraction(-1))
 
 
 def test_config_signatures():
@@ -246,7 +239,8 @@ def test_repr():
         "min_nodes=None, max_nodes=None, required_op=None, "
         "tree_size_bounds=False, injective_contexts=False, "
         "dedup_across_trees=False)")
-    assert repr(RankedSymbol("f", 1)) == "RankedSymbol(name='f', rank=1)"
+    assert repr(Production("S", "a", ())) == (
+        "Production(lhs='S', symbol='a', rhs=(), weight=Fraction(0, 1))")
     assert repr(tree("f", tree("a"))) == "DerivationTree(f(a))"
 
 

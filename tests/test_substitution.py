@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gexpand import (
@@ -20,6 +20,7 @@ from gexpand import (
     parse_definitions,
 )
 from gexpand import substitution
+from gexpand.gvio import _quote
 from generators import NODE_LABELS, random_graph
 
 seeds = st.integers(0, 10**9)
@@ -71,6 +72,47 @@ class TestParseDefinitions:
         with pytest.raises(DefinitionError, match="line 2.*backslash"):
             parse_definitions("x: a\ny: b, c\\\n")
         assert parse_definitions("y: b\\c\n").entries == {"y": ("b\\c",)}
+
+    def test_quoted_replacement_holds_a_comment_marker(self):
+        d = parse_definitions('she: "http://x", they // a comment\n')
+        assert d.entries == {"she": ("http://x", "they")}
+
+    def test_quoted_replacement_holds_a_comma(self):
+        d = parse_definitions('she: "a, b", they\n')
+        assert d.entries == {"she": ("a, b", "they")}
+
+    def test_quoted_key_holds_a_colon(self):
+        d = parse_definitions('"x: y" : "say \\"hi\\"", ""\n')
+        assert d.entries == {"x: y": ('say "hi"', "")}
+        with pytest.raises(DefinitionError, match="empty key"):
+            parse_definitions('"": x\n')
+
+    def test_bare_text_keeps_its_meaning(self):
+        d = parse_definitions('a, b: c"d , "e, , f:g\n')
+        assert d.entries == {"a, b": ('c"d', '"e', "f:g")}
+
+
+# Keys and replacements built from the format's separators, quotes,
+# spaces and non-ASCII text; a gv string cannot end in a backslash.
+definition_text = st.lists(
+    st.sampled_from(["a", "b", "/", "//", ",", ":", '"', " ", "\\", "é",
+                     "木"]), max_size=6,
+).map("".join).filter(lambda s: not s.endswith("\\"))
+
+
+class TestDefinitionRoundTrip:
+    @given(st.dictionaries(
+        definition_text.filter(bool),
+        st.lists(definition_text, min_size=1, max_size=3).map(tuple),
+        max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_after_quoted_write_keeps_the_entries(self, entries):
+        assume(not any(key in values for key in entries
+                       for other, values in entries.items() if other != key))
+        text = "".join(
+            f"{_quote(key)}: {', '.join(_quote(v) for v in values)}\n"
+            for key, values in entries.items())
+        assert parse_definitions(text).entries == entries
 
 
 class TestInstantiateAll:
