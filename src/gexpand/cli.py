@@ -315,10 +315,12 @@ def run(cfg: RunConfig) -> int:
         all_warnings.extend(str(w.message) for w in caught)
         trees = [t for t, _w in best]
         weights = [str(w) for _t, w in best]
+        del best
     else:
         weights = ["0"] * len(trees)
 
     outcomes = evaluate_corpus(trees, algebra, cfg)
+    del trees
 
     if definitions is not None:
         for outcome in outcomes:
@@ -327,9 +329,14 @@ def run(cfg: RunConfig) -> int:
                 if count > cfg.instantiation_cap:
                     raise InstantiationCapError(count, cfg.instantiation_cap)
 
+    # Each outcome is popped, and so let go, once its files are written;
+    # the list ``evaluate_corpus`` returned is left as it was.
+    pending = outcomes[::-1]
+    del outcomes
     # Every check that can stop the run has passed: the corpus opens.
     with Corpus(cfg.out) as corpus:
-        for tree_index, (outcome, weight) in enumerate(zip(outcomes, weights)):
+        for tree_index, weight in enumerate(weights):
+            outcome = pending.pop()
             for diag in outcome.diagnostics:
                 all_warnings.append(f"tree {tree_index}: {diag}")
             if not outcome.graphs:

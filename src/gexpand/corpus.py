@@ -1,5 +1,5 @@
-"""The corpus on disk: the output directory, the names and bytes of the
-files in it, and the writer thread that creates them.
+"""The corpus on disk: the output directory and the names and bytes of
+the files in it, each created as soon as its text is built.
 
 Opening a ``Corpus`` creates the directory and removes every
 ``manifest.json`` and ``g<i>_<j>.gv`` entry in it that is not a
@@ -11,10 +11,8 @@ as it was, and a failed one leaves only its own files and no manifest.
 from __future__ import annotations
 
 import os
-import queue
 import re
-import threading
-from typing import List, Optional
+from typing import List
 
 from . import __version__
 
@@ -26,10 +24,6 @@ except ImportError:  # an interpreter without json's C accelerator
 _CORPUS_NAME = re.compile(r"manifest\.json|g[0-9]+_[0-9]+\.gv")
 # The most buffers one ``os.writev`` takes (1024 on Linux and macOS).
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
-# The most files that wait for the writer, about 1 MB of amr graphs: a
-# writer that falls behind the caller would otherwise hold most of a
-# large corpus in memory until the end of the run.
-_QUEUED_FILES = 1024
 
 
 class CorpusWriteError(RuntimeError):
@@ -60,15 +54,14 @@ def _write_parts(fd: int, parts: List[bytes]) -> None:
 
 class Corpus:
     """The corpus in the directory ``out``: one gv file per ``add`` and
-    ``manifest.json`` from ``write_manifest``, which a writer thread
-    creates while the caller builds the next text.  Opening it creates
-    and clears ``out`` in the caller: a symlink is removed, not
-    followed, and the old manifest goes first, so that it never names a
-    file that is gone.  Each file takes one open, one or more writes and
-    one close, relative to a descriptor of ``out``.  Once the thread has
-    stopped, ``add`` raises its error; leaving the ``with`` block waits
-    for the thread and, unless the block raised, raises whatever the
-    thread raised, ``CorpusWriteError`` if it could not write."""
+    ``manifest.json`` from ``write_manifest``, each created before the
+    call returns.  Opening it creates and clears ``out``: a symlink is
+    removed, not followed, and the old manifest goes first, so that it
+    never names a file that is gone.  Each file takes one open, one or
+    more writes and one close, relative to a descriptor of ``out``,
+    which leaving the ``with`` block closes.  An ``OSError`` on the
+    directory or a file raises ``CorpusWriteError``, which names the
+    path."""
 
     def __init__(self, out: str) -> None:
         try:
@@ -94,65 +87,51 @@ class Corpus:
             raise self._write_error(name, exc) from None
         self._dir_fd = dir_fd
         self._records: List[bytes] = []
-        self._error: Optional[BaseException] = None
-        self._files = queue.Queue(_QUEUED_FILES)
-        self._thread = threading.Thread(target=self._run,
-                                        name="gexpand corpus writer")
-        self._thread.start()
 
     def _write_error(self, name: str, exc: OSError) -> CorpusWriteError:
         """The error for an ``OSError`` on the entry ``name``."""
         return CorpusWriteError(f"cannot write {os.path.join(self._out, name)}"
                                 f": {exc.strerror or exc}")
 
-    def _run(self) -> None:
-        files = iter(self._files.get, None)
+    def _create(self, name: str, parts: List[bytes]) -> None:
+        """Create the file ``name`` in ``out`` with ``parts`` joined as
+        its bytes."""
         try:
-            for name, parts in files:
-                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                             0o666, dir_fd=self._dir_fd)
-                try:
-                    _write_parts(fd, parts)
-                finally:
-                    os.close(fd)
-        except BaseException as exc:  # raised again in the caller
-            self._error = (self._write_error(name, exc)
-                           if isinstance(exc, OSError) else exc)
-            for _file in files:  # an add waiting for room raises next
-                pass
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666,
+                         dir_fd=self._dir_fd)
+            try:
+                _write_parts(fd, parts)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise self._write_error(name, exc) from None
 
     def add(self, text: str, tree_index: int, variant: int, tree: str,
             weight: str, nodes: int, edges: int) -> None:
-        """Queue the gv file ``text`` of the ``variant``-th graph of the
+        """Write the gv file ``text`` of the ``variant``-th graph of the
         tree ``tree_index``, and keep the graph's manifest record, with
         the serialized ``tree``, its ``weight`` and the node and edge
         counts, as its text in manifest.json."""
-        if self._error is not None:
-            raise self._error
         name = _gv_name(tree_index, variant)
-        self._files.put((name, [text.encode("utf-8")]))
+        self._create(name, [text.encode("utf-8")])
         self._records.append(_json_text(
             {"file": name, "tree_index": tree_index, "variant": variant,
              "tree": tree, "tree_weight": weight, "nodes": nodes,
              "edges": edges}, "    ").encode("ascii"))
 
     def write_manifest(self, config: dict, warnings: List[str]) -> int:
-        """Queue ``manifest.json`` for the run settings ``config``, the
+        """Write ``manifest.json`` for the run settings ``config``, the
         graphs added and ``warnings``; no graph may follow it.  Returns
         the number of graphs."""
-        self._files.put(("manifest.json",
-                         _manifest_parts(config, self._records, warnings)))
+        self._create("manifest.json",
+                     _manifest_parts(config, self._records, warnings))
         return len(self._records)
 
     def __enter__(self) -> "Corpus":
         return self
 
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        self._files.put(None)
-        self._thread.join()
+    def __exit__(self, _exc_type, _exc, _tb) -> None:
         os.close(self._dir_fd)
-        if self._error is not None and exc_type is None:
-            raise self._error
 
 
 def _json_text(value, indent: str) -> str:

@@ -323,9 +323,10 @@ def evaluate_corpus(
     Each distinct subtree object is checked once for the whole corpus,
     and each one that a yielding tree holds is evaluated once, in
     enumerate mode, or in sample mode when it is forced; the outcomes
-    equal those of ``evaluate`` on each tree alone.  Per-tree
-    evaluation errors become diagnostics instead of aborting the
-    corpus.  With ``cfg.dedup_across_trees``, each tree's graphs are
+    equal those of ``evaluate`` on each tree alone.  A subtree's memo
+    entries are dropped once the last tree that holds it is done.
+    Per-tree evaluation errors become diagnostics instead of aborting
+    the corpus.  With ``cfg.dedup_across_trees``, each tree's graphs are
     filtered as soon as it is evaluated: one isomorphic to a graph an
     earlier tree yields is dropped; ``evaluate`` ignores that field.
     Trees are evaluated one after another: ``parallel`` is ignored, and
@@ -334,6 +335,7 @@ def evaluate_corpus(
     # ``trees`` keeps every node alive, so the ids in the memos stay valid.
     checks: dict = {}
     memo: dict = {}
+    last_uses = _last_uses(trees)
     seen = set()
     outcomes = []
     for index, t in enumerate(trees):
@@ -341,6 +343,9 @@ def evaluate_corpus(
             outcome = _evaluate(t, a, cfg, index, checks, memo)
         except (EvaluationError, ResultCapExceededError) as exc:
             outcome = EvalOutcome(t, (), (f"error: {exc}",))
+        for node_id in last_uses.pop():
+            del checks[node_id]
+            memo.pop(node_id, None)
         if cfg.dedup_across_trees:
             kept = []
             for g in outcome.graphs:
@@ -351,3 +356,11 @@ def evaluate_corpus(
             outcome = outcome.replace(graphs=tuple(kept))
         outcomes.append(outcome)
     return outcomes
+
+
+def _last_uses(trees: Sequence[DerivationTree]) -> List[List[int]]:
+    """For each tree, last to first, the ids of the distinct subtree
+    objects that no later tree holds: a walk of the trees from the end
+    meets each subtree object first in the last tree that holds it."""
+    seen: set = set()
+    return [[id(node) for node in t.walk(seen)] for t in reversed(trees)]

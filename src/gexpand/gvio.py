@@ -53,8 +53,9 @@ _ID_LIST_RE = re.compile(r"(?:\s*" + _ID_RE.pattern + r")*\s*;?\s*")
 # gv ``// ports:`` comment.
 _KEYWORD_RE = re.compile(
     r"(?:(?P<kw>port|dock)(?![A-Za-z0-9_.\-])|//\s*ports:)(?P<ids>.*)")
-# The text of a line before a ``//`` that lies outside quoted strings.
-_CODE_RE = re.compile(r'(?:[^"/]|"' + _QUOTED + r'"|/(?!/))*')
+# The text of a line before a ``//`` that lies outside quoted strings;
+# a ``"`` that no later ``"`` on the line closes is plain text.
+_CODE_RE = re.compile(r'(?:[^"/]|"' + _QUOTED + r'"|"|/(?!/))*')
 _DIGRAPH_RE = re.compile(r"digraph(?:\s+[A-Za-z0-9_.]+)?\s*\{")
 
 

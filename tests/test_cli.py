@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline and corpus writer."""
 
 import errno
+import gc
 import importlib.util
 import json
 import os
@@ -34,6 +35,8 @@ from gexpand.corpus import (
 )
 from gexpand import (
     DerivationTree,
+    ExpansionOperation,
+    Graph,
     is_isomorphic,
     n_best_trees,
     parse_gv,
@@ -569,7 +572,7 @@ class TestSend:
 
 
 @pytest.mark.usefixtures("nothing_left_open")
-class TestWriterThread:
+class TestWrites:
     def test_any_writer_exception_reaches_the_caller(self, inputs,
                                                      monkeypatch):
         real_open = os.open
@@ -599,28 +602,94 @@ class TestWriterThread:
             other.join()
         assert corpus_bytes(tmp / "beside") == corpus_bytes(tmp / "plain")
 
-    def test_full_queue_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        argv = AMR + ["-N", "40", "-d", str(BENCH_INPUTS / "amr.defs")]
-        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-        monkeypatch.setattr(gexpand.corpus, "_QUEUED_FILES", 1)
-        assert main(argv + ["--out", str(tmp_path / "one")]) == 0
-        assert corpus_bytes(tmp_path / "one") == corpus_bytes(
-            tmp_path / "plain")
+    def test_failing_file_stops_the_run_at_that_file(self, tmp_path,
+                                                     capsys, monkeypatch):
+        """Each file is written as soon as its text is built, so the
+        first file that cannot be written ends the run: one gv text is
+        built, and nothing after it."""
+        texts = []
 
-    def test_failed_writer_frees_a_full_queue(self, tmp_path):
-        """A send that waits for room in the queue when the writer
-        fails goes on, and the next one raises the writer's error."""
+        def counted_emit_gv(g):
+            texts.append(g)
+            return real_emit_gv(g)
+
+        real_emit_gv = gexpand.cli.emit_gv
+        monkeypatch.setattr(gexpand.cli, "emit_gv", counted_emit_gv)
         out = tmp_path / "corpus"
         (out / "g0_0.gv").mkdir(parents=True)
-        one_file_queue = ("import sys, gexpand.corpus, gexpand.cli; "
-                          "gexpand.corpus._QUEUED_FILES = 1; "
-                          "sys.exit(gexpand.cli.main())")
-        result = run_cli([*AMR_SAMPLE_DEFS, "--out", str(out)],
-                         command=("-c", one_file_queue))
-        assert result.returncode == 1
-        assert result.stderr == (f"error: cannot write {out / 'g0_0.gv'}: "
-                                 f"{os.strerror(errno.EISDIR)}\n")
+        assert main(AMR_SAMPLE_DEFS + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'g0_0.gv'}: "
+            f"{os.strerror(errno.EISDIR)}\n")
         assert listing(out) == ["g0_0.gv"]
+        assert len(texts) == 1
+
+
+class TestRelease:
+    """A run lets go of each tree's graphs once their files are written,
+    and leaves the lists its library calls returned as they were."""
+
+    # Sample mode yields one graph per tree, which the definitions turn
+    # into its instances; without definitions each instance is its graph.
+    @pytest.mark.parametrize("mode_args, graphs_besides_instances", [
+        (["-d", str(BENCH_INPUTS / "amr.defs")], 1),
+        (["--mode", "enumerate"], 0),
+    ], ids=["sample-with-definitions", "enumerate"])
+    def test_only_the_last_trees_graphs_are_alive_at_the_manifest(
+            self, tmp_path, monkeypatch, capsys, mode_args,
+            graphs_besides_instances):
+        """When the manifest is written, the run holds no ``Graph`` but
+        the operation templates and the last tree's graphs and
+        instances."""
+        def live_graphs():
+            return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+        counts = []
+        real = Corpus.write_manifest
+
+        def counted(corpus, config, warnings):
+            counts.append(live_graphs())
+            return real(corpus, config, warnings)
+
+        monkeypatch.setattr(Corpus, "write_manifest", counted)
+        out = tmp_path / "corpus"
+        gc.collect()
+        before = live_graphs()
+        assert main(AMR + ["-N", "740", *mode_args, "--out", str(out)]) == 0
+        (count,) = counts
+        records = json.loads((out / "manifest.json").read_text())["graphs"]
+        last = [r for r in records
+                if r["tree_index"] == records[-1]["tree_index"]]
+        templates = sum(
+            isinstance(op, ExpansionOperation) for op in parse_operation_file(
+                (BENCH_INPUTS / "amr.ops").read_text()).operations.values())
+        assert count - before <= (templates + graphs_besides_instances
+                                  + len(last))
+
+    @pytest.mark.parametrize("mode", ["sample", "enumerate"])
+    def test_returned_lists_are_left_as_they_were(self, tmp_path,
+                                                  monkeypatch, capsys, mode):
+        returned = {}
+
+        def keep(name, fn):
+            def kept(*args):
+                result = fn(*args)
+                returned[name] = (result, list(result))
+                return result
+            monkeypatch.setattr(gexpand.cli, name, kept)
+
+        keep("n_best_trees", gexpand.cli.n_best_trees)
+        keep("evaluate_corpus", gexpand.cli.evaluate_corpus)
+        assert main(AMR + ["-N", "40", "--mode", mode,
+                           "--out", str(tmp_path / "corpus")]) == 0
+        best, best_then = returned["n_best_trees"]
+        outcomes, outcomes_then = returned["evaluate_corpus"]
+        assert len(best) == len(best_then) == 40
+        assert all(a is b for a, b in zip(best, best_then))
+        assert len(outcomes) == len(outcomes_then) == 40
+        assert [o.graphs for o in outcomes] == [
+            o.graphs for o in outcomes_then]
+        assert sum(len(o.graphs) for o in outcomes) > 0
 
 
 class TestErrors:
@@ -712,8 +781,7 @@ class TestUnwritableCorpus:
                         + os.strerror(errno.EEXIST))
         assert texts == []
 
-    # The first case fails once every file is sent, the second while
-    # the run still sends.
+    # Either run stops at its first file.
     @pytest.mark.parametrize("amr", [False, True],
                              ids=["running-example", "amr-sample-defs"])
     def test_out_holds_a_directory_named_like_a_graph(self, inputs, capsys,

@@ -506,6 +506,46 @@ class TestSharedSubtrees:
         assert len(checks) == distinct
         assert len(steps) == yielding
 
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_subtree_kept_until_the_last_tree_that_holds_it(
+            self, checks, mode):
+        """Trees 0 and 5 hold one subtree object, and only tree 5 its
+        parent: the subtree is checked once and its values are still
+        there for tree 5."""
+        shared = parse_tree("op3(op4 op5)")
+        trees = [shared, *parse_tree_file("op4\nop5\nop4\nop5\n"),
+                 DerivationTree("op1", (DerivationTree("op2", (shared,)),))]
+        assert_same_as_unshared(trees, running_algebra(),
+                                EvalConfig(mode=mode))
+        checks.clear()
+        evaluate_corpus(trees, running_algebra(), EvalConfig(mode=mode))
+        assert len(checks) == len({id(n) for t in trees for n in t.walk()})
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_memos_hold_only_subtrees_still_to_come(self, monkeypatch, mode):
+        """When tree i is evaluated, the memos hold exactly the subtrees
+        that an earlier tree held and tree i or a later one holds."""
+        algebra, trees = bench_corpus("amr", 300)
+        held = []
+        real = evaluator._evaluate
+
+        def spy(t, a, cfg, tree_index, checks, memo):
+            held.append((set(checks), set(memo)))
+            return real(t, a, cfg, tree_index, checks, memo)
+
+        monkeypatch.setattr(evaluator, "_evaluate", spy)
+        evaluate_corpus(trees, algebra, EvalConfig(mode=mode))
+        later = [set()]
+        for t in reversed(trees):
+            later.append(later[-1] | {id(n) for n in t.walk()})
+        later.reverse()
+        earlier = set()
+        for i, (checked, memoized) in enumerate(held):
+            assert checked == earlier & later[i]
+            assert memoized <= checked
+            earlier |= {id(n) for n in trees[i].walk()}
+        assert len(held) == len(trees)
+
     def test_tree_file_subtrees_are_shared(self, steps):
         trees = parse_tree_file("op3(op4 op5)\nop1(op2(op3(op4 op5)))\n")
         evaluate_corpus(trees, running_algebra(), EvalConfig(mode="enumerate"))

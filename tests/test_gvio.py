@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from gexpand import (
     Graph,
     GvSyntaxError,
+    OperationFileError,
     emit_gv,
     empty_graph,
     is_isomorphic,
+    parse_definitions,
     parse_gv,
+    parse_operation_file,
+    parse_rtg,
 )
 from gexpand import gvio
 from fixtures import RUNNING_RESULT_GV, running_result_graph
@@ -111,6 +115,32 @@ class TestParseGv:
     def test_ports_comment_that_lists_no_ids_rejected(self):
         with pytest.raises(GvSyntaxError, match="^line 3: cannot parse"):
             parse_gv('digraph {\n  a [label="x"];\n  // ports: a "b\n}')
+
+
+
+class TestUnclosedQuote:
+    """A ``"`` that no later ``"`` on its line closes is plain text, so
+    a ``//`` after it starts a comment in every input format."""
+
+    def test_definition_line(self):
+        assert parse_definitions('she: "he // note').entries == {
+            "she": ('"he',)}
+
+    def test_grammar_rule(self):
+        g = parse_rtg('S\nS -> a" // x\n')
+        assert [p.symbol for p in g.productions] == ['a"']
+
+    def test_operation_line(self):
+        # The statement is bad either way; the error quotes it without
+        # its comment.
+        with pytest.raises(OperationFileError,
+                           match="""^operation 'op': line 3: cannot parse """
+                                 """statement: 'b";'$"""):
+            parse_operation_file('operation op {\n  a [label="x"];\n'
+                                 '  b"; // note\n  port a;\n}\n')
+
+    def test_closed_quote_still_holds_a_comment_marker(self):
+        assert gvio.strip_comment('a "b // c" d" // e') == 'a "b // c" d"'
 
 
 class TestEmitGv:

@@ -49,7 +49,7 @@ from fixtures import (
 CHILD = """\
 import sys
 
-WATCHED = ("dataclasses", "inspect", "hashlib", "json")
+WATCHED = ("dataclasses", "inspect", "hashlib", "json", "threading", "queue")
 
 
 def loaded():
