@@ -16,7 +16,7 @@ import re
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ._record import Record, _set
-from .graphs import Graph, _fresh, canonical_key
+from .graphs import Graph, _fresh, _renamed_edges, canonical_key
 from .gvio import GvSyntaxError, parse_statements, split_blocks
 
 
@@ -197,12 +197,12 @@ def apply_expansion(
         for x in leaves:
             name[x] = least
             del labels[x]
-    edges = {(name[s], l, name[t]) for s, l, t in arg.edges}
+    edges = _renamed_edges(arg.edges, name)
     edges.update((name[rename[s]], l, name[rename[t]])
                  for s, l, t in op.template.edges)
     labels = {name[x]: lab for x, lab in labels.items()}
     ports = tuple(name[rename[p]] for p in op.ports)
-    return Graph(set(name.values()), edges, labels, ports)
+    return Graph(labels.keys(), edges, labels, ports)
 
 
 def apply_expansion_all(

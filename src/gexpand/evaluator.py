@@ -180,9 +180,13 @@ def _shape(
     lines in post-order).  Paired with it, whether
     each of the node's context nodes has exactly one candidate.  The
     label counts are never mutated, since memoized shapes are shared."""
-    empty = [lines for ports, lines in args if ports is None]
+    empty = [shape for shape in args if shape[0] is None]
+    if len(empty) == 1:
+        # Shared, not rebuilt at each ancestor.
+        return empty[0], False
     if empty:
-        return (None, tuple(line for lines in empty for line in lines)), False
+        # Both arguments of a union.
+        return (None, empty[0][1] + empty[1][1]), False
     if isinstance(op, EmptyConstant):
         return _NO_NODES, True
     if isinstance(op, UnionOperation):

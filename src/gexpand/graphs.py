@@ -1,9 +1,13 @@
 """Node- and edge-labelled directed graphs with an ordered port sequence.
 
-Graphs are immutable after construction.  Edges are triples
+Graphs are immutable after construction.  A graph stores each node
+once, as a key of its label map; ``nodes`` is a view of those keys, and
+iterates in the order the labels were given.  Edges are triples
 (source, edge label, target) kept in a set, so parallel edges with the
-same label coalesce.  The port sequence is the graph's external
-interface; its length is the graph's type.
+same label coalesce; a graph derived from another (a union, an
+expansion) shares the edge triples whose ends keep their names.  The
+port sequence is the graph's external interface; its length is the
+graph's type.
 
 Node labels are strings.  A label of ``None`` marks a wildcard node and
 is only legal inside operation templates (dock nodes); ordinary graphs
@@ -12,7 +16,8 @@ produced by evaluation are always fully labelled.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Iterable, KeysView, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 
 Edge = Tuple[str, str, str]
@@ -25,7 +30,7 @@ class GraphError(ValueError):
 class Graph:
     """An immutable directed labelled graph with ports."""
 
-    __slots__ = ("nodes", "edges", "labels", "ports", "_key", "_order")
+    __slots__ = ("edges", "labels", "ports", "_key", "_order")
 
     def __init__(
         self,
@@ -34,7 +39,9 @@ class Graph:
         labels: Mapping[str, Optional[str]],
         ports: Sequence[str] = (),
     ) -> None:
-        node_set = frozenset(nodes)
+        # The node set is built for the checks only: the label map's keys
+        # are the nodes once the checks pass.
+        node_set = set(nodes)
         edge_set = frozenset(tuple(e) for e in edges)
         port_seq = tuple(ports)
         label_map = dict(labels)
@@ -54,7 +61,6 @@ class Graph:
         if unknown_ports:
             raise GraphError(f"port is not a node: {unknown_ports}")
 
-        object.__setattr__(self, "nodes", node_set)
         object.__setattr__(self, "edges", edge_set)
         object.__setattr__(self, "labels", label_map)
         object.__setattr__(self, "ports", port_seq)
@@ -63,6 +69,11 @@ class Graph:
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Graph is immutable")
+
+    @property
+    def nodes(self) -> KeysView[str]:
+        """The node set, as a view of the label map's keys."""
+        return self.labels.keys()
 
     @property
     def type(self) -> int:
@@ -98,12 +109,32 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
         fresh = _fresh(v, used)
         rename[v] = fresh
         used.add(fresh)
-    nodes = set(g.nodes) | {rename[v] for v in h.nodes}
-    edges = set(g.edges) | {(rename[s], l, rename[t]) for s, l, t in h.edges}
+    # The renamed nodes of ``h`` are fresh, so no edge of ``h`` coalesces
+    # with one of ``g``.
+    edges = _renamed_edges(h.edges, rename)
+    edges.update(g.edges)
     labels = dict(g.labels)
     labels.update({rename[v]: lab for v, lab in h.labels.items()})
     ports = g.ports + tuple(rename[p] for p in h.ports)
-    return Graph(nodes, edges, labels, ports)
+    return Graph(labels.keys(), edges, labels, ports)
+
+
+def _renamed_edges(
+    edges: Iterable[Edge], name: Mapping[str, str]
+) -> Set[Edge]:
+    """The edges with both ends renamed through ``name``.  An edge whose
+    ends keep their names is kept as the same tuple, not a copy, also
+    when a renamed edge coalesces with it."""
+    kept, moved = set(), []
+    for e in edges:
+        s, l, t = e
+        new_s, new_t = name[s], name[t]
+        if new_s is s and new_t is t:
+            kept.add(e)
+        else:
+            moved.append((new_s, l, new_t))
+    kept.update(moved)
+    return kept
 
 
 def _adjacency(g: Graph) -> Tuple[dict, dict]:
@@ -320,8 +351,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def rename_nodes(g: Graph, mapping: Mapping[str, str]) -> Graph:
-    """A copy of ``g`` with nodes renamed through a bijection."""
-    if len(set(mapping.values())) != len(g.nodes):
+    """A copy of ``g`` with nodes renamed through a bijection, whose
+    keys are exactly the nodes of ``g``."""
+    if mapping.keys() != g.nodes:
+        raise GraphError("renaming does not map exactly the graph's nodes")
+    if len(set(mapping.values())) != len(mapping):
         raise GraphError("renaming is not a bijection")
     return Graph(
         (mapping[v] for v in g.nodes),

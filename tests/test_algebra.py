@@ -316,6 +316,35 @@ class TestApplyExpansion:
             )
 
     @given(seeds, seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_result_shares_every_edge_whose_ends_keep_their_names(
+            self, s1, s2):
+        op = op_from_seed(s1)
+        arg = random_graph(random.Random(s2), 6)
+        if arg.type != len(op.docks):
+            return
+        for assignment in enumerate_context_assignments(op, arg)[:4]:
+            result = apply_expansion(op, arg, assignment)
+            held = {id(e) for e in result.edges}
+            # An argument node is in the result under its own name
+            # exactly when no fusion gave its class another name.
+            assert all(id(e) in held for e in arg.edges
+                       if e[0] in result.nodes and e[2] in result.nodes)
+
+    def test_kept_edge_is_shared_when_a_renamed_one_coalesces_with_it(self):
+        # The dock, named +0' beside the argument, fuses ports +0 and +1:
+        # the class takes the least name, +0, so edge +1 -> x becomes a
+        # copy of edge +0 -> x, which the result holds itself.
+        (op,) = parse_operation_file(
+            "operation merge {\n  0;\n  port 0;\n  dock 0 0;\n}\n"
+        ).operations.values()
+        arg = Graph(["+0", "+1", "x"], [("+0", "e", "x"), ("+1", "e", "x")],
+                    {"+0": "p", "+1": "p", "x": "q"}, ("+0", "+1"))
+        result = apply_expansion(op, arg, {})
+        (edge,) = result.edges
+        assert edge is next(e for e in arg.edges if e[0] == "+0")
+
+    @given(seeds, seeds)
     @settings(max_examples=40, deadline=None)
     def test_isomorphic_arguments_give_isomorphic_result_sets(self, s1, s2):
         op = op_from_seed(s1)

@@ -209,6 +209,34 @@ class TestExactness:
         assert search.called == (bool(rest) and not discrete)
 
 
+class TestInsertionOrder:
+    """A graph's nodes iterate in the order its labels were given, so
+    nothing the canonical search or the gv writer returns may depend on
+    that order."""
+
+    @given(seeds, st.sampled_from(["random", "twins", "star", "cycles"]))
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_insertion_gives_the_same_outputs(self, s, kind):
+        rng = random.Random(s)
+        g = {
+            "random": lambda: random_graph(rng),
+            "twins": lambda: plant_twins(rng, random_graph(rng, 6)),
+            "star": lambda: star(rng.randint(0, 6), rng.random() < 0.5,
+                                 rng.random() < 0.5, rng),
+            "cycles": lambda: cycles(rng),
+        }[kind]()
+        # The gv writer needs every node labelled.
+        labels = {v: lab or "" for v, lab in g.labels.items()}
+        nodes, edges, items = map(list, (g.nodes, g.edges, labels.items()))
+        for seq in (nodes, edges, items):
+            rng.shuffle(seq)
+        built = Graph(g.nodes, g.edges, labels, g.ports)
+        shuffled = Graph(nodes, edges, dict(items), g.ports)
+        assert canonical_order(shuffled) == canonical_order(built)
+        assert canonical_key(shuffled) == canonical_key(built)
+        assert emit_gv(shuffled) == emit_gv(built)
+
+
 class TestWlColors:
     """``_wl_colors`` refines classes in place; its colours must be an
     order-preserving renaming of the naive refinement's, so that every

@@ -749,6 +749,17 @@ class TestSampleShape:
                     counts[g.labels[v]] = counts.get(g.labels[v], 0) + 1
                 assert rest == counts
 
+    def test_lone_empty_child_shares_its_lines(self):
+        ops = parse_operation_file(UNION_PROBE_OPS)
+        cfg = EvalConfig()
+        empty = sample_shape(parse_tree("u(c p)"), ops, cfg)
+        assert empty[0] is None
+        shape, _single = evaluator._shape(ops["p"], cfg, [empty])
+        assert shape[1] is empty[1]
+        # Two empty children's lines are joined in order.
+        shape, _single = evaluator._shape(ops["u"], cfg, [empty, empty])
+        assert shape == (None, empty[1] * 2)
+
     def test_injective_contexts_count_earlier_draws(self):
         # drop_ports(two_leaves) has two non-port c-nodes: enough for
         # three context c-nodes unless they must map to distinct nodes.

@@ -63,6 +63,23 @@ class TestConstruction:
             g.ports = ()
 
 
+class TestNodeSet:
+    """A graph stores its nodes once, as the keys of its label map."""
+
+    def test_no_node_set_is_stored(self):
+        assert "nodes" not in Graph.__slots__
+
+    @given(seeds)
+    def test_nodes_are_the_label_keys(self, s):
+        rng = random.Random(s)
+        g = random_graph(rng)
+        given_nodes = list(g.labels)
+        rng.shuffle(given_nodes)
+        h = Graph(given_nodes, g.edges, g.labels, g.ports)
+        assert h.nodes == set(h.labels) == frozenset(given_nodes)
+        assert h.nodes - set(h.ports) == frozenset(given_nodes) - set(h.ports)
+
+
 class TestEmptyGraph:
     def test_empty_graph_has_nothing(self):
         g = empty_graph()
@@ -124,6 +141,19 @@ class TestDisjointUnion:
         assert u.type == g.type + h.type
         assert len(u.nodes) == len(g.nodes) + len(h.nodes)
         assert len(u.edges) == len(g.edges) + len(h.edges)
+
+    @given(seeds, seeds)
+    def test_union_shares_every_edge_whose_ends_keep_their_names(self, s1, s2):
+        g, h = graph_from_seed(s1), graph_from_seed(s2)
+        # About half of the nodes of h get names g has not, so they keep
+        # them.
+        rng = random.Random(s2)
+        h = rename_nodes(
+            h, {v: f"h{v}" if rng.random() < 0.5 else v for v in h.nodes})
+        held = {id(e) for e in disjoint_union(g, h).edges}
+        assert all(id(e) in held for e in g.edges)
+        assert all(id(e) in held for e in h.edges
+                   if e[0] not in g.nodes and e[2] not in g.nodes)
 
     @given(seeds, seeds, seeds)
     @settings(max_examples=30, deadline=None)
@@ -210,5 +240,15 @@ class TestCanonicalKey:
 class TestRenameNodes:
     def test_non_bijective_renaming_rejected(self):
         g = Graph(["a", "b"], [], {"a": "x", "b": "y"})
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="renaming is not a bijection"):
             rename_nodes(g, {"a": "c", "b": "c"})
+
+    @pytest.mark.parametrize("mapping", [
+        {"a": "p", "c": "q"},
+        {"a": "p"},
+        {"a": "p", "b": "q", "c": "r"},
+    ])
+    def test_mapping_must_cover_exactly_the_nodes(self, mapping):
+        g = Graph(["a", "b"], [("a", "e", "b")], {"a": "x", "b": "y"})
+        with pytest.raises(GraphError, match="does not map exactly"):
+            rename_nodes(g, mapping)
