@@ -30,10 +30,10 @@ class ExpansionTypeError(TypeError):
 
 class ExpansionOperation(Record):
     """An expansion: a name, a template graph, whose ports are the
-    operation's, its dock sequence, and its node names in declaration
-    order."""
+    operation's and whose nodes are in declaration order, and its dock
+    sequence."""
 
-    __slots__ = ("name", "template", "docks", "node_order", "_context")
+    __slots__ = ("name", "template", "docks", "_context")
 
     def __post_init__(self) -> None:
         for v in self.docks:
@@ -41,9 +41,18 @@ class ExpansionOperation(Record):
                 raise OperationFileError(
                     f"operation {self.name!r}: {v!r} is not a template node"
                 )
+        # Unlabelled nodes are wildcards, legal only as docks: a
+        # label-free context node would match every node, and a
+        # label-free new port would yield an unlabelled output node.
+        for v, lab in self.template.labels.items():
+            if lab is None and v not in self.docks:
+                raise OperationFileError(
+                    f"operation {self.name!r}: node {v!r} has no label and "
+                    f"is not a dock"
+                )
         outside = set(self.ports) | set(self.docks)
         _set(self, "_context",
-             tuple(v for v in self.node_order if v not in outside))
+             tuple(v for v in self.template.nodes if v not in outside))
 
     @property
     def ports(self) -> Tuple[str, ...]:
@@ -155,7 +164,7 @@ def apply_expansion(
 
     used = set(arg.nodes)
     rename: Dict[str, str] = {}
-    for i, v in enumerate(op.node_order):
+    for i, v in enumerate(op.template.nodes):
         rename[v] = _fresh(f"+{i}", used)
         used.add(rename[v])
 
@@ -180,7 +189,7 @@ def apply_expansion(
     # to it, or an argument non-port with the context nodes mapped to
     # it.  The hub gives the class its label, its least member its name.
     labels: Dict[str, Optional[str]] = dict(arg.labels)
-    labels.update((rename[v], op.template.labels[v]) for v in op.node_order)
+    labels.update((rename[v], lab) for v, lab in op.template.labels.items())
     stars: Dict[str, List[str]] = {}
     for dock, port in zip(op.docks, arg.ports):
         stars.setdefault(rename[dock], []).append(port)
@@ -202,7 +211,7 @@ def apply_expansion(
                  for s, l, t in op.template.edges)
     labels = {name[x]: lab for x, lab in labels.items()}
     ports = tuple(name[rename[p]] for p in op.ports)
-    return Graph(labels.keys(), edges, labels, ports)
+    return Graph(edges, labels, ports)
 
 
 def apply_expansion_all(
@@ -231,11 +240,18 @@ def dedup(graphs: List[Graph]) -> List[Graph]:
 
 
 class ExtensionReport(Record):
-    """Whether conditions (R1) and (R2) hold, and the edges and docks
-    that violate them."""
+    """The template edges that violate condition (R1) and the docks that
+    violate (R2); a condition holds when nothing violates it."""
 
-    __slots__ = ("r1", "r2", "r1_violations", "r2_violations")
-    _defaults = {"r1_violations": (), "r2_violations": ()}
+    __slots__ = ("r1_violations", "r2_violations")
+
+    @property
+    def r1(self) -> bool:
+        return not self.r1_violations
+
+    @property
+    def r2(self) -> bool:
+        return not self.r2_violations
 
 
 def check_extension(op: ExpansionOperation) -> ExtensionReport:
@@ -257,12 +273,7 @@ def check_extension(op: ExpansionOperation) -> ExtensionReport:
     bad_docks = tuple(
         sorted(set(op.docks) - set(op.ports) - has_incoming)
     )
-    return ExtensionReport(
-        r1=not bad_edges,
-        r2=not bad_docks,
-        r1_violations=bad_edges,
-        r2_violations=bad_docks,
-    )
+    return ExtensionReport(bad_edges, bad_docks)
 
 
 _OP_HEADER_RE = re.compile(r"operation\s+(?P<name>[^\s{]+)\s*\{")
@@ -279,16 +290,14 @@ def _parse_expansion_body(
             "them in a 'port' line", body.lists["// ports:"][0])
     ports = body.ids("port", unique=True)
     docks = body.ids("dock")
-    # Unlabelled nodes are wildcards, legal only as docks: a label-free
-    # context node would match every node, and a label-free new port
-    # would yield an unlabelled output node.
+    # The record checks the wildcard rule too; this check names the line.
     for v, lab in body.declared.items():
         if lab is None and v not in docks:
             raise GvSyntaxError(
                 f"node {v!r} has no label and is not a dock",
                 body.decl_line[v])
-    template = Graph(body.declared, body.edges, body.declared, ports)
-    return ExpansionOperation(name, template, docks, tuple(body.declared))
+    template = Graph(body.edges, body.declared, ports)
+    return ExpansionOperation(name, template, docks)
 
 
 def parse_operation_file(text: str) -> Algebra:

@@ -68,6 +68,18 @@ class WeightedRtg(Record):
             raise RankConflictError(
                 f"symbols used as both nonterminal and terminal: {sorted(overlap)}"
             )
+        for p in self.productions:
+            for v in (p.lhs, *p.rhs):
+                if v not in self.nonterminals:
+                    raise ValueError(f"rule for {p.lhs!r} names {v!r}, "
+                                     f"which is not a nonterminal")
+            rank = self.terminals.get(p.symbol)
+            if rank != len(p.rhs):
+                declared = ("is not a terminal" if rank is None
+                            else f"has rank {rank} in the terminals")
+                raise RankConflictError(
+                    f"rule for {p.lhs!r} uses {p.symbol!r} with rank "
+                    f"{len(p.rhs)}, but {p.symbol!r} {declared}")
 
 
 class DerivationTree(Record):

@@ -1,8 +1,9 @@
 """Node- and edge-labelled directed graphs with an ordered port sequence.
 
-Graphs are immutable after construction.  A graph stores each node
-once, as a key of its label map; ``nodes`` is a view of those keys, and
-iterates in the order the labels were given.  Edges are triples
+Graphs are immutable after construction.  A graph is built from its
+edges, its label map and its ports: the nodes are the label map's keys,
+``nodes`` is a view of them, and it iterates in the order the labels
+were given.  Edges are triples
 (source, edge label, target) kept in a set, so parallel edges with the
 same label coalesce; a graph derived from another (a union, an
 expansion) shares the edge triples whose ends keep their names.  The
@@ -34,30 +35,20 @@ class Graph:
 
     def __init__(
         self,
-        nodes: Iterable[str],
         edges: Iterable[Edge],
         labels: Mapping[str, Optional[str]],
         ports: Sequence[str] = (),
     ) -> None:
-        # The node set is built for the checks only: the label map's keys
-        # are the nodes once the checks pass.
-        node_set = set(nodes)
         edge_set = frozenset(tuple(e) for e in edges)
         port_seq = tuple(ports)
         label_map = dict(labels)
 
         for src, _lab, tgt in edge_set:
-            if src not in node_set or tgt not in node_set:
+            if src not in label_map or tgt not in label_map:
                 raise GraphError(f"edge endpoint not a node: {src!r} -> {tgt!r}")
-        missing = node_set - label_map.keys()
-        if missing:
-            raise GraphError(f"unlabelled nodes: {sorted(missing)}")
-        extra = label_map.keys() - node_set
-        if extra:
-            raise GraphError(f"labels for unknown nodes: {sorted(extra)}")
         if len(set(port_seq)) != len(port_seq):
             raise GraphError(f"repeated node in port sequence: {port_seq}")
-        unknown_ports = [p for p in port_seq if p not in node_set]
+        unknown_ports = [p for p in port_seq if p not in label_map]
         if unknown_ports:
             raise GraphError(f"port is not a node: {unknown_ports}")
 
@@ -88,7 +79,7 @@ class Graph:
 
 def empty_graph() -> Graph:
     """The graph with no nodes, no edges, and an empty port sequence."""
-    return Graph((), (), {}, ())
+    return Graph((), {}, ())
 
 
 def _fresh(name: str, used: set) -> str:
@@ -116,7 +107,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     labels = dict(g.labels)
     labels.update({rename[v]: lab for v, lab in h.labels.items()})
     ports = g.ports + tuple(rename[p] for p in h.ports)
-    return Graph(labels.keys(), edges, labels, ports)
+    return Graph(edges, labels, ports)
 
 
 def _renamed_edges(
@@ -358,7 +349,6 @@ def rename_nodes(g: Graph, mapping: Mapping[str, str]) -> Graph:
     if len(set(mapping.values())) != len(mapping):
         raise GraphError("renaming is not a bijection")
     return Graph(
-        (mapping[v] for v in g.nodes),
         ((mapping[s], l, mapping[t]) for s, l, t in g.edges),
         {mapping[v]: lab for v, lab in g.labels.items()},
         tuple(mapping[p] for p in g.ports),

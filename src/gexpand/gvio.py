@@ -227,8 +227,7 @@ def parse_gv(text: str) -> Graph:
         raise GvSyntaxError("text after closing brace", blocks[1][0])
     body = parse_statements(blocks[0][2], ("// ports:",))
     labels = {v: (lab if lab is not None else v) for v, lab in body.declared.items()}
-    return Graph(labels.keys(), body.edges, labels,
-                 body.ids("// ports:", unique=True))
+    return Graph(body.edges, labels, body.ids("// ports:", unique=True))
 
 
 def _quote(s: str) -> str:

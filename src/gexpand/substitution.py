@@ -146,5 +146,5 @@ def instantiate_all(
         for nodes, value in zip(groups, combo):
             for v in nodes:
                 labels[v] = value
-        out.append(Graph(g.nodes, g.edges, labels, g.ports))
+        out.append(Graph(g.edges, labels, g.ports))
     return out

@@ -113,7 +113,6 @@ operation op5 {
 def running_result_graph() -> Graph:
     """The evaluated persuade/believe graph: 4 nodes, 5 edges, one port."""
     return Graph(
-        ["p", "b", "s", "t"],
         [
             ("p", "arg0", "s"),
             ("p", "arg1", "t"),
@@ -148,7 +147,6 @@ def repeated_dock_operation() -> ExpansionOperation:
     return ExpansionOperation(
         name="phi",
         template=Graph(
-            "x1 x2 x3 y1 y2 y3 y4".split(),
             [
                 ("x1", "e", "x2"),
                 ("x1", "e", "y1"),
@@ -169,7 +167,6 @@ def repeated_dock_operation() -> ExpansionOperation:
             ("x1", "x2", "y4", "x3"),
         ),
         docks=("y1", "y4", "y4"),
-        node_order=("x1", "x2", "x3", "y1", "y2", "y3", "y4"),
     )
 
 
@@ -177,7 +174,6 @@ def repeated_dock_argument() -> Graph:
     """Ten-node argument graph with three ports for the repeated-dock
     operation: non-port c-nodes u1/v2/v3, non-port b-nodes w1/w2."""
     return Graph(
-        "z1 z2 u1 u2 v1 v2 v3 w1 w2 w3".split(),
         [
             ("z1", "e", "u1"),
             ("z2", "e", "v3"),
@@ -213,9 +209,6 @@ def repeated_dock_expected(y2_target: str, y3_target: str) -> Graph:
     arg = repeated_dock_argument()
     merged = "m"
     sub = {"z2": merged, "u2": merged}
-    nodes = ["x1", "x2", "x3", merged] + sorted(
-        arg.nodes - {"z2", "u2"}
-    )
     labels = {
         "x1": "b",
         "x2": "a",
@@ -232,4 +225,4 @@ def repeated_dock_expected(y2_target: str, y3_target: str) -> Graph:
         ("x2", "e", y3_target),
         ("x2", "e", merged),
     }
-    return Graph(nodes, edges, labels, ("x1", "x2", merged, "x3"))
+    return Graph(edges, labels, ("x1", "x2", merged, "x3"))

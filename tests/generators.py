@@ -29,7 +29,7 @@ def random_graph(rng: random.Random, max_nodes: int = 8) -> Graph:
                 edges.add((s, rng.choice(EDGE_LABELS), t))
     k = rng.randint(0, n)
     ports = tuple(rng.sample(nodes, k))
-    return Graph(nodes, edges, labels, ports)
+    return Graph(edges, labels, ports)
 
 
 def random_grammar(
@@ -148,8 +148,8 @@ def random_expansion_operation(
                 if rng.random() < 0.3:
                     edges.add((s, rng.choice(EDGE_LABELS), t))
 
-    template = Graph(node_order, edges, labels, ports)
-    return ExpansionOperation(name, template, docks, node_order)
+    template = Graph(edges, labels, ports)
+    return ExpansionOperation(name, template, docks)
 
 
 def random_algebra_for(rng: random.Random, grammar: WeightedRtg,

@@ -709,7 +709,7 @@ def union_find_apply_expansion(
         )
     used = set(arg.nodes)
     rename: Dict[str, str] = {}
-    for i, v in enumerate(op.node_order):
+    for i, v in enumerate(op.template.nodes):
         fresh = f"+{i}"
         while fresh in used:
             fresh = fresh + "'"
@@ -754,14 +754,13 @@ def union_find_apply_expansion(
         ordered = port_members + sorted(set(arg_members) - set(port_members))
         labels[rep] = arg.labels[ordered[0]]
 
-    nodes = set(classes)
     edges = set()
     for s, l, t in arg.edges:
         edges.add((uf.find(s), l, uf.find(t)))
     for s, l, t in op.template.edges:
         edges.add((uf.find(rename[s]), l, uf.find(rename[t])))
     ports = tuple(uf.find(rename[p]) for p in op.ports)
-    return Graph(nodes, edges, labels, ports)
+    return Graph(edges, labels, ports)
 
 
 def same_graph_set(xs, ys) -> bool:

@@ -13,6 +13,7 @@ from gexpand import (
     EmptyConstant,
     ExpansionOperation,
     ExpansionTypeError,
+    ExtensionReport,
     Graph,
     GraphError,
     OperationFileError,
@@ -61,9 +62,8 @@ class TestContextNodes:
     def test_fully_covered_template_has_no_context(self):
         op = ExpansionOperation(
             "op",
-            Graph(["a"], [], {"a": "x"}, ("a",)),
+            Graph([], {"a": "x"}, ("a",)),
             (),
-            ("a",),
         )
         assert frozenset(op.context) == frozenset()
 
@@ -87,8 +87,7 @@ class TestOperationPorts:
         (("b",), "port is not a node")])
     def test_bad_ports_fail_when_the_template_is_built(self, ports, message):
         with pytest.raises(GraphError, match=message):
-            ExpansionOperation("op", Graph(["a"], [], {"a": "x"}, ports),
-                               (), ("a",))
+            ExpansionOperation("op", Graph([], {"a": "x"}, ports), ())
 
 
 class TestEnumerateContextAssignments:
@@ -105,20 +104,18 @@ class TestEnumerateContextAssignments:
     def test_empty_context_yields_one_empty_assignment(self):
         op = ExpansionOperation(
             "op",
-            Graph(["a"], [], {"a": "x"}, ("a",)),
+            Graph([], {"a": "x"}, ("a",)),
             (),
-            ("a",),
         )
         assert enumerate_context_assignments(op, empty_graph()) == [{}]
 
     def test_absent_label_yields_no_assignment(self):
         op = ExpansionOperation(
             "op",
-            Graph(["a", "u"], [], {"a": "x", "u": "zz"}, ("a",)),
+            Graph([], {"a": "x", "u": "zz"}, ("a",)),
             (),
-            ("a", "u"),
         )
-        arg = Graph(["v"], [], {"v": "x"}, ())
+        arg = Graph([], {"v": "x"}, ())
         assert enumerate_context_assignments(op, arg) == []
 
     def test_context_nodes_never_map_to_ports(self):
@@ -130,13 +127,12 @@ class TestEnumerateContextAssignments:
 
     def test_injective_mode_drops_shared_targets(self):
         template = Graph(
-            ["p", "u1", "u2"],
             [],
             {"p": "x", "u1": "c", "u2": "c"},
             ("p",),
         )
-        op = ExpansionOperation("op", template, (), ("p", "u1", "u2"))
-        arg = Graph(["a", "b"], [], {"a": "c", "b": "c"})
+        op = ExpansionOperation("op", template, ())
+        arg = Graph([], {"a": "c", "b": "c"})
         loose = enumerate_context_assignments(op, arg)
         strict = enumerate_context_assignments(op, arg, injective=True)
         assert len(loose) == 4
@@ -146,6 +142,29 @@ class TestEnumerateContextAssignments:
 
 
 class TestApplyExpansion:
+    def test_template_nodes_are_named_in_order_of_first_mention(self):
+        # An edge names n and c before their node statements, so the
+        # template's node order, and the +i names, are n, c, d.
+        (op,) = parse_operation_file(
+            "operation late {\n"
+            '  n -> c [label="arg0"];\n'
+            '  c [label="she"];\n'
+            '  n [label="believe"];\n'
+            "  d;\n"
+            '  n -> d [label="arg1"];\n'
+            "  port n;\n"
+            "  dock d;\n"
+            "}\n"
+        ).operations.values()
+        assert list(op.template.nodes) == ["n", "c", "d"]
+        assert op.context == ("c",)
+        arg = Graph([], {"v": "they", "s": "she"}, ("v",))
+        result = apply_expansion(op, arg, {"c": "s"})
+        assert {v: result.labels[v] for v in sorted(result.nodes)} == {
+            "+0": "believe", "+1": "she", "+2": "they"}
+        assert result.edges == {("+0", "arg0", "+1"), ("+0", "arg1", "+2")}
+        assert result.ports == ("+0",)
+
     def test_believe_step_of_the_running_example(self):
         algebra = parse_operation_file(RUNNING_OPS)
         she = apply_expansion_all(algebra["op4"], empty_graph())[0]
@@ -168,13 +187,11 @@ class TestApplyExpansion:
         op = ExpansionOperation(
             "op",
             Graph(
-                ["a", "b"],
                 [("a", "e", "b")],
                 {"a": "x", "b": "y"},
                 ("a", "b"),
             ),
             (),
-            ("a", "b"),
         )
         result = apply_expansion(op, empty_graph(), {})
         assert is_isomorphic(result, op.template)
@@ -208,22 +225,21 @@ class TestApplyExpansion:
 
     def test_labelled_dock_keeps_template_label(self):
         template = Graph(
-            ["p", "d"],
             [("p", "e", "d")],
             {"p": "x", "d": "fixed"},
             ("p",),
         )
-        op = ExpansionOperation("op", template, ("d",), ("p", "d"))
-        arg = Graph(["v"], [], {"v": "other"}, ("v",))
+        op = ExpansionOperation("op", template, ("d",))
+        arg = Graph([], {"v": "other"}, ("v",))
         result = apply_expansion(op, arg, {})
         assert sorted(result.labels.values()) == ["fixed", "x"]
 
     def test_wildcard_dock_inherits_argument_label(self):
         template = Graph(
-            ["p", "d"], [("p", "e", "d")], {"p": "x", "d": None}, ("p",)
+            [("p", "e", "d")], {"p": "x", "d": None}, ("p",)
         )
-        op = ExpansionOperation("op", template, ("d",), ("p", "d"))
-        arg = Graph(["v"], [], {"v": "kept"}, ("v",))
+        op = ExpansionOperation("op", template, ("d",))
+        arg = Graph([], {"v": "kept"}, ("v",))
         result = apply_expansion(op, arg, {})
         assert sorted(result.labels.values()) == ["kept", "x"]
 
@@ -338,7 +354,7 @@ class TestApplyExpansion:
         (op,) = parse_operation_file(
             "operation merge {\n  0;\n  port 0;\n  dock 0 0;\n}\n"
         ).operations.values()
-        arg = Graph(["+0", "+1", "x"], [("+0", "e", "x"), ("+1", "e", "x")],
+        arg = Graph([("+0", "e", "x"), ("+1", "e", "x")],
                     {"+0": "p", "+1": "p", "x": "q"}, ("+0", "+1"))
         result = apply_expansion(op, arg, {})
         (edge,) = result.edges
@@ -388,8 +404,7 @@ class TestCheckExtension:
     def test_vacuously_true_without_edges_or_forgotten_docks(self):
         op = ExpansionOperation(
             "op",
-            Graph(["a"], [], {"a": "x"}, ("a",)),
-            ("a",),
+            Graph([], {"a": "x"}, ("a",)),
             ("a",),
         )
         report = check_extension(op)
@@ -398,13 +413,16 @@ class TestCheckExtension:
     def test_forgotten_dock_without_incoming_edge_violates_r2(self):
         op = ExpansionOperation(
             "op",
-            Graph(["p", "d"], [], {"p": "x", "d": None}, ("p",)),
+            Graph([], {"p": "x", "d": None}, ("p",)),
             ("d",),
-            ("p", "d"),
         )
         report = check_extension(op)
         assert report.r1 and not report.r2
         assert report.r2_violations == ("d",)
+
+    def test_a_condition_holds_when_nothing_violates_it(self):
+        report = ExtensionReport((), ("d",))
+        assert report.r1 and not report.r2
 
 
 class TestParseOperationFile:
@@ -451,6 +469,17 @@ class TestParseOperationFile:
         with pytest.raises(OperationFileError, match=(
                 "^operation 'bad': line 3: node '1' has no label")):
             parse_operation_file(text)
+
+    def test_hand_built_unlabelled_non_dock_node_rejected(self):
+        for labels, ports in [({"p": "x", "u": None}, ("p",)),
+                              ({"p": None}, ("p",))]:
+            bad = list(labels)[-1]
+            with pytest.raises(OperationFileError, match=(
+                    f"^operation 'bad': node '{bad}' has no label and is "
+                    f"not a dock$")):
+                ExpansionOperation("bad", Graph([], labels, ports), ())
+        op = ExpansionOperation("ok", Graph([], {"d": None}), ("d",))
+        assert op.context == ()
 
     def test_unknown_node_in_dock_line_rejected(self):
         text = 'operation bad {\n  0 [label="x"];\n  port 0;\n  dock 9;\n}\n'
@@ -580,7 +609,7 @@ def operation_text(op: ExpansionOperation) -> str:
     lines = [f"operation {op.name} {{"]
     lines += [f"  {_quote(v)}" + ("" if t.labels[v] is None
                                   else f" [label={_quote(t.labels[v])}]")
-              + ";" for v in op.node_order]
+              + ";" for v in t.nodes]
     lines += [f"  {_quote(s)} -> {_quote(d)} [label={_quote(l)}];"
               for s, l, d in sorted(t.edges)]
     lines.append("  port" + "".join(f" {_quote(v)}" for v in op.ports) + ";")
@@ -596,13 +625,13 @@ class TestOperationFileRoundTrip:
                                                    names):
         op = random_expansion_operation(random.Random(s), "op", docks, ports,
                                         max_context=2)
-        name = dict(zip(op.node_order, names))
-        op = ExpansionOperation(
-            op.name, rename_nodes(op.template, name),
-            *(tuple(name[v] for v in seq) for seq in (op.docks, op.node_order)))
+        name = dict(zip(op.template.nodes, names))
+        op = ExpansionOperation(op.name, rename_nodes(op.template, name),
+                                tuple(name[v] for v in op.docks))
         (parsed,) = parse_operation_file(operation_text(op)).operations.values()
-        assert (parsed.name, parsed.ports, parsed.docks, parsed.node_order) == (
-            op.name, op.ports, op.docks, op.node_order)
+        assert (parsed.name, parsed.ports, parsed.docks, parsed.context) == (
+            op.name, op.ports, op.docks, op.context)
+        assert list(parsed.template.nodes) == list(op.template.nodes)
         assert parsed.template.labels == op.template.labels
         assert parsed.template.edges == op.template.edges
 

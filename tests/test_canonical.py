@@ -46,13 +46,13 @@ def star(k: int, hub_port: bool = False, leaf_loops: bool = False,
         edges.add(("hub", rng.choice(EDGE_LABELS) if rng else "spoke", v))
         if leaf_loops:
             edges.add((v, "loop", v))
-    return Graph(nodes, edges, labels, ("hub",) if hub_port else ())
+    return Graph(edges, labels, ("hub",) if hub_port else ())
 
 
 def path(n: int, ported: bool = True) -> Graph:
     nodes = [f"p{i}" for i in range(n)]
     edges = [(nodes[i], "next", nodes[i + 1]) for i in range(n - 1)]
-    return Graph(nodes, edges, {v: "node" for v in nodes},
+    return Graph(edges, {v: "node" for v in nodes},
                  (nodes[0],) if ported else ())
 
 
@@ -90,7 +90,7 @@ def plant_twins(rng: random.Random, g: Graph) -> Graph:
     for u in sorted(nodes):
         if rng.random() < 0.1:
             labels[u] = rng.choice([None, ""])
-    return Graph(nodes, edges, labels, ports)
+    return Graph(edges, labels, ports)
 
 
 def cycles(rng: random.Random) -> Graph:
@@ -114,7 +114,7 @@ def cycles(rng: random.Random) -> Graph:
                 end = f"{v}{pendant}"
                 nodes.append(end)
                 edges.add((v, "to", end) if pendant == "sink" else (end, "to", v))
-    return Graph(nodes, edges, {v: "x" for v in nodes})
+    return Graph(edges, {v: "x" for v in nodes})
 
 
 def assert_same_as_naive(g: Graph) -> None:
@@ -158,8 +158,7 @@ class TestExactness:
         if hub and part.nodes:
             first = sorted(part.nodes)[0]
             firsts = [v for v in g.nodes if v.startswith(first)]
-            g = Graph(g.nodes | {"hub"},
-                      set(g.edges) | {("hub", "spoke", v) for v in firsts},
+            g = Graph(set(g.edges) | {("hub", "spoke", v) for v in firsts},
                       {**g.labels, "hub": "hub"}, g.ports)
         assert_same_as_naive(shuffled_names(rng, g))
 
@@ -170,7 +169,7 @@ class TestExactness:
         # the edge between them, so swapping them is no automorphism.
         rng = random.Random(s)
         g = star(k, hub_port=rng.random() < 0.5)
-        g = Graph(g.nodes, set(g.edges) | {("leaf0", "spoke", "leaf1")},
+        g = Graph(set(g.edges) | {("leaf0", "spoke", "leaf1")},
                   g.labels, g.ports)
         assert_same_as_naive(shuffled_names(rng, g))
 
@@ -181,7 +180,7 @@ class TestExactness:
         g = random_graph(rng, 7)
         labels = {v: (None if rng.random() < 0.5 else lab)
                   for v, lab in g.labels.items()}
-        assert_same_as_naive(Graph(g.nodes, g.edges, labels, g.ports))
+        assert_same_as_naive(Graph(g.edges, labels, g.ports))
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
@@ -227,11 +226,11 @@ class TestInsertionOrder:
         }[kind]()
         # The gv writer needs every node labelled.
         labels = {v: lab or "" for v, lab in g.labels.items()}
-        nodes, edges, items = map(list, (g.nodes, g.edges, labels.items()))
-        for seq in (nodes, edges, items):
+        edges, items = list(g.edges), list(labels.items())
+        for seq in (edges, items):
             rng.shuffle(seq)
-        built = Graph(g.nodes, g.edges, labels, g.ports)
-        shuffled = Graph(nodes, edges, dict(items), g.ports)
+        built = Graph(g.edges, labels, g.ports)
+        shuffled = Graph(edges, dict(items), g.ports)
         assert canonical_order(shuffled) == canonical_order(built)
         assert canonical_key(shuffled) == canonical_key(built)
         assert emit_gv(shuffled) == emit_gv(built)
@@ -293,7 +292,7 @@ class TestWork:
         # other branch lies in the orbit of one already taken.
         nodes = [f"n{i}" for i in range(2 * k)]
         edges = {(nodes[2 * i], "e", nodes[2 * i + 1]) for i in range(k)}
-        g = Graph(nodes, edges, {v: "x" for v in nodes}, ())
+        g = Graph(edges, {v: "x" for v in nodes}, ())
         canonical_order(g)
         assert certificates == [2 * k] * k
 
@@ -315,7 +314,7 @@ class TestWork:
         assert certificates == [2, 4, 6] + [
             n for d in range(3, 20) for n in [2 * d + 2] * d]
         certificates.clear()
-        canonical_order(Graph(g.nodes, g.edges, g.labels, g.ports))
+        canonical_order(Graph(g.edges, g.labels, g.ports))
         assert certificates == [40] * 18
 
     def test_ported_path_reaches_one_leaf(self, certificates):
@@ -356,5 +355,5 @@ class TestWork:
 
     def test_search_deeper_than_the_recursion_limit(self):
         nodes = [f"v{i:04d}" for i in range(1500)]
-        g = Graph(nodes, [], {v: v for v in nodes})
+        g = Graph([], {v: v for v in nodes})
         assert canonical_order(g) == tuple(nodes)

@@ -1059,3 +1059,23 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "unreachable" in out
         assert "unproductive" in out
+
+    @pytest.mark.parametrize("workload, lines", [
+        ("amr", [
+            "info: operation 'base' violates (R1): edges "
+            "[('0', 'arg0', '1')] do not run from new nodes to old ones",
+            "info: operation 'base2' violates (R1): edges "
+            "[('0', 'arg0', '1')] do not run from new nodes to old ones",
+            "info: operation 'close' violates (R2): forgotten docks ['1'] "
+            "have no incoming edge"]),
+        ("symmetric", [
+            "info: operation 'attach' violates (R1): edges "
+            "[('0', 'spoke', '1')] do not run from new nodes to old ones"]),
+    ])
+    def test_bench_inputs_report(self, workload, lines, capsys):
+        argv = ["-g", str(BENCH_INPUTS / f"{workload}.ops"),
+                "--rtg", str(BENCH_INPUTS / f"{workload}.rtg"), "--validate"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err == ""

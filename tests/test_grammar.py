@@ -14,8 +14,10 @@ from gexpand import (
     BudgetExceededError,
     DerivationTree,
     EmptyLanguageWarning,
+    Production,
     RankConflictError,
     RtgSyntaxError,
+    WeightedRtg,
     language_contains,
     min_tree_weight,
     n_best_trees,
@@ -120,7 +122,7 @@ class TestParseRtg:
         assert t.label == '"x//y"'
 
     def test_rank_conflict_rejected(self):
-        with pytest.raises(RankConflictError):
+        with pytest.raises(RankConflictError, match="^line 3: terminal 'f'"):
             parse_rtg("S\nS -> f(S S)\nS -> f(S)")
 
     def test_missing_start_line_rejected(self):
@@ -144,6 +146,26 @@ class TestParseRtg:
         with pytest.raises(RtgSyntaxError) as exc:
             parse_rtg(f"S\nS -> a # {weight}")
         assert str(exc.value) == f"line 2: bad weight '{weight}'"
+
+
+class TestHandBuiltGrammar:
+    """A grammar built without the parser uses only declared symbols."""
+
+    @pytest.mark.parametrize("rule, name", [
+        (Production("S", "f", ("T",)), "T"), (Production("T", "f", ("S",)), "T")])
+    def test_undeclared_nonterminal_rejected(self, rule, name):
+        with pytest.raises(ValueError, match=(
+                f"names '{name}', which is not a nonterminal")):
+            WeightedRtg(frozenset({"S"}), {"f": 1}, (rule,), "S")
+
+    @pytest.mark.parametrize("terminals, message", [
+        ({"a": 1}, "'b' is not a terminal"),
+        ({"a": 0, "b": 0}, "'a' has rank 0 in the terminals")])
+    def test_terminal_missing_or_of_another_rank_rejected(
+            self, terminals, message):
+        rules = (Production("S", "a", ("S",)), Production("S", "b", ()))
+        with pytest.raises(RankConflictError, match=message):
+            WeightedRtg(frozenset({"S"}), terminals, rules, "S")
 
 
 class TestLanguageContains:

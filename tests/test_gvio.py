@@ -167,7 +167,7 @@ class TestEmitGv:
     def test_wildcard_labels_rejected(self):
         from gexpand import Graph
 
-        g = Graph(["a"], [], {"a": None})
+        g = Graph([], {"a": None})
         with pytest.raises(ValueError):
             emit_gv(g)
 
@@ -202,7 +202,7 @@ def writable(label: str) -> bool:
 
 class TestLabelText:
     def test_quotes_come_back(self):
-        g = Graph(["a", "b"], [("a", 'says "so"', "b")],
+        g = Graph([("a", 'says "so"', "b")],
                   {"a": 'say "hi"', "b": 'back\\"slash'}, ("a",))
         text = emit_gv(g)
         assert '[label="say \\"hi\\""]' in text
@@ -215,7 +215,7 @@ class TestLabelText:
     @settings(max_examples=200, deadline=None)
     def test_emit_then_parse_keeps_labels(self, node_labels, edge_label):
         nodes = [f"v{i}" for i in range(len(node_labels))]
-        g = Graph(nodes, [(nodes[0], edge_label, nodes[-1])],
+        g = Graph([(nodes[0], edge_label, nodes[-1])],
                   dict(zip(nodes, node_labels)), nodes[:1])
         text = emit_gv(g)
         h = parse_gv(text)
@@ -225,9 +225,9 @@ class TestLabelText:
     @pytest.mark.parametrize("label", ["ends in \\", "two\nlines", "cr\r"])
     def test_unwritable_label_rejected(self, label):
         with pytest.raises(ValueError):
-            emit_gv(Graph(["a"], [], {"a": label}))
+            emit_gv(Graph([], {"a": label}))
         with pytest.raises(ValueError):
-            emit_gv(Graph(["a"], [("a", label, "a")], {"a": "x"}))
+            emit_gv(Graph([("a", label, "a")], {"a": "x"}))
 
     def test_each_distinct_label_is_quoted_once(self, monkeypatch):
         quoted = []
@@ -239,7 +239,7 @@ class TestLabelText:
 
         monkeypatch.setattr(gvio, "_quote", counted)
         nodes = [f"v{i}" for i in range(6)]
-        g = Graph(nodes, [(v, "e", w) for v, w in zip(nodes, nodes[1:])]
+        g = Graph([(v, "e", w) for v, w in zip(nodes, nodes[1:])]
                   + [(nodes[0], 'say "x"', nodes[0])],
                   {v: "ab"[i % 2] for i, v in enumerate(nodes)}, nodes[:1])
         text = emit_gv(g)

@@ -29,7 +29,9 @@ from gexpand import (
     EmptyConstant,
     EvalConfig,
     EvalOutcome,
+    ExpansionOperation,
     ExtensionReport,
+    Graph,
     Production,
     UnionOperation,
     WeightedRtg,
@@ -132,8 +134,7 @@ def small_records():
         (tree("f", tree("a")), tree("f", tree("b"))),
         (UnionOperation("u", 1, 2), UnionOperation("u", 2, 1)),
         (EmptyConstant("e"), EmptyConstant("z")),
-        (ExtensionReport(True, False, (), ("d",)),
-         ExtensionReport(True, False)),
+        (ExtensionReport((), ("d",)), ExtensionReport((), ())),
         (DefinitionTable({"she": ("she", "he")}),
          DefinitionTable({"she": ("he",)})),
         (EvalOutcome(tree("a"), (), ("x",)), EvalOutcome(tree("a"), ())),
@@ -178,6 +179,15 @@ def test_operation_checks_and_context_survive():
     assert op.replace() == op and op.replace().context == op.context
     with pytest.raises(gexpand.OperationFileError, match="is not a template"):
         op.replace(docks=("nowhere",))
+
+
+def test_each_fact_is_one_field():
+    # The nodes are the label keys, the node order the template's, and
+    # whether (R1) and (R2) hold is whether nothing violates them.
+    assert list(inspect.signature(Graph).parameters) == [
+        "edges", "labels", "ports"]
+    assert ExpansionOperation._fields == ("name", "template", "docks")
+    assert ExtensionReport._fields == ("r1_violations", "r2_violations")
 
 
 def test_production_checks_its_weight():

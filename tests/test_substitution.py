@@ -118,7 +118,6 @@ class TestDefinitionRoundTrip:
 class TestInstantiateAll:
     def test_two_by_two_product(self):
         g = Graph(
-            ["s", "t"],
             [("s", "e", "t")],
             {"s": "she", "t": "they"},
             ("s",),
@@ -138,16 +137,12 @@ class TestInstantiateAll:
         assert is_isomorphic(out[0], g)
 
     def test_per_occurrence_independence(self):
-        g = Graph(
-            ["a", "b"], [], {"a": "sing-pronoun", "b": "sing-pronoun"}
-        )
+        g = Graph([], {"a": "sing-pronoun", "b": "sing-pronoun"})
         d = table(**{"sing-pronoun": ["he", "she", "it"]})
         assert len(instantiate_all(g, d)) == 9
 
     def test_per_label_coupling(self):
-        g = Graph(
-            ["a", "b"], [], {"a": "sing-pronoun", "b": "sing-pronoun"}
-        )
+        g = Graph([], {"a": "sing-pronoun", "b": "sing-pronoun"})
         d = table(**{"sing-pronoun": ["he", "she", "it"]})
         out = instantiate_all(g, d, per_label=True)
         assert len(out) == 3
@@ -155,13 +150,12 @@ class TestInstantiateAll:
             assert h.labels["a"] == h.labels["b"]
 
     def test_untouched_labels_pass_through(self):
-        g = Graph(["a", "b"], [], {"a": "x", "b": "keep"})
+        g = Graph([], {"a": "x", "b": "keep"})
         out = instantiate_all(g, table(x=["p", "q"]))
         assert all(h.labels["b"] == "keep" for h in out)
 
     def test_structure_and_ports_preserved(self):
         g = Graph(
-            ["a", "b"],
             [("a", "e", "b")],
             {"a": "x", "b": "y"},
             ("b", "a"),
@@ -172,18 +166,14 @@ class TestInstantiateAll:
             assert h.ports == g.ports
 
     def test_output_order_is_deterministic(self):
-        g = Graph(["a", "b"], [], {"a": "x", "b": "x"})
+        g = Graph([], {"a": "x", "b": "x"})
         d = table(x=["p", "q"])
         first = [h.labels for h in instantiate_all(g, d)]
         second = [h.labels for h in instantiate_all(g, d)]
         assert first == second
 
     def test_cap_errors_with_the_computed_count(self):
-        g = Graph(
-            [f"v{i}" for i in range(5)],
-            [],
-            {f"v{i}": "x" for i in range(5)},
-        )
+        g = Graph([], {f"v{i}": "x" for i in range(5)})
         d = table(x=["a", "b", "c"])
         with pytest.raises(InstantiationCapError) as exc:
             instantiate_all(g, d, cap=100)
@@ -196,7 +186,7 @@ class TestInstantiateAll:
             raise AssertionError("canonical order computed")
 
         monkeypatch.setattr(substitution, "canonical_order", unused)
-        g = Graph(["v0", "v1", "v2"], [("v0", "e", "v1")],
+        g = Graph([("v0", "e", "v1")],
                   {"v0": "x", "v1": "x", "v2": "y"})
         d = table(x=["p", "q", "r"], y=["s", "t"])
         assert instantiation_count(g, d, per_label) == (6 if per_label else 18)
@@ -237,7 +227,7 @@ class TestInstantiateAll:
         d = random_table(rng)
 
         def erase(h):
-            return Graph(h.nodes, h.edges, {v: "_" for v in h.nodes}, h.ports)
+            return Graph(h.edges, {v: "_" for v in h.nodes}, h.ports)
 
         for h in instantiate_all(g, d, cap=10**6):
             assert is_isomorphic(erase(h), erase(g))
