@@ -6,6 +6,8 @@ Opening a ``Corpus`` creates the directory and removes every
 directory, and no other entry.  The caller opens it once every check
 that can stop a run has passed: a stopped run leaves an earlier corpus
 as it was, and a failed one leaves only its own files and no manifest.
+The graphs' manifest records are kept as text in one buffer, which the
+manifest is written from.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ except ImportError:  # an interpreter without json's C accelerator
     from json.encoder import encode_basestring_ascii
 
 _CORPUS_NAME = re.compile(r"manifest\.json|g[0-9]+_[0-9]+\.gv")
-# The most buffers one ``os.writev`` takes (1024 on Linux and macOS).
-_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class CorpusWriteError(RuntimeError):
@@ -36,22 +36,6 @@ def _gv_name(tree_index: int, variant: int) -> str:
     return f"g{tree_index}_{variant}.gv"
 
 
-def _write_parts(fd: int, parts: List[bytes]) -> None:
-    """Write ``parts`` joined to ``fd`` without joining them: one
-    ``os.writev`` takes up to IOV_MAX parts, and a write that takes
-    fewer bytes than offered goes on from the first byte not taken."""
-    first = skip = 0  # parts[first][:skip] is written
-    while first < len(parts):
-        batch = parts[first:first + _IOV_MAX]
-        if skip:
-            batch[0] = memoryview(batch[0])[skip:]
-        written = skip + os.writev(fd, batch)
-        while first < len(parts) and written >= len(parts[first]):
-            written -= len(parts[first])
-            first += 1
-        skip = written
-
-
 class Corpus:
     """The corpus in the directory ``out``: one gv file per ``add`` and
     ``manifest.json`` from ``write_manifest``, each created before the
@@ -59,9 +43,11 @@ class Corpus:
     removed, not followed, and the old manifest goes first, so that it
     never names a file that is gone.  Each file takes one open, one or
     more writes and one close, relative to a descriptor of ``out``,
-    which leaving the ``with`` block closes.  An ``OSError`` on the
-    directory or a file raises ``CorpusWriteError``, which names the
-    path."""
+    which leaving the ``with`` block closes.  The manifest records of
+    the graphs added are one growing buffer of text, each after its
+    separator.  An ``OSError`` on the directory or a file raises
+    ``CorpusWriteError``, which names the path; a file whose write or
+    close fails is removed first."""
 
     def __init__(self, out: str) -> None:
         try:
@@ -86,24 +72,35 @@ class Corpus:
                 os.close(dir_fd)
             raise self._write_error(name, exc) from None
         self._dir_fd = dir_fd
-        self._records: List[bytes] = []
+        self._records = bytearray()  # ",\n    " and a record, per graph
+        self._count = 0
 
     def _write_error(self, name: str, exc: OSError) -> CorpusWriteError:
         """The error for an ``OSError`` on the entry ``name``."""
         return CorpusWriteError(f"cannot write {os.path.join(self._out, name)}"
                                 f": {exc.strerror or exc}")
 
-    def _create(self, name: str, parts: List[bytes]) -> None:
+    def _create(self, name: str, *parts: bytes | memoryview) -> None:
         """Create the file ``name`` in ``out`` with ``parts`` joined as
-        its bytes."""
+        its bytes; each write goes on from the first byte not taken."""
         try:
             fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666,
                          dir_fd=self._dir_fd)
+        except OSError as exc:
+            raise self._write_error(name, exc) from None
+        try:
             try:
-                _write_parts(fd, parts)
+                for part in parts:
+                    view = memoryview(part)
+                    while view:
+                        view = view[os.write(fd, view):]
             finally:
                 os.close(fd)
         except OSError as exc:
+            try:  # a partial file would look written
+                os.unlink(name, dir_fd=self._dir_fd)
+            except OSError:
+                pass
             raise self._write_error(name, exc) from None
 
     def add(self, text: str, tree_index: int, variant: int, tree: str,
@@ -113,19 +110,27 @@ class Corpus:
         the serialized ``tree``, its ``weight`` and the node and edge
         counts, as its text in manifest.json."""
         name = _gv_name(tree_index, variant)
-        self._create(name, [text.encode("utf-8")])
-        self._records.append(_json_text(
+        self._create(name, text.encode("utf-8"))
+        self._records += b",\n    " + _json_text(
             {"file": name, "tree_index": tree_index, "variant": variant,
              "tree": tree, "tree_weight": weight, "nodes": nodes,
-             "edges": edges}, "    ").encode("ascii"))
+             "edges": edges}, "    ").encode("ascii")
+        self._count += 1
 
     def write_manifest(self, config: dict, warnings: List[str]) -> int:
         """Write ``manifest.json`` for the run settings ``config``, the
         graphs added and ``warnings``; no graph may follow it.  Returns
-        the number of graphs."""
-        self._create("manifest.json",
-                     _manifest_parts(config, self._records, warnings))
-        return len(self._records)
+        the number of graphs.  The bytes are ``json.dumps(manifest,
+        indent=2, sort_keys=True) + "\\n"``: a head, the record buffer
+        past its first comma, and a tail."""
+        head = f'{{\n  "config": {_json_text(config, "  ")},\n  "graphs": ['
+        close = "\n  ]" if self._count else "]"
+        tail = (f'{close},\n  "tool": "gexpand",\n'
+                f'  "version": {_json_text(__version__, "  ")},\n'
+                f'  "warnings": {_json_text(warnings, "  ")}\n}}\n')
+        self._create("manifest.json", head.encode("ascii"),
+                     memoryview(self._records)[1:], tail.encode("ascii"))
+        return self._count
 
     def __enter__(self) -> "Corpus":
         return self
@@ -161,26 +166,3 @@ def _json_text(value, indent: str) -> str:
         return brackets
     return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
             + f"\n{indent}{brackets[1]}")
-
-
-def _manifest_parts(config: dict, records: List[bytes],
-                    warnings: List[str]) -> List[bytes]:
-    """The bytes of ``manifest.json`` as parts that, joined, are
-    ``json.dumps(manifest, indent=2, sort_keys=True) + "\\n"`` for the
-    manifest of ``config``, the graph records and ``warnings``: a head,
-    the records with the separators between them, and a tail.
-    ``records`` are the records' texts, each ``_json_text(record,
-    "    ")`` as ASCII, so the parts share them and the manifest is
-    never copied."""
-    head = f'{{\n  "config": {_json_text(config, "  ")},\n  "graphs": '
-    tail = (f',\n  "tool": "gexpand",\n'
-            f'  "version": {_json_text(__version__, "  ")},\n'
-            f'  "warnings": {_json_text(warnings, "  ")}\n}}\n')
-    if not records:
-        return [f"{head}[]{tail}".encode("ascii")]
-    parts = [f"{head}[\n    ".encode("ascii")]
-    separator = b",\n    "
-    for text in records:
-        parts += (text, separator)
-    parts[-1] = f"\n  ]{tail}".encode("ascii")
-    return parts

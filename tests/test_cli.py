@@ -30,8 +30,6 @@ from gexpand.corpus import (
     Corpus,
     _gv_name,
     _json_text,
-    _manifest_parts,
-    _write_parts,
 )
 from gexpand import (
     DerivationTree,
@@ -498,20 +496,30 @@ class TestManifestText:
 
     @given(config=st.dictionaries(MANIFEST_STRINGS, MANIFEST_VALUES,
                                   max_size=6),
-           records=st.lists(st.dictionaries(MANIFEST_STRINGS,
-                                            MANIFEST_VALUES, max_size=7),
-                            max_size=5),
+           graphs=st.lists(st.tuples(
+               st.integers(0, 10**6), st.integers(0, 10**6),
+               MANIFEST_STRINGS | st.text(), MANIFEST_STRINGS | st.text(),
+               st.integers(), st.integers()), max_size=5),
            warnings=st.lists(MANIFEST_STRINGS | st.text(), max_size=5))
-    @example(config={}, records=[], warnings=[])
-    @example(config={"seed": 0}, records=[{"file": "g0_0.gv"}], warnings=[])
-    @example(config={}, records=[], warnings=["tree 0: \u00e9\x00\n"])
+    @example(config={}, graphs=[], warnings=[])
+    @example(config={"seed": 0}, graphs=[(0, 0, "a", "0", 1, 0)],
+             warnings=[])
+    @example(config={}, graphs=[], warnings=["tree 0: \u00e9\x00\n"])
+    @example(config={}, graphs=[(0, 0, "\u00e9", "-1.5", 2, 1)] * 2,
+             warnings=["tree 1: \u2028\U0001f600"])
     @settings(max_examples=100, deadline=None)
-    def test_parts_join_to_json_dumps(self, config, records, warnings):
-        parts = _manifest_parts(
-            config, [_json_text(r, "    ").encode("ascii") for r in records],
-            warnings)
-        assert all(type(part) is bytes for part in parts)
-        assert b"".join(parts) == manifest_bytes(config, records, warnings)
+    def test_written_manifest_is_json_dumps(self, tmp_path_factory, config,
+                                            graphs, warnings):
+        """The manifest that ``Corpus`` writes from the records of the
+        graphs added is ``json.dumps`` of the manifest, for any number
+        of graphs, zero included."""
+        out = tmp_path_factory.mktemp("corpus")
+        with Corpus(str(out)) as corpus:
+            for graph in graphs:
+                corpus.add("", *graph)
+            assert corpus.write_manifest(config, warnings) == len(graphs)
+        assert (out / "manifest.json").read_bytes() == manifest_bytes(
+            config, [graph_record(*graph) for graph in graphs], warnings)
 
 
 @given(st.integers(min_value=0), st.integers(min_value=0))
@@ -522,10 +530,11 @@ def test_every_gv_name_is_a_corpus_name(tree_index, variant):
 
 class TestSend:
     def test_manifest_is_held_once(self, tmp_path):
-        """Adding 20,000 graphs, whose record texts the corpus keeps,
-        and writing the manifest from them peaks below twice the
-        manifest's size: the manifest is never copied whole (joining it
-        or encoding it would be a copy)."""
+        """Adding 20,000 graphs, whose record texts the corpus keeps in
+        one buffer, and writing the manifest from that buffer peaks
+        below 1.2 times the manifest's size: the manifest is never
+        copied whole (joining it or encoding it would be a copy), and
+        the records are not held as one object each."""
         out = tmp_path / "corpus"
         config = {"best_count": 20_000, "mode": "sample", "seed": 0}
         warnings = [f"tree {i}: zero-result: no candidate" for i in range(50)]
@@ -540,30 +549,31 @@ class TestSend:
         finally:
             tracemalloc.stop()
         manifest = (out / "manifest.json").read_bytes()
-        assert peak < 2 * len(manifest)
+        assert peak < 1.2 * len(manifest)
         assert manifest == manifest_bytes(
             config, [graph_record(i, 0, *graph) for i in range(20_000)],
             warnings)
 
     def test_short_writes_are_finished(self, tmp_path, monkeypatch):
-        """A write may take fewer bytes than one ``writev`` offers, and
-        stop inside a part; the writer goes on from the first byte not
-        taken."""
-        def short_writev(fd, buffers):
-            return os.write(fd, b"".join(buffers)[:5])
+        """A write may take fewer bytes than it is offered, here 5 a
+        call, and stop inside a part; the corpus goes on from the first
+        byte not taken, for a gv file, an empty one and the manifest."""
+        real_write = os.write
+        writes = []
+
+        def short_write(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data[:5])
 
         out = tmp_path / "corpus"
-        parts = [b"abc", b"", b"defghij", b"k" * 3000]
         graphs = [("abcdefghij" + "k" * 3000, 0, 0, "t", "0", 1, 0),
                   ("", 0, 1, "t", "0", 0, 0)]
-        monkeypatch.setattr(os, "writev", short_writev)
+        monkeypatch.setattr(os, "write", short_write)
         with Corpus(str(out)) as corpus:
             for graph in graphs:
                 corpus.add(*graph)
             corpus.write_manifest({"seed": 0}, ["tree 1: no graph"])
-        with open(tmp_path / "parts", "wb") as file:
-            _write_parts(file.fileno(), parts)
-        assert (tmp_path / "parts").read_bytes() == b"".join(parts)
+        assert writes[:3] == [3010, 3005, 3000]
         assert (out / "g0_0.gv").read_bytes() == b"abcdefghij" + b"k" * 3000
         assert (out / "g0_1.gv").read_bytes() == b""
         assert (out / "manifest.json").read_bytes() == manifest_bytes(
@@ -623,6 +633,50 @@ class TestWrites:
             f"{os.strerror(errno.EISDIR)}\n")
         assert listing(out) == ["g0_0.gv"]
         assert len(texts) == 1
+
+    @pytest.mark.parametrize("target", ["manifest.json", "g2_0.gv"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys,
+                                                 monkeypatch, target):
+        """A file whose write fails after its first 7 bytes is removed:
+        the run ends with one error line, and only the gv files written
+        before it stay, whole."""
+        real_open, real_write = os.open, os.write
+        failing = {}  # the target's descriptor: the writes it took
+
+        def tracked_open(path, flags, mode=0o777, *, dir_fd=None):
+            fd = real_open(path, flags, mode, dir_fd=dir_fd)
+            if path == target:
+                failing[fd] = 0
+            return fd
+
+        def failing_write(fd, data):
+            if fd not in failing:
+                return real_write(fd, data)
+            failing[fd] += 1
+            if failing[fd] == 1:
+                return real_write(fd, data[:7])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "corpus"
+        argv = AMR + ["-N", "20", "--mode", "enumerate"]
+        assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+        capsys.readouterr()
+        whole = corpus_bytes(tmp_path / "whole")
+        monkeypatch.setattr(os, "open", tracked_open)
+        monkeypatch.setattr(os, "write", failing_write)
+        assert main(argv + ["--out", str(out)]) == 1
+        assert list(failing.values()) == [2]
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / target}: "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        files = corpus_bytes(out)
+        assert target not in files and "manifest.json" not in files
+        assert files == {name: whole[name] for name in files}
+        earlier = [g["file"] for g in json.loads(whole["manifest.json"])[
+            "graphs"]]  # in the order they were written
+        if target != "manifest.json":
+            earlier = earlier[:earlier.index(target)]
+        assert sorted(files) == sorted(earlier)
 
 
 class TestRelease:
