@@ -101,18 +101,21 @@ class Algebra(Record):
     def __contains__(self, name: str) -> bool:
         return name in self.operations
 
-    def term_ranks(self, name: str) -> Tuple[int, ...]:
-        """Ranks at which the symbol may appear in a derivation tree."""
-        op = self.operations[name]
-        if isinstance(op, UnionOperation):
-            return (2,)
-        if isinstance(op, EmptyConstant):
-            return (0,)
-        if not op.docks:
-            # A zero-dock expansion used at rank 0 is applied to the
-            # empty graph.
-            return (0, 1)
-        return (1,)
+    def fault(self, symbol: str, rank: int) -> Optional[str]:
+        """Why a derivation tree node labelled ``symbol`` with ``rank``
+        children cannot be evaluated, or None when it can."""
+        op = self.operations.get(symbol)
+        if op is None:
+            return f"no operation defined for symbol {symbol!r}"
+        # A zero-dock expansion used at rank 0 is applied to the empty
+        # graph.
+        ranks = ((2,) if isinstance(op, UnionOperation)
+                 else (0,) if isinstance(op, EmptyConstant)
+                 else (1,) if op.docks else (0, 1))
+        if rank not in ranks:
+            return (f"symbol {symbol!r} has rank {rank} but the operation "
+                    f"allows ranks {ranks}")
+        return None
 
 
 def context_candidates(op: ExpansionOperation, arg: Graph) -> List[List[str]]:
@@ -175,6 +178,11 @@ def apply_expansion(
             raise ValueError(
                 f"{u!r} is not a context node of operation {op.name!r}"
             )
+        if v not in arg.labels:
+            raise ValueError(
+                f"context node {u!r} mapped to {v!r}, which is not a node "
+                f"of the argument"
+            )
         if v in arg_ports:
             raise ValueError(
                 f"context node {u!r} mapped to argument port {v!r}"
@@ -184,6 +192,11 @@ def apply_expansion(
                 f"context node {u!r} mapped to node {v!r} with a "
                 f"different label"
             )
+    if len(assignment) != len(context):
+        raise ValueError(
+            f"context nodes {[u for u in op.context if u not in assignment]} "
+            f"of operation {op.name!r} are not assigned"
+        )
 
     # Every fusion class is a star: a dock with the argument ports fused
     # to it, or an argument non-port with the context nodes mapped to

@@ -79,7 +79,8 @@ class ConfigError(ValueError):
 
 
 # What bad inputs or settings, or an output directory that cannot be
-# written, make a run raise; ``main`` reports each as one ``error:`` line.
+# written, make a run raise; ``main`` reports each line of the message,
+# one finding a line, as one ``error:`` line.
 _INPUT_ERRORS = (
     ConfigError, OperationFileError, RtgSyntaxError, RankConflictError,
     GvSyntaxError, DefinitionError, BudgetExceededError,
@@ -201,13 +202,9 @@ def _symbol_rank_findings(
             for node in t.walk(seen):
                 symbol_ranks[node.label] = node.rank
     for name, rank in sorted(symbol_ranks.items()):
-        if name not in algebra:
-            findings.append(f"fatal: no operation defined for symbol {name!r}")
-        elif rank not in algebra.term_ranks(name):
-            findings.append(
-                f"fatal: symbol {name!r} has rank {rank} but the operation "
-                f"allows ranks {algebra.term_ranks(name)}"
-            )
+        fault = algebra.fault(name, rank)
+        if fault is not None:
+            findings.append(f"fatal: {fault}")
     return findings
 
 
@@ -303,9 +300,7 @@ def run(cfg: RunConfig) -> int:
 
     rank_findings = _symbol_rank_findings(algebra, grammar, trees)
     if rank_findings:
-        for line in rank_findings:
-            print(f"error: {line}", file=sys.stderr)
-        return 1
+        raise ConfigError("\n".join(rank_findings))
 
     all_warnings: List[str] = []
     if grammar is not None:
@@ -377,7 +372,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run(cfg)
         report, fatal = validate(cfg)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write("".join(f"error: {line}\n"
+                                 for line in str(exc).split("\n")))
         return 1
     # Symbols come from UTF-8 files, so a report line may hold characters
     # that stdout's encoding cannot write: escape them, as stderr does.

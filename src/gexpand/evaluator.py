@@ -150,12 +150,9 @@ def _check_node(
     one candidate: sample mode then draws nothing in it, and it yields
     the same graph, node names included, at every position of every
     tree."""
-    if t.label not in a:
-        return f"unknown symbol {t.label!r} in tree"
-    ranks = a.term_ranks(t.label)
-    if t.rank not in ranks:
-        return (f"symbol {t.label!r} used with {t.rank} children, "
-                f"algebra allows {ranks}")
+    fault = a.fault(t.label, t.rank)
+    if fault is not None:
+        return fault
     size, uses, forced = 1, t.label == cfg.required_op, True
     for kid in kids:
         if kid.__class__ is str:
@@ -272,7 +269,7 @@ def evaluate(
     """Evaluate one derivation tree into graphs.
 
     Zero graphs is a valid outcome (reported through diagnostics, never
-    a hard error); unknown symbols, arity mismatches, and a result cap
+    a hard error); a node that ``Algebra.fault`` rejects and a result cap
     blown in a tree that yields a graph inside the size bounds do raise.
     """
     return _evaluate(t, a, cfg, tree_index, {}, {})

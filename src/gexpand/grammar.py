@@ -16,7 +16,7 @@ import warnings
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, TypeVar
 
-from ._record import Record, _set
+from ._record import Record
 from .gvio import strip_comment
 
 
@@ -84,12 +84,7 @@ class WeightedRtg(Record):
 
 class DerivationTree(Record):
     __slots__ = ("label", "children")
-
-    def __init__(
-        self, label: str, children: Tuple["DerivationTree", ...] = ()
-    ) -> None:
-        _set(self, "label", label)
-        _set(self, "children", children)
+    _defaults = {"children": ()}
 
     # Equality, hashing and repr run on an explicit stack like every
     # other traversal.  The preorder (label, rank) sequence determines

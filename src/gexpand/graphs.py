@@ -1,14 +1,14 @@
 """Node- and edge-labelled directed graphs with an ordered port sequence.
 
-Graphs are immutable after construction.  A graph is built from its
-edges, its label map and its ports: the nodes are the label map's keys,
-``nodes`` is a view of them, and it iterates in the order the labels
-were given.  Edges are triples
-(source, edge label, target) kept in a set, so parallel edges with the
-same label coalesce; a graph derived from another (a union, an
-expansion) shares the edge triples whose ends keep their names.  The
-port sequence is the graph's external interface; its length is the
-graph's type.
+Graphs are immutable after construction: assigning or deleting an
+attribute raises ``AttributeError``, as for a record.  A graph is built
+from its edges, its label map and its ports: the nodes are the label
+map's keys, ``nodes`` is a view of them, and it iterates in the order
+the labels were given.  Edges are triples (source, edge label, target)
+kept in a set, so parallel edges with the same label coalesce; a graph
+derived from another (a union, an expansion) shares the edge triples
+whose ends keep their names.  The port sequence is the graph's external
+interface; its length is the graph's type.
 
 Node labels are strings.  A label of ``None`` marks a wildcard node and
 is only legal inside operation templates (dock nodes); ordinary graphs
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import (Iterable, KeysView, List, Mapping, Optional, Sequence,
                     Set, Tuple)
+
+from ._record import Record
 
 
 Edge = Tuple[str, str, str]
@@ -58,8 +60,9 @@ class Graph:
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_order", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Graph is immutable")
+    # Equality and hashing stay by identity; the guard is the records'.
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     @property
     def nodes(self) -> KeysView[str]:

@@ -75,6 +75,17 @@ operation merge {
 }
 """
 
+# ``nil`` is the empty-graph constant and ``dot`` a zero-dock expansion,
+# which may stand at rank 0 or over a graph of type 0.
+EMPTY_OPS = """\
+operation nil { empty }
+operation dot {
+  0 [label="x"];
+  port 0;
+}
+operation u { 0 1 }
+"""
+
 RUNNING_OPS = """\
 operation op1 {
   0 [label="persuade"];

@@ -488,11 +488,19 @@ def _naive_check(t: DerivationTree, a: Algebra) -> Optional[str]:
     while stack:
         node = stack.pop()
         if node.label not in a:
-            return f"unknown symbol {node.label!r} in tree"
-        ranks = a.term_ranks(node.label)
+            return f"no operation defined for symbol {node.label!r}"
+        op = a[node.label]
+        if isinstance(op, UnionOperation):
+            ranks = (2,)
+        elif isinstance(op, EmptyConstant):
+            ranks = (0,)
+        elif op.docks:
+            ranks = (1,)
+        else:
+            ranks = (0, 1)  # rank 0: applied to the empty graph
         if node.rank not in ranks:
-            return (f"symbol {node.label!r} used with {node.rank} children, "
-                    f"algebra allows {ranks}")
+            return (f"symbol {node.label!r} has rank {node.rank} but the "
+                    f"operation allows ranks {ranks}")
         stack.extend(reversed(node.children))
     return None
 

@@ -297,6 +297,27 @@ class TestApplyExpansion:
         with pytest.raises(ValueError, match="not a context node"):
             apply_expansion(op, arg, {"absent": target})
 
+    @pytest.mark.parametrize("assignment, message", [
+        ({"y2": "missing", "y3": "w1"},
+         "context node 'y2' mapped to 'missing', which is not a node of "
+         "the argument"),
+        ({"y2": "u1", "y3": "u2"},
+         "context node 'y3' mapped to argument port 'u2'"),
+        ({"y2": "w1", "y3": "w2"},
+         "context node 'y2' mapped to node 'w1' with a different label"),
+        ({}, "context nodes ['y2', 'y3'] of operation 'phi' are not "
+             "assigned"),
+        ({"y2": "u1"}, "context nodes ['y3'] of operation 'phi' are not "
+                       "assigned"),
+    ], ids=["absent-node", "port", "other-label", "empty", "partial"])
+    def test_bad_assignment_is_named(self, assignment, message):
+        # Context nodes y2 (label c) and y3 (label b); the argument's
+        # ports are z1, u2 and z2.
+        with pytest.raises(ValueError) as exc:
+            apply_expansion(repeated_dock_operation(),
+                            repeated_dock_argument(), assignment)
+        assert str(exc.value) == message
+
     @given(seeds, seeds)
     @settings(max_examples=60, deadline=None)
     def test_node_count_law(self, s1, s2):

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 import gexpand
 import gexpand.cli
 from gexpand.cli import (
+    ConfigError,
     RunConfig,
     _build_parser,
     config_from_args,
     main,
+    run,
 )
 from gexpand.corpus import (
     _CORPUS_NAME,
@@ -44,6 +46,7 @@ from gexpand import (
 )
 from fixtures import (
     DUPLICATE_RULE_GRAMMAR,
+    EMPTY_OPS,
     MERGE_OPS,
     RUNNING_GRAMMAR,
     RUNNING_OPS,
@@ -634,6 +637,31 @@ class TestWrites:
         assert listing(out) == ["g0_0.gv"]
         assert len(texts) == 1
 
+    def test_stale_entry_that_cannot_be_removed_is_one_error(
+            self, inputs, capsys, monkeypatch):
+        """Opening the corpus removes the old manifest first; a stale
+        gv file it cannot remove stops the run with one error line, and
+        the directory descriptor is closed."""
+        real_unlink = os.unlink
+
+        def unlink(path, *, dir_fd=None):
+            if path == "g0_0.gv":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return real_unlink(path, dir_fd=dir_fd)
+
+        tmp, ops, trees, _rtg = inputs
+        out = tmp / "corpus"
+        out.mkdir()
+        for name in ["g0_0.gv", "manifest.json"]:
+            (out / name).write_text("stale\n")
+        monkeypatch.setattr(os, "unlink", unlink)
+        assert main(["-g", str(ops), "-t", str(trees),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'g0_0.gv'}: "
+            f"{os.strerror(errno.EACCES)}\n")
+        assert listing(out) == ["g0_0.gv"]
+
     @pytest.mark.parametrize("target", ["manifest.json", "g2_0.gv"])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys,
                                                  monkeypatch, target):
@@ -759,6 +787,48 @@ class TestErrors:
         trees = tmp / "bad_trees.txt"
         trees.write_text("op3(op4 op5 op4)\n")
         assert main(["-g", str(ops), "-t", str(trees)]) == 1
+
+    def test_symbol_findings_are_one_error_line_each(self, inputs, capsys):
+        """``run`` raises its fatal findings as one ``ConfigError``,
+        one finding a line, and ``main`` writes each as an ``error:``
+        line; no corpus is made."""
+        tmp, ops, _trees, _rtg = inputs
+        trees = tmp / "bad_trees.txt"
+        trees.write_text("op3(op4 op9 op4)\nop8\n")
+        out = tmp / "corpus"
+        argv = ["-g", str(ops), "-t", str(trees), "--out", str(out)]
+        findings = [  # by symbol
+            "fatal: symbol 'op3' has rank 3 but the operation allows "
+            "ranks (2,)",
+            "fatal: no operation defined for symbol 'op8'",
+            "fatal: no operation defined for symbol 'op9'",
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "".join(f"error: {line}\n" for line in findings))
+        with pytest.raises(ConfigError) as exc:
+            run(config_from_args(argv)[0])
+        assert str(exc.value).split("\n") == findings
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    @pytest.mark.parametrize("tree, status, err", [
+        ("nil", 0, ""),
+        ("nil(dot)", 1, "error: fatal: symbol 'nil' has rank 1 but the "
+                        "operation allows ranks (0,)\n"),
+    ])
+    def test_empty_constant(self, tmp_path, capsys, mode, tree, status, err):
+        ops = tmp_path / "ops.txt"
+        ops.write_text(EMPTY_OPS)
+        trees = tmp_path / "trees.txt"
+        trees.write_text(tree + "\n")
+        out = tmp_path / "corpus"
+        assert main(["-g", str(ops), "-t", str(trees), "--mode", mode,
+                     "--out", str(out)]) == status
+        assert capsys.readouterr().err == err
+        if status == 0:
+            assert (out / "g0_0.gv").read_text() == (
+                "digraph {\n  // ports:\n}\n")
 
     def test_missing_operation_file(self, inputs, capsys):
         tmp, _ops, trees, _rtg = inputs

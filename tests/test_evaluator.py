@@ -32,6 +32,7 @@ from gexpand import evaluator, graphs
 from fixtures import (
     BRANCHING_OPS,
     BRANCHING_TREE_TEXT,
+    EMPTY_OPS,
     MERGE_OPS,
     RUNNING_OPS,
     RUNNING_TREE_TEXT,
@@ -108,10 +109,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     @pytest.mark.parametrize("text, message", [
-        ("bad1(bad2)", "unknown symbol 'bad1' in tree"),
+        ("bad1(bad2)", "no operation defined for symbol 'bad1'"),
         ("op2(op3(op4 bad op5))",
-         r"symbol 'op3' used with 3 children, algebra allows \(2,\)"),
-        ("op3(op2(bad) bad2)", "unknown symbol 'bad' in tree"),
+         r"symbol 'op3' has rank 3 but the operation allows ranks \(2,\)"),
+        ("op3(op2(bad) bad2)", "no operation defined for symbol 'bad'"),
     ])
     def test_first_faulty_node_in_preorder_is_reported(
             self, mode, text, message):
@@ -1047,3 +1048,40 @@ class TestNodeCount:
         assert len(kept) == 76
         assert sum(t.size() for t in kept) == 809
         assert len(sample_steps) == (221 if mode == "sample" else 0)
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+class TestEmptyConstant:
+    """The empty-graph constant ``nil`` evaluates to the graph with no
+    nodes, in either mode."""
+
+    @staticmethod
+    def graphs(text, mode):
+        out = evaluate(parse_tree(text), parse_operation_file(EMPTY_OPS),
+                       EvalConfig(mode=mode))
+        assert out.diagnostics == ()
+        return [(g.labels, g.edges, g.ports) for g in out.graphs]
+
+    def test_nil_alone_is_one_graph_without_nodes(self, mode):
+        assert self.graphs("nil", mode) == [({}, frozenset(), ())]
+
+    def test_union_with_nil_adds_nothing(self, mode):
+        (labels, edges, ports), = self.graphs("u(nil dot)", mode)
+        assert list(labels.values()) == ["x"]
+        assert not edges and ports == tuple(labels)
+
+    def test_zero_dock_expansion_over_nil_is_the_one_at_rank_0(self, mode):
+        assert self.graphs("dot(nil)", mode) == self.graphs("dot", mode)
+
+    def test_pre_pass_gives_no_nodes_and_forces_nil(self, mode):
+        algebra, cfg = parse_operation_file(EMPTY_OPS), EvalConfig(mode=mode)
+        t = parse_tree("nil")
+        assert sample_shape(t, algebra, cfg) == ((), {})
+        assert sample_shape_forced(t, algebra, cfg)
+
+    def test_nil_with_a_child_is_a_fault(self, mode):
+        with pytest.raises(EvaluationError, match=re.escape(
+                "symbol 'nil' has rank 1 but the operation allows ranks "
+                "(0,)")):
+            evaluate(parse_tree("nil(dot)"), parse_operation_file(EMPTY_OPS),
+                     EvalConfig(mode=mode))

@@ -147,9 +147,26 @@ class TestParseRtg:
             parse_rtg(f"S\nS -> a # {weight}")
         assert str(exc.value) == f"line 2: bad weight '{weight}'"
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_rtg, "S T\nS -> a",
+         "line 1: start line must be a single nonterminal"),
+        (parse_rtg, "S\nS a", "line 2: cannot parse rule: 'S a'"),
+        (parse_tree, "", "line 1: unexpected end of tree"),
+        (parse_tree, ")", "line 1: unexpected token ')'"),
+    ], ids=["start-line", "rule", "tree-end", "tree-token"])
+    def test_syntax_error_texts(self, parse, text, message):
+        with pytest.raises(RtgSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
 
 class TestHandBuiltGrammar:
     """A grammar built without the parser uses only declared symbols."""
+
+    def test_start_that_is_no_nonterminal_rejected(self):
+        with pytest.raises(ValueError, match=(
+                "^start symbol 'T' is not a nonterminal$")):
+            WeightedRtg(frozenset({"S"}), {}, (), "T")
 
     @pytest.mark.parametrize("rule, name", [
         (Production("S", "f", ("T",)), "T"), (Production("T", "f", ("S",)), "T")])
@@ -219,6 +236,10 @@ class TestNBestTrees:
         g = parse_rtg(RUNNING_GRAMMAR)
         best = n_best_trees(g, 5)
         assert best == [(RUNNING_TREE, Fraction(0))]
+
+    def test_n_below_1_rejected(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            n_best_trees(parse_rtg(RUNNING_GRAMMAR), 0)
 
     def test_linear_chain_order(self):
         g = parse_rtg("S\nS -> f(S) # 1\nS -> a # 0")

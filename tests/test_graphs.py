@@ -50,8 +50,15 @@ class TestConstruction:
 
     def test_graphs_are_immutable(self):
         g = single("x")
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError,
+                           match="^cannot assign to field 'ports'$"):
             g.ports = ()
+        # A deleted field, even a cached one, would break later reads.
+        for name in Graph.__slots__:
+            with pytest.raises(AttributeError,
+                               match=f"^cannot delete field '{name}'$"):
+                delattr(g, name)
+        assert canonical_order(g) == ("v",)
 
 
 class TestNodeSet:

@@ -60,6 +60,23 @@ class TestParseGv:
             parse_gv('digraph {\n  "a" [label="x"];\n  @@nonsense@@\n}')
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("graph {\n}\n", "line 1: expected 'digraph {'"),
+        ("", "line 1: empty input, expected 'digraph {'"),
+        ("digraph {\n}\ndigraph {\n}\n", "line 3: text after closing brace"),
+        ('digraph {\n  a [label="x"];\n  a [label="y"];\n}\n',
+         "line 3: node 'a' redeclared with label 'y' (was 'x' at line 2)"),
+    ], ids=["header", "empty", "second-digraph", "relabel"])
+    def test_error_texts(self, text, message):
+        with pytest.raises(GvSyntaxError) as exc:
+            parse_gv(text)
+        assert str(exc.value) == message
+
+    def test_operation_file_header_error_text(self):
+        with pytest.raises(OperationFileError) as exc:
+            parse_operation_file("nonsense {\n}\n")
+        assert str(exc.value) == "line 1: expected 'operation <name> {'"
+
     def test_port_referencing_unknown_node_rejected(self):
         with pytest.raises(GvSyntaxError):
             parse_gv('digraph {\n  "a" [label="x"];\n  // ports: b\n}')

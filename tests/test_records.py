@@ -257,3 +257,4 @@ def test_repr():
 def test_derivation_tree_keeps_its_positional_children():
     assert DerivationTree("f", (tree("a"),)) == tree("f", tree("a"))
     assert DerivationTree("a").children == ()
+    assert str(inspect.signature(DerivationTree)) == "(label, children=())"

@@ -60,6 +60,11 @@ class TestParseDefinitions:
         with pytest.raises(DefinitionError):
             parse_definitions("x:\n")
 
+    def test_hand_built_empty_replacement_list_rejected(self):
+        with pytest.raises(DefinitionError,
+                           match="^empty replacement list for 'a'$"):
+            DefinitionTable({"a": ()})
+
     def test_missing_colon_rejected(self):
         with pytest.raises(DefinitionError):
             parse_definitions("x a b\n")
