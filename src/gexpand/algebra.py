@@ -1,5 +1,5 @@
 """The graph expansion algebra: expansion operations, union operations,
-and the empty-graph constant.
+and the empty-graph constant, the expansion with no template node.
 
 An expansion operation stacks a template graph on top of an argument
 graph: the template's dock sequence is fused positionally with the
@@ -81,13 +81,25 @@ class UnionOperation(Record):
             )
 
 
-class EmptyConstant(Record):
-    """The constant for the empty graph."""
+class EmptyConstant(ExpansionOperation):
+    """The empty-graph constant: the expansion with no template node."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
+    _defaults = {"template": Graph((), {}), "docks": ()}
+
+    def __post_init__(self) -> None:
+        # Any dock is then rejected as no template node.
+        if self.template.labels:
+            raise OperationFileError(
+                f"operation {self.name!r}: the empty constant has no node")
+        super().__post_init__()
+
+    def __reduce__(self):
+        # A copy shares the one template, since graphs compare by identity.
+        return EmptyConstant, (self.name,)
 
 
-Operation = Union[ExpansionOperation, UnionOperation, EmptyConstant]
+Operation = Union[ExpansionOperation, UnionOperation]
 
 
 class Algebra(Record):

@@ -8,17 +8,16 @@ per context node from a seeded, replayable stream, keyed by the node's
 position, and evaluates each distinct forced subtree (one in which no
 context node has more than one candidate, so nothing is drawn) once per
 corpus.  In both modes one pre-pass checks each distinct subtree once
-per corpus and decides its diagnostics: it records whether the
-required operation occurs, and abstracts the subtree to its sample
-shape: port labels and non-port label counts, which decide whether the
-subtree yields any graph and, if not, the ``zero-result:`` lines, and
-whether it is forced; the node count every graph of the subtree has,
-which the size filter reads, is the shape's port count plus its
-non-port label counts.  Evaluation only builds graphs, and either mode
+per corpus and abstracts it to its sample shape: port labels and
+non-port label counts, which decide whether the subtree yields any
+graph and, if not, the ``zero-result:`` lines, and whether it is
+forced; its port count plus its label counts is the node count of
+every graph of the subtree.  ``required_op`` and ``tree_size_bounds``
+read the tree itself.  Evaluation only builds graphs, and either mode
 folds only the trees that yield a graph inside the size bounds; any
-other tree gets the pre-pass's lines, the same in both modes, even if a
-subtree of it would exceed the result cap: a ``required-op:`` line,
-else its ``zero-result:`` lines, else a ``size-filtered:`` line.
+other tree gets the same lines in both modes, even if a subtree of it
+would exceed the result cap: a ``required-op:`` line, else its
+``zero-result:`` lines, else a ``size-filtered:`` line.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Dict, List, Sequence, Tuple, Union
 from ._record import Record
 from .algebra import (
     Algebra,
-    EmptyConstant,
     Operation,
     UnionOperation,
     apply_expansion,
@@ -123,8 +121,6 @@ def _enumerate_node(
         if kid.__class__ is str:
             return kid
     op = a[t.label]
-    if isinstance(op, EmptyConstant):
-        return [empty_graph()]
     if isinstance(op, UnionOperation):
         left, right = kids
         graphs = dedup([disjoint_union(g, h) for g in left for h in right])
@@ -142,26 +138,21 @@ def _enumerate_node(
 
 def _check_node(
     a: Algebra, cfg: EvalConfig, t: DerivationTree, _path: str, kids: list,
-) -> Union[Tuple[int, bool, tuple, bool], str]:
+) -> Union[Tuple[tuple, bool], str]:
     """Memoized fold step of the pre-pass: for node ``t``'s subtree,
-    (tree size, uses ``cfg.required_op``, sample shape, forced), or the
-    check message of its first faulty node in preorder.  A subtree is
-    forced when every context node of every expansion in it has exactly
-    one candidate: sample mode then draws nothing in it, and it yields
-    the same graph, node names included, at every position of every
-    tree."""
+    (sample shape, forced), or the check message of its first faulty
+    node in preorder.  A subtree is forced when every context node of
+    every expansion in it has exactly one candidate: sample mode then
+    draws nothing in it, and it yields the same graph, node names
+    included, at every position of every tree."""
     fault = a.fault(t.label, t.rank)
     if fault is not None:
         return fault
-    size, uses, forced = 1, t.label == cfg.required_op, True
     for kid in kids:
         if kid.__class__ is str:
             return kid
-        size += kid[0]
-        uses = uses or kid[1]
-        forced = forced and kid[3]
-    shape, single = _shape(a[t.label], cfg, [kid[2] for kid in kids])
-    return size, uses, shape, forced and single
+    shape, single = _shape(a[t.label], cfg, [kid[0] for kid in kids])
+    return shape, single and all(kid[1] for kid in kids)
 
 
 _NO_NODES: tuple = ((), {})
@@ -184,8 +175,6 @@ def _shape(
     if empty:
         # Both arguments of a union.
         return (None, empty[0][1] + empty[1][1]), False
-    if isinstance(op, EmptyConstant):
-        return _NO_NODES, True
     if isinstance(op, UnionOperation):
         (left, left_counts), (right, right_counts) = args
         if len(left) != op.left_arity or len(right) != op.right_arity:
@@ -243,8 +232,6 @@ def _sample_node(
     sample shape is not empty are folded, so every argument has the
     right type and every context node a candidate."""
     op = a[t.label]
-    if isinstance(op, EmptyConstant):
-        return empty_graph()
     if isinstance(op, UnionOperation):
         return disjoint_union(*args)
     arg = args[0] if args else empty_graph()
@@ -285,14 +272,15 @@ def _evaluate(
     info = t.fold(partial(_check_node, a, cfg), checks)
     if info.__class__ is str:
         raise EvaluationError(info)
-    size, uses_required_op, (ports, counts), _forced = info
-    if cfg.required_op is not None and not uses_required_op:
+    (ports, counts), _forced = info
+    if cfg.required_op is not None and all(
+            node.label != cfg.required_op for node in t.walk()):
         return EvalOutcome(t, (), (
             f"required-op: tree does not use operation {cfg.required_op!r}",))
     if ports is None:
         # An empty shape holds the tree's ``zero-result:`` lines.
         return EvalOutcome(t, (), counts)
-    what, n = (("tree", size) if cfg.tree_size_bounds
+    what, n = (("tree", t.size()) if cfg.tree_size_bounds
                else ("every graph", len(ports) + sum(counts.values())))
     low, high = cfg.min_nodes, cfg.max_nodes
     if low is not None and n < low:
@@ -305,7 +293,7 @@ def _evaluate(
         # A forced subtree draws nothing, so its graph is shared; any
         # other node's draws are keyed by its path in this tree.
         graphs = [t.fold(partial(_sample_node, a, cfg, tree_index), memo,
-                         lambda node: checks[id(node)][3])]
+                         lambda node: checks[id(node)][1])]
     else:
         graphs = t.fold(partial(_enumerate_node, a, cfg), memo)
         if graphs.__class__ is str:

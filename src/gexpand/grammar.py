@@ -214,7 +214,7 @@ def tree(label: str, *children: DerivationTree) -> DerivationTree:
 
 
 _RULE_RE = re.compile(
-    r"^(?P<lhs>[^\s()#,]+)\s*->\s*(?P<sym>[^\s()#,]+)"
+    r"^(?P<lhs>[^\s()#,]+)\s*->\s*(?P<sym>[^\s()#,\[\]]+)"
     r"(?:\s*\(\s*(?P<args>[^()#]*)\))?\s*(?:#\s*(?P<weight>\S+))?\s*$"
 )
 
@@ -457,10 +457,10 @@ def n_best_trees(
 _TREE_TOKEN = re.compile(r"[()\[\],]|[^\s()\[\],]+")
 
 
-def parse_tree(text: str, lineno: int = 1) -> DerivationTree:
+def parse_tree(text: str) -> DerivationTree:
     """Parse one tree in functional ``f(a b)`` or bracket ``f[a, b]``
-    notation."""
-    return _parse_tree(text, lineno, {})
+    notation; an error names line 1."""
+    return _parse_tree(text, 1, {})
 
 
 def _parse_tree(

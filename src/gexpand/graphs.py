@@ -64,6 +64,10 @@ class Graph:
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
+    def __reduce__(self):
+        # Loading checks the graph again; the caches start empty.
+        return Graph, (self.edges, self.labels, self.ports)
+
     @property
     def nodes(self) -> KeysView[str]:
         """The node set, as a view of the label map's keys."""

@@ -472,7 +472,22 @@ class TestParseOperationFile:
 
     def test_empty_constant_body(self):
         algebra = parse_operation_file("operation phi {\n  empty\n}\n")
-        assert isinstance(algebra["phi"], EmptyConstant)
+        op = algebra["phi"]
+        assert isinstance(op, EmptyConstant)
+        # The expansion with no template node, allowed at rank 0 only.
+        assert isinstance(op, ExpansionOperation)
+        assert not op.template.nodes and not op.template.edges
+        assert (op.docks, op.ports, op.context) == ((), (), ())
+        assert op.template is EmptyConstant("psi").template
+        assert repr(op) == ("EmptyConstant(name='phi', template=Graph("
+                            "nodes=0, edges=0, type=0), docks=())")
+        assert algebra.fault("phi", 0) is None
+        assert algebra.fault("phi", 1) == (
+            "symbol 'phi' has rank 1 but the operation allows ranks (0,)")
+        with pytest.raises(OperationFileError, match="has no node"):
+            EmptyConstant("phi", Graph((), {"0": "x"}, ("0",)))
+        with pytest.raises(OperationFileError, match="is not a template"):
+            EmptyConstant("phi", docks=("0",))
 
     def test_duplicate_name_rejected(self):
         text = "operation a {\n 1 1\n}\noperation a {\n 2 2\n}\n"

@@ -162,6 +162,20 @@ class TestRun:
             "g0_0.gv", "manifest.json"]
         assert len(parse_gv((out / "g0_0.gv").read_text()).nodes) == 1
 
+    def test_tree_file_with_blank_and_comment_lines(self, tmp_path):
+        ops = tmp_path / "ops.txt"
+        ops.write_text('operation a {\n  0 [label="x"];\n  port 0;\n}\n'
+                       'operation f {\n  0 [label="y"];\n  1;\n'
+                       '  0 -> 1 [label="arg"];\n  port 0;\n  dock 1;\n}\n')
+        trees = tmp_path / "trees.txt"
+        trees.write_text("a\n\n// note\n   \nf(a) // tail\n")
+        out = tmp_path / "corpus"
+        assert main(["-g", str(ops), "-t", str(trees), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "g0_0.gv", "g1_0.gv", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [g["tree"] for g in manifest["graphs"]] == ["a", "f(a)"]
+
     def test_quoted_comment_marker_is_text_in_every_input(self, tmp_path):
         # One comment rule: an operation, rule, tree and definition may
         # hold a ``//`` inside a quoted string.

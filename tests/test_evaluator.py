@@ -654,11 +654,11 @@ operation p {
 
 
 def sample_shape(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[2]
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[0]
 
 
 def sample_shape_forced(t, algebra, cfg):
-    return t.fold(partial(evaluator._check_node, algebra, cfg))[3]
+    return t.fold(partial(evaluator._check_node, algebra, cfg))[1]
 
 
 @pytest.fixture()
@@ -881,7 +881,7 @@ def set_size_bound(t, algebra, cfg):
     for node in t.walk():
         op = algebra[node.label]
         if isinstance(op, ExpansionOperation) and node.children:
-            ports, counts = checks[id(node.children[0])][2]
+            ports, counts = checks[id(node.children[0])][0]
             if ports is not None:
                 for u in op.context:
                     bound *= max(1, counts.get(op.template.labels[u], 0))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -151,9 +152,13 @@ class TestParseRtg:
         (parse_rtg, "S T\nS -> a",
          "line 1: start line must be a single nonterminal"),
         (parse_rtg, "S\nS a", "line 2: cannot parse rule: 'S a'"),
+        # A bracket in a symbol would read back as a bracket tree.
+        (parse_rtg, "S\nS -> x[y]", "line 2: cannot parse rule: 'S -> x[y]'"),
+        (parse_rtg, "S\nS -> x](S)", "line 2: cannot parse rule: 'S -> x](S)'"),
         (parse_tree, "", "line 1: unexpected end of tree"),
         (parse_tree, ")", "line 1: unexpected token ')'"),
-    ], ids=["start-line", "rule", "tree-end", "tree-token"])
+    ], ids=["start-line", "rule", "bracket-symbol", "closing-bracket-symbol",
+            "tree-end", "tree-token"])
     def test_syntax_error_texts(self, parse, text, message):
         with pytest.raises(RtgSyntaxError) as exc:
             parse(text)
@@ -380,6 +385,8 @@ class TestNBestAgainstNestedSearch:
             ]
             for t, w in got:
                 assert type(w) is Fraction and min_tree_weight(g, t) == w
+                # The manifest's tree text reads back as the tree.
+                assert parse_tree(t.serialize()) == t
             if pops:
                 for budget in {pops - 1, rng.randrange(pops)}:
                     with pytest.raises(BudgetExceededError):
@@ -389,9 +396,11 @@ class TestNBestAgainstNestedSearch:
     def test_bench_grammars(self, name, n):
         g = parse_rtg((BENCH_INPUTS / f"{name}.rtg").read_text())
         expected, pops = naive_n_best_trees(g, n)
-        assert [(t.serialize(), w) for t, w in n_best_trees(g, n, pops)] == [
+        got = n_best_trees(g, n, pops)
+        assert [(t.serialize(), w) for t, w in got] == [
             (t.serialize(), w) for t, w in expected
         ]
+        assert all(parse_tree(t.serialize()) == t for t, _w in got)
         with pytest.raises(BudgetExceededError):
             n_best_trees(g, n, pops - 1)
 
@@ -426,6 +435,14 @@ class TestParseTrees:
 
     def test_empty_file_gives_empty_list(self):
         assert parse_tree_file("") == []
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        text = "a\n\n// note\n   \nf(a) // tail\n"
+        assert parse_tree_file(text) == [tree("a"), tree("f", tree("a"))]
+        # Errors name the physical line.
+        with pytest.raises(RankConflictError, match=re.escape(
+                "line 6: symbol 'a' has rank 1 here but rank 0 at line 1")):
+            parse_tree_file(text + "a(f(a))\n")
 
     def test_cross_line_rank_conflict(self):
         with pytest.raises(RankConflictError):

@@ -10,6 +10,7 @@ which maps no OpenSSL library and gives the digests of
 ``hashlib.sha256``.
 """
 
+import copy
 import hashlib
 import importlib.util
 import inspect
@@ -35,7 +36,10 @@ from gexpand import (
     Production,
     UnionOperation,
     WeightedRtg,
+    evaluate,
+    is_isomorphic,
     parse_operation_file,
+    parse_tree,
     tree,
 )
 from gexpand.cli import RunConfig
@@ -46,7 +50,10 @@ from fixtures import (
     RUNNING_GRAMMAR,
     RUNNING_OPS,
     RUNNING_TREE_TEXT,
+    running_result_graph,
 )
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 CHILD = """\
 import sys
@@ -170,6 +177,66 @@ class TestRecord:
             delattr(record, name)
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def copies(value):
+    """``value`` through pickle, ``copy.copy`` and ``copy.deepcopy``."""
+    return [pickle.loads(pickle.dumps(value)), copy.copy(value),
+            copy.deepcopy(value)]
+
+
+def assert_same_graph(copied, g):
+    """Equal fields and isomorphic: graphs compare by identity."""
+    assert (copied.edges, copied.labels, copied.ports) == (
+        g.edges, g.labels, g.ports)
+    assert is_isomorphic(copied, g)
+
+
+def assert_same_operation(copied, op):
+    if not isinstance(op, ExpansionOperation):
+        assert copied == op
+        return
+    assert copied.__class__ is op.__class__
+    assert (copied.name, copied.docks, copied.context) == (
+        op.name, op.docks, op.context)
+    assert_same_graph(copied.template, op.template)
+
+
+class TestCopies:
+    """Graphs, and the records that hold graphs, pickle and copy."""
+
+    def test_graph(self):
+        g = running_result_graph()
+        for copied in copies(g):
+            assert copied is not g
+            assert_same_graph(copied, g)
+
+    @pytest.mark.parametrize("name", ["op1", "op2", "op3", "op4"])
+    def test_running_operation(self, name):
+        op = parse_operation_file(RUNNING_OPS)[name]
+        for copied in copies(op):
+            assert_same_operation(copied, op)
+
+    def test_empty_constant_copies_share_its_template(self):
+        for copied in copies(EmptyConstant("nil")):
+            assert copied == EmptyConstant("nil")
+
+    def test_amr_algebra(self):
+        algebra = parse_operation_file((BENCH_INPUTS / "amr.ops").read_text())
+        for copied in copies(algebra):
+            assert list(copied.operations) == list(algebra.operations)
+            for name, op in algebra.operations.items():
+                assert_same_operation(copied[name], op)
+
+    def test_outcome(self):
+        outcome = evaluate(parse_tree(RUNNING_TREE_TEXT),
+                           parse_operation_file(RUNNING_OPS), EvalConfig())
+        assert len(outcome.graphs) == 1
+        for copied in copies(outcome):
+            assert copied.source_tree == outcome.source_tree
+            assert copied.diagnostics == outcome.diagnostics
+            assert len(copied.graphs) == 1
+            assert_same_graph(copied.graphs[0], outcome.graphs[0])
 
 
 def test_operation_checks_and_context_survive():
