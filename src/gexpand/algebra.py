@@ -107,6 +107,14 @@ class Algebra(Record):
 
     __slots__ = ("operations",)
 
+    def __post_init__(self) -> None:
+        # A tree symbol names its operation, and diagnostics the
+        # operation's own name: the two must be one.
+        for name, op in self.operations.items():
+            if op.name != name:
+                raise OperationFileError(
+                    f"operation {op.name!r} is listed as {name!r}")
+
     def __getitem__(self, name: str) -> Operation:
         return self.operations[name]
 

@@ -27,7 +27,7 @@ from .algebra import (
     parse_operation_file,
 )
 from .corpus import Corpus, CorpusWriteError
-from .evaluator import EvalConfig, evaluate_corpus
+from .evaluator import ConfigError, EvalConfig, evaluate_corpus
 from .grammar import (
     BudgetExceededError,
     DerivationTree,
@@ -67,15 +67,11 @@ class RunConfig(EvalConfig, kw_only=True):
     def __post_init__(self) -> None:
         super().__post_init__()
         if (self.trees is None) == (self.rtg is None):
-            raise ValueError("exactly one of -t and --rtg must be given")
+            raise ConfigError("exactly one of -t and --rtg must be given")
         if self.rtg is not None and self.best_count < 1:
-            raise ValueError("-N must be at least 1")
+            raise ConfigError("-N must be at least 1")
         if self.instantiation_cap < 1:
-            raise ValueError("--instantiation-cap must be at least 1")
-
-
-class ConfigError(ValueError):
-    pass
+            raise ConfigError("--instantiation-cap must be at least 1")
 
 
 # What bad inputs or settings, or an output directory that cannot be
@@ -160,9 +156,10 @@ def config_from_args(argv: Sequence[str]) -> Tuple[RunConfig, bool]:
 
 def _read(path: str, what: str) -> str:
     """The text of an input file, decoded as UTF-8 whatever the locale:
-    the encoding the corpus is written in."""
+    the encoding the corpus is written in.  A leading byte-order mark
+    is dropped; a decode error's offset counts it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -188,8 +185,12 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _symbol_rank_findings(
-    algebra: Algebra, grammar: Optional[WeightedRtg], trees
+    algebra: Algebra, grammar: Optional[WeightedRtg], trees,
+    required_op: Optional[str] = None,
 ) -> List[str]:
+    """A fatal finding for each symbol of the grammar or the trees that
+    the algebra cannot evaluate, in symbol order; then, if no symbol is
+    ``required_op``, a warning that ``-k`` filters every tree."""
     findings = []
     if grammar is not None:
         symbol_ranks = grammar.terminals
@@ -205,15 +206,18 @@ def _symbol_rank_findings(
         fault = algebra.fault(name, rank)
         if fault is not None:
             findings.append(f"fatal: {fault}")
+    if required_op is not None and required_op not in symbol_ranks:
+        findings.append(f"warning: -k/--required-op names {required_op!r}, "
+                        f"which no tree uses; every tree will be filtered")
     return findings
 
 
-def validate(cfg: RunConfig) -> Tuple[List[str], bool]:
-    """Check the inputs without generating; returns (report lines,
-    fatal)."""
+def validate(cfg: RunConfig) -> int:
+    """Check the inputs without generating and write the report to
+    stdout; returns the exit status, 1 if a finding is fatal."""
     algebra, grammar, trees, _definitions = _load_inputs(cfg)
-    report = _symbol_rank_findings(algebra, grammar, trees)
-    fatal = bool(report)  # every symbol-rank finding is fatal
+    report = _symbol_rank_findings(algebra, grammar, trees, cfg.required_op)
+    fatal = any(line.startswith("fatal:") for line in report)
 
     producible = template_labels_producible(algebra)
     for name in sorted(algebra.operations):
@@ -251,7 +255,9 @@ def validate(cfg: RunConfig) -> Tuple[List[str], bool]:
             grammar.nonterminals - reachable_nonterminals(grammar))
         if unreachable:
             report.append(f"info: unreachable nonterminals: {unreachable}")
-    return report, fatal
+    return _write_out("".join(f"{line}\n"
+                              for line in report or ["ok: no findings"]),
+                      1 if fatal else 0)
 
 
 def template_labels_producible(algebra: Algebra) -> set:
@@ -274,9 +280,15 @@ def template_labels_producible(algebra: Algebra) -> set:
 
 def _write_out(text: str, status: int) -> int:
     """Write ``text`` to stdout and return ``status``, or 120 as in
-    ``entry``: unbuffered stdout fails here, buffered at its flush."""
+    ``entry``: unbuffered stdout fails here, buffered at its flush.
+    Only text that stdout's encoding cannot write is escaped, as stderr
+    does, so a path from the command line keeps its bytes."""
     try:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError:
+            enc = sys.stdout.encoding
+            sys.stdout.write(text.encode(enc, "backslashreplace").decode(enc))
     except OSError as exc:
         return _cannot_write(sys.stdout, exc)
     return status
@@ -360,27 +372,14 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
+        # Every setting is checked here, before any file is touched.
         cfg, validate_only = config_from_args(
-            sys.argv[1:] if argv is None else argv
-        )
-    except ValueError as exc:
-        # Every config check fires here, before any file is touched.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if not validate_only:
-            return run(cfg)
-        report, fatal = validate(cfg)
+            sys.argv[1:] if argv is None else argv)
+        return (validate if validate_only else run)(cfg)
     except _INPUT_ERRORS as exc:
         sys.stderr.write("".join(f"error: {line}\n"
                                  for line in str(exc).split("\n")))
         return 1
-    # Symbols come from UTF-8 files, so a report line may hold characters
-    # that stdout's encoding cannot write: escape them, as stderr does.
-    encoding = sys.stdout.encoding or "utf-8"
-    text = "".join(f"{line}\n" for line in report or ["ok: no findings"])
-    return _write_out(text.encode(encoding, "backslashreplace")
-                      .decode(encoding), 1 if fatal else 0)
 
 
 def entry() -> NoReturn:

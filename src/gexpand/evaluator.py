@@ -48,6 +48,10 @@ class ResultCapExceededError(RuntimeError):
     """An intermediate result set outgrew the configured cap."""
 
 
+class ConfigError(ValueError):
+    """A setting no run can take, or an input the CLI refuses."""
+
+
 class EvalConfig(Record):
     """The evaluation settings; every field has a default."""
 
@@ -61,10 +65,10 @@ class EvalConfig(Record):
 
     def __post_init__(self) -> None:
         if self.mode not in ("enumerate", "sample"):
-            raise ValueError(f"bad mode: {self.mode!r}")
+            raise ConfigError(f"bad mode: {self.mode!r}")
         # The messages name the command line's flags as well.
         if self.result_cap < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"result_cap must be at least 1 (--result-cap "
                 f"{self.result_cap})")
         if (
@@ -72,7 +76,7 @@ class EvalConfig(Record):
             and self.max_nodes is not None
             and self.min_nodes > self.max_nodes
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"min_nodes exceeds max_nodes (-L/--min-nodes "
                 f"{self.min_nodes} > -H/--max-nodes {self.max_nodes})")
 

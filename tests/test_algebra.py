@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpand import (
+    Algebra,
     EmptyConstant,
     ExpansionOperation,
     ExpansionTypeError,
@@ -676,3 +677,11 @@ class TestUnionOperation:
     def test_negative_arity_rejected(self):
         with pytest.raises(OperationFileError):
             UnionOperation("u", -1, 0)
+
+
+class TestAlgebra:
+    def test_operation_listed_under_another_name_rejected(self):
+        # A tree symbol names the key, diagnostics the operation's name.
+        with pytest.raises(OperationFileError,
+                           match="operation 'u' is listed as 'f'"):
+            Algebra({"f": UnionOperation("u", 1, 1)})

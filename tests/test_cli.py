@@ -26,6 +26,7 @@ from gexpand.cli import (
     config_from_args,
     main,
     run,
+    validate,
 )
 from gexpand.corpus import (
     _CORPUS_NAME,
@@ -390,17 +391,67 @@ class TestEncoding:
             "fatal: no operation defined for symbol '\\xf6p4'"]
         assert "Traceback" not in result.stderr
 
-    def test_file_that_is_not_utf8_is_one_error_line(self, inputs):
+    # A byte-order mark counts in the offset of a decode error.
+    @pytest.mark.parametrize("mark, offset", [(b"", 23),
+                                              (b"\xef\xbb\xbf", 26)],
+                             ids=["plain", "byte-order mark"])
+    def test_file_that_is_not_utf8_is_one_error_line(self, inputs, mark,
+                                                      offset):
         tmp, ops, _trees, _rtg = inputs
         trees = tmp / "latin1.txt"
-        trees.write_bytes(b"op1(op2(op3(op4 op5)))\n\xff\n")
+        trees.write_bytes(mark + b"op1(op2(op3(op4 op5)))\n\xff\n")
         result = run_cli(["-g", str(ops), "-t", str(trees),
                           "--out", str(tmp / "corpus")])
         assert result.returncode == 1
         assert result.stderr == (
             f"error: tree file is not UTF-8: {trees}: invalid start byte "
-            f"at byte 23\n")
+            f"at byte {offset}\n")
         assert not (tmp / "corpus").exists()
+
+    def test_ascii_stdout_escapes_a_non_ascii_out_path(self, inputs):
+        tmp, ops, trees, _rtg = inputs
+        out = tmp / "\xf6-out"
+        result = run_cli(["-g", str(ops), "-t", str(trees), "--out",
+                          str(out)], PYTHONIOENCODING="ascii")
+        assert result.returncode == 0, result.stderr
+        escaped = str(out).encode("ascii", "backslashreplace").decode()
+        assert result.stdout == f"wrote 1 graph(s) to {escaped}\n"
+        assert "Traceback" not in result.stderr
+        assert (out / "manifest.json").is_file()
+
+    def test_c_locale_prints_an_out_path_as_given(self, inputs):
+        # The path's bytes reach stdout as they came in, not escaped.
+        tmp, ops, trees, _rtg = inputs
+        out = tmp / "\xf6-out"
+        result = run_cli(["-g", str(ops), "-t", str(trees), "--out",
+                          str(out)], LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                         PYTHONUTF8="0")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote 1 graph(s) to {out}\n"
+        assert (out / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("flag", ["-g", "--rtg", "-t", "-d"])
+    def test_byte_order_mark_is_dropped(self, inputs, capsys, flag):
+        tmp, ops, trees, rtg = inputs
+        defs = tmp / "defs.txt"
+        defs.write_text("she: she, sie\n", encoding="utf-8")
+        plain = ["-g", ops, "-d", defs, "--mode", "enumerate"]
+        plain += ["--rtg", rtg] if flag == "--rtg" else ["-t", trees]
+        original = plain[plain.index(flag) + 1]
+        marked = tmp / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        runs = []
+        for name, argv in [("plain", plain),
+                           ("marked", [marked if x == original else x
+                                       for x in plain])]:
+            out = tmp / name
+            status = main([str(x) for x in argv] + ["--out", str(out)])
+            files = corpus_bytes(out)
+            manifest = json.loads(files.pop("manifest.json"))
+            runs.append((status, capsys.readouterr().err, files,
+                         manifest["graphs"], manifest["warnings"]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][2]) == 2
 
     @pytest.mark.parametrize("what",
                              ["operation", "tree", "grammar", "definition"])
@@ -1144,6 +1195,32 @@ class TestValidate:
         monkeypatch.setattr(DerivationTree, "walk", counted)
         assert gexpand.cli._symbol_rank_findings(algebra, None, trees) == []
         assert len(visits) == 4_204
+
+    def test_returns_the_status_and_writes_the_report(self, inputs,
+                                                       capsys):
+        tmp, ops, trees, _rtg = inputs
+        assert validate(config_from_args(
+            ["-g", str(ops), "-t", str(trees)])[0]) == 0
+        assert capsys.readouterr() == ("ok: no findings\n", "")
+        trees.write_text("op9\n")
+        assert validate(config_from_args(
+            ["-g", str(ops), "-t", str(trees)])[0]) == 1
+        assert capsys.readouterr() == (
+            "fatal: no operation defined for symbol 'op9'\n", "")
+
+    @pytest.mark.parametrize("source", ["-t", "--rtg"])
+    @pytest.mark.parametrize("name, report", [
+        ("typo", "warning: -k/--required-op names 'typo', which no tree "
+                 "uses; every tree will be filtered\n"),
+        ("op4", "ok: no findings\n"),
+    ], ids=["unused", "used"])
+    def test_required_op_no_tree_uses_warned(self, inputs, capsys, source,
+                                             name, report):
+        _tmp, ops, trees, rtg = inputs
+        argv = ["-g", str(ops), source, str(trees if source == "-t" else rtg),
+                "-k", name, "--validate"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (report, "")
 
     def test_clean_fixture_reports_no_findings(self, inputs, capsys):
         _tmp, ops, trees, _rtg = inputs

@@ -15,6 +15,7 @@ import hashlib
 import importlib.util
 import inspect
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -43,7 +44,7 @@ from gexpand import (
     tree,
 )
 from gexpand.cli import RunConfig
-from gexpand.evaluator import _builtin_sha256
+from gexpand.evaluator import ConfigError, _builtin_sha256
 from fixtures import (
     BRANCHING_OPS,
     BRANCHING_TREE_TEXT,
@@ -294,6 +295,26 @@ def test_run_config_arguments():
         EvalConfig(colour="red")
     with pytest.raises(ValueError, match="exactly one of -t and --rtg"):
         RunConfig(operations="o")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvalConfig(result_cap=0), "--result-cap 0"),
+    (lambda: EvalConfig(min_nodes=5, max_nodes=3), "-L/--min-nodes 5"),
+    (lambda: EvalConfig(mode="all"), "bad mode: 'all'"),
+    (lambda: RunConfig(operations="o"), "exactly one of -t and --rtg"),
+    (lambda: RunConfig(operations="o", rtg="r", best_count=0),
+     "-N must be at least 1"),
+    (lambda: RunConfig(operations="o", rtg="r", instantiation_cap=0),
+     "--instantiation-cap must be at least 1"),
+], ids=["result_cap", "bounds", "mode", "source", "best_count",
+        "instantiation_cap"])
+def test_bad_setting_raises_config_error(make, message):
+    """A bad setting is an input error, a ``ValueError`` still, and the
+    CLI's ``ConfigError`` is the same class."""
+    assert gexpand.cli.ConfigError is ConfigError
+    assert issubclass(ConfigError, ValueError)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make()
 
 
 def test_replace_and_asdict():
